@@ -65,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", help="comma list of column counts")
     p.add_argument("--B", help="comma list of seed batch sizes")
     p.add_argument("--delta", type=float, help="column deletion probability")
-    p.add_argument("--epsilon", type=float, help="typicality slack")
+    p.add_argument("--epsilon", type=float,
+                   help="typicality slack for the detector (default 0.05)")
     p.set_defaults(func=cmd_simulate_detect)
 
     p = sub.add_parser("pipeline", parents=[common],

@@ -213,7 +213,10 @@ def _pipeline_trial(args):
     verdicts = detect_f(batch, dist, detect_epsilon)
     detected = [j for j, v in enumerate(verdicts) if v is Verdict.DELETED]
     # Deleted verdicts are certainty claims, hence always true deletions.
-    assert all(exp.deletion.flags[j] for j in detected)
+    false_verdicts = [j for j in detected if not exp.deletion.flags[j]]
+    if false_verdicts:
+        raise RuntimeError(f"detector reported retained columns {false_verdicts} "
+                           f"as deleted (trial seed {trial_seed})")
     deleted_cols = n - exp.retained_count
 
     perm = exp.labeling.perm

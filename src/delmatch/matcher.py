@@ -96,13 +96,31 @@ def _typicality_mask(rows: np.ndarray, dist: Distribution, epsilon: float) -> np
     return np.abs(scores - entropy(dist)) <= epsilon
 
 
-def _classify(candidates: np.ndarray) -> MatchOutcome:
-    idx = np.flatnonzero(candidates)
-    if idx.size == 1:
-        return MatchOutcome(MatchStatus.MATCHED, int(idx[0]))
-    if idx.size >= 2:
+def _classify(candidates) -> MatchOutcome:
+    """Outcome from the indices of the c1 rows that passed both tests."""
+    if len(candidates) == 1:
+        return MatchOutcome(MatchStatus.MATCHED, int(candidates[0]))
+    if len(candidates) >= 2:
         return MatchOutcome(MatchStatus.COLLISION)
     return MatchOutcome(MatchStatus.NO_CANDIDATE)
+
+
+def _row_keys(rows: np.ndarray) -> list:
+    """The bytes of each row of a uint8 matrix, as hashable keys."""
+    m, width = rows.shape
+    if width == 0:
+        return [b""] * m
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, width))).ravel().tolist()
+
+
+def _equality_index(restricted: np.ndarray, typical: np.ndarray) -> dict:
+    """Map the bytes of each typical restricted row to its c1 row indices."""
+    keys = _row_keys(restricted)
+    index = {}
+    for i in np.flatnonzero(typical).tolist():
+        index.setdefault(keys[i], []).append(i)
+    return index
 
 
 def match_row(y, c1: Database, detected, cfg: MatcherConfig,
@@ -112,19 +130,9 @@ def match_row(y, c1: Database, detected, cfg: MatcherConfig,
     detected is the set of column indices known to be deleted; candidate rows
     are judged on the remaining columns, at typicality length n - |detected|.
     """
-    y = np.asarray(y, dtype=np.uint8).reshape(-1)
-    keep = _keep_mask(c1.n, detected)
-    width = int(keep.sum())
-    if y.shape[0] > width:
-        raise ValueError(f"observed row has {y.shape[0]} symbols but only "
-                         f"{width} undetected columns remain")
-    gate = _threshold_gate(cfg, y.shape[0], c1.n - width)
-    if gate is not None:
-        return gate
-    restricted = c1.symbols[:, keep]
-    candidates = (_typicality_mask(restricted, dist, cfg.epsilon)
-                  & _containment_mask(restricted, y))
-    return _classify(candidates)
+    y = np.asarray(y, dtype=np.uint8).reshape(1, -1)
+    outcomes, _ = match_all(c1, y, detected, cfg, dist)
+    return outcomes[0]
 
 
 def _threshold_gate(cfg: MatcherConfig, observed_cols: int, detected_count: int):
@@ -142,26 +150,33 @@ def match_all(c1: Database, c2_rows, detected, cfg: MatcherConfig,
     Returns (outcomes, matched) where outcomes[j] is the MatchOutcome for
     observed row j and matched maps observed row index -> c1 row index for
     the MATCHED outcomes (not necessarily injective).
+
+    When the observed rows are as wide as the undetected columns (no
+    undetected deletion remains), containment is equality, and a hash join
+    over the typical rows decides every row in O(m * width).
     """
     c2_rows = np.atleast_2d(np.asarray(c2_rows, dtype=np.uint8))
     keep = _keep_mask(c1.n, detected)
     width = int(keep.sum())
-    if c2_rows.shape[1] > width:
-        raise ValueError("observed rows longer than undetected column count")
-    gate = _threshold_gate(cfg, c2_rows.shape[1], c1.n - width)
+    observed_cols = c2_rows.shape[1]
+    if observed_cols > width:
+        raise ValueError(f"observed rows have {observed_cols} symbols but only "
+                         f"{width} undetected columns remain")
+    gate = _threshold_gate(cfg, observed_cols, c1.n - width)
     if gate is not None:
         outcomes = [gate] * c2_rows.shape[0]
         return outcomes, {}
     restricted = c1.symbols[:, keep]
     typical = _typicality_mask(restricted, dist, cfg.epsilon)
-    outcomes = []
-    matched = {}
-    for j in range(c2_rows.shape[0]):
-        candidates = typical & _containment_mask(restricted, c2_rows[j])
-        outcome = _classify(candidates)
-        outcomes.append(outcome)
-        if outcome.is_match:
-            matched[j] = outcome.row
+    if observed_cols == width:
+        index = _equality_index(restricted, typical)
+        outcomes = [_classify(index.get(key, ())) for key in _row_keys(c2_rows)]
+    else:
+        outcomes = []
+        for y in c2_rows:
+            candidates = typical & _containment_mask(restricted, y)
+            outcomes.append(_classify(np.flatnonzero(candidates)))
+    matched = {j: o.row for j, o in enumerate(outcomes) if o.is_match}
     return outcomes, matched
 
 

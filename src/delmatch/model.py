@@ -8,6 +8,7 @@ Indices are 0-based throughout.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -57,6 +58,8 @@ class Distribution:
             raise ValueError("alphabet needs at least 2 symbols")
         if len(probs) > MAX_ALPHABET:
             raise ValueError(f"alphabet limited to {MAX_ALPHABET} symbols")
+        if not all(math.isfinite(p) for p in probs):
+            raise ValueError("probabilities must be finite")
         if any(p < 0.0 for p in probs):
             raise ValueError("probabilities must be nonnegative")
         total = sum(probs)
@@ -333,9 +336,14 @@ def database_from_csv(text: str) -> Database:
     m, n, q = (int(x) for x in lines[0].split(","))
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} rows, found {len(lines) - 1}")
+    if not 2 <= q <= MAX_ALPHABET:
+        raise ValueError(f"alphabet size {q} outside 2..{MAX_ALPHABET}")
     if m and n:
-        rows = np.array([[int(x) for x in ln.split(",")] for ln in lines[1:]],
-                        dtype=np.uint8)
+        values = [[int(x) for x in ln.split(",")] for ln in lines[1:]]
+        bad = next((v for row in values for v in row if not 0 <= v < q), None)
+        if bad is not None:
+            raise ValueError(f"symbol {bad} outside the alphabet 0..{q - 1}")
+        rows = np.array(values, dtype=np.uint8)
     else:
         rows = np.zeros((m, n), dtype=np.uint8)
     if rows.shape != (m, n):

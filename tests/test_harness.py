@@ -8,8 +8,10 @@ from delmatch import (Distribution, ExperimentConfig, ConfigError, entropy,
                       run_rates, run_simulate_match, run_simulate_detect,
                       run_pipeline, run_oracle_check, parse_distribution,
                       parse_float_grid, parse_int_list, parse_config_file)
-from delmatch.harness import (_match_trial, _virtual_match_trial, check_counting,
-                              CELL_GUARD)
+from delmatch import harness
+from delmatch.detector import Verdict
+from delmatch.harness import (_match_trial, _pipeline_trial, _virtual_match_trial,
+                              check_counting, CELL_GUARD)
 from delmatch.model import derive_seed
 from delmatch import cli
 
@@ -215,6 +217,15 @@ def test_pipeline_more_seeds_help():
     assert hi.mismatch_rate <= lo.mismatch_rate + 0.02
 
 
+def test_pipeline_trial_rejects_false_deleted_verdict(monkeypatch):
+    # delta = 0 deletes nothing, so any Deleted verdict is false
+    def lying_detector(batch, dist, epsilon):
+        return [Verdict.DELETED] + [Verdict.RETAINED] * (batch.n - 1)
+    monkeypatch.setattr(harness, "detect_f", lying_detector)
+    with pytest.raises(RuntimeError, match="as deleted"):
+        _pipeline_trial((BERN, 8, 16, 0.0, 4, 0.1, 0.1, 123))
+
+
 def test_pipeline_batch_guard():
     cfg = _match_cfg(alpha=None, batch_sizes=(9,), rate=0.2)  # m = 9 at n = 16
     with pytest.raises(ConfigError, match="batch"):
@@ -294,6 +305,13 @@ def test_cli_usage_errors():
     assert cli.main(["simulate-match", "--dist", "bern:0.5"]) == 2  # missing --n
     assert cli.main(["simulate-match", "--n", "8", "--delta", "0.2",
                      "--rate", "0.2", "--m", "4", "--alpha", "1"]) == 2
+
+
+def test_cli_rejects_nan_distribution(capsys):
+    assert cli.main(["rates", "--dist", "bern:nan", "--deltas", "0.4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
 
 
 def test_cli_oracle_check_exit_code(capsys):

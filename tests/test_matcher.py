@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delmatch import (Distribution, Database, MatcherConfig, MatchStatus,
                       MatchOutcome, is_subsequence, match_row, match_all,
@@ -166,6 +169,129 @@ def test_enlarging_detected_set_never_creates_collision():
             for j, o in enumerate(outcomes):
                 if o.is_match and o.row == int(inv[j]):
                     assert bigger[j].status is not MatchStatus.COLLISION
+
+
+# -- exact-equality path (no undetected deletion) ------------------------------
+
+SKEWED = Distribution((0.75, 0.25))
+
+
+def _brute_force(c1, y, detected, cfg, dist):
+    """Typicality by math.log2 and containment by is_subsequence, row by row."""
+    keep = [j for j in range(c1.n) if j not in set(detected)]
+    if cfg.min_retained is not None and len(y) < cfg.min_retained:
+        return MatchOutcome(MatchStatus.THRESHOLD)
+    if cfg.min_detected is not None and c1.n - len(keep) < cfg.min_detected:
+        return MatchOutcome(MatchStatus.THRESHOLD)
+    h = sum(-p * math.log2(p) for p in dist.probabilities if p > 0)
+    candidates = []
+    for i, row in enumerate(c1.symbols.tolist()):
+        x = [row[j] for j in keep]
+        score = sum(-math.log2(dist.probabilities[s]) for s in x) / len(x) if x else h
+        if abs(score - h) <= cfg.epsilon and is_subsequence(list(y), x):
+            candidates.append(i)
+    if len(candidates) == 1:
+        return MatchOutcome(MatchStatus.MATCHED, candidates[0])
+    if candidates:
+        return MatchOutcome(MatchStatus.COLLISION)
+    return MatchOutcome(MatchStatus.NO_CANDIDATE)
+
+
+@st.composite
+def _u0_instances(draw):
+    dist = draw(st.sampled_from([BERN, SKEWED, Distribution.uniform(3)]))
+    q = dist.alphabet_size
+    n = draw(st.integers(0, 7))
+    m = draw(st.integers(1, 8))
+    symbol = st.integers(0, q - 1)
+    rows = [draw(st.lists(symbol, min_size=n, max_size=n)) for _ in range(m)]
+    for _ in range(draw(st.integers(0, m))):  # plant duplicate source rows
+        rows[draw(st.integers(0, m - 1))] = list(rows[draw(st.integers(0, m - 1))])
+    c1 = _db(np.array(rows, dtype=np.uint8).reshape(m, n), q)
+    detected = sorted(draw(st.sets(st.integers(0, n - 1))) if n else set())
+    keep = [j for j in range(n) if j not in detected]
+    observed = [[row[j] for j in keep] for row in rows]  # every true row
+    observed += draw(st.lists(st.lists(symbol, min_size=len(keep),
+                                       max_size=len(keep)), max_size=3))
+    gate = st.one_of(st.none(), st.integers(0, n + 1))
+    cfg = MatcherConfig(epsilon=draw(st.sampled_from([0.05, 0.3, 1.0])),
+                        min_retained=draw(gate), min_detected=draw(gate))
+    c2_rows = np.array(observed, dtype=np.uint8).reshape(len(observed), len(keep))
+    return c1, c2_rows, detected, cfg, dist
+
+
+@settings(max_examples=300, deadline=None)
+@given(_u0_instances())
+def test_hash_join_equals_brute_force_at_u0(instance):
+    c1, c2_rows, detected, cfg, dist = instance
+    outcomes, matched = match_all(c1, c2_rows, detected, cfg, dist)
+    assert len(outcomes) == c2_rows.shape[0]
+    for j, y in enumerate(c2_rows):
+        expected = _brute_force(c1, y.tolist(), detected, cfg, dist)
+        assert outcomes[j] == expected
+        assert match_row(y, c1, detected, cfg, dist) == expected
+        assert matched.get(j) == (expected.row if expected.is_match else None)
+
+
+def test_hash_join_duplicates_collide():
+    c1 = _db([[0, 1, 1], [1, 0, 0], [0, 1, 0], [1, 0, 0]])
+    outcomes, matched = match_all(c1, [[0, 1], [1, 0], [1, 1]], [2],
+                                  MatcherConfig(epsilon=1.0), BERN)
+    assert [o.status for o in outcomes] == [MatchStatus.COLLISION] * 2 + [
+        MatchStatus.NO_CANDIDATE]
+    assert matched == {}
+
+
+def test_hash_join_skips_atypical_rows():
+    # under (0.75, 0.25) with epsilon 0.3, [0, 0, 0, 1] and [0, 1, 0, 0] are
+    # typical while the all-ones row is not
+    cfg = MatcherConfig(epsilon=0.3)
+    c1 = _db([[1, 1, 1, 1], [0, 0, 0, 1], [1, 1, 1, 1], [0, 1, 0, 0], [0, 1, 0, 0]])
+    outcomes, matched = match_all(c1, [[0, 0, 0, 1], [1, 1, 1, 1], [0, 1, 0, 0]],
+                                  [], cfg, SKEWED)
+    assert outcomes == [MatchOutcome(MatchStatus.MATCHED, 1),
+                        MatchOutcome(MatchStatus.NO_CANDIDATE),
+                        MatchOutcome(MatchStatus.COLLISION)]
+    assert matched == {0: 1}
+
+
+def test_hash_join_width_zero():
+    # every column detected: K = 0, each observation is the empty row
+    cfg = MatcherConfig(epsilon=0.0)
+    one = _db([[1, 0, 1]])
+    assert match_all(one, np.zeros((2, 0)), [0, 1, 2], cfg, BERN)[0] == [
+        MatchOutcome(MatchStatus.MATCHED, 0)] * 2
+    assert match_row([], one, [0, 1, 2], cfg, BERN) == MatchOutcome(
+        MatchStatus.MATCHED, 0)
+    two = _db([[1, 0, 1], [0, 0, 1]])
+    assert match_row([], two, [0, 1, 2], cfg, BERN).status is MatchStatus.COLLISION
+    gated = MatcherConfig(epsilon=0.0, min_retained=1)
+    assert match_row([], two, [0, 1, 2], gated, BERN).status is MatchStatus.THRESHOLD
+
+
+def test_hash_join_threshold_gates():
+    c1 = _db([[0, 1, 1], [1, 1, 0]])
+    y, detected = [[0, 1], [1, 1]], [2]
+    for cfg in (MatcherConfig(epsilon=1.0, min_retained=3),
+                MatcherConfig(epsilon=1.0, min_detected=2)):
+        outcomes, matched = match_all(c1, y, detected, cfg, BERN)
+        assert outcomes == [MatchOutcome(MatchStatus.THRESHOLD)] * 2
+        assert matched == {}
+    cfg = MatcherConfig(epsilon=1.0, min_retained=2, min_detected=1)
+    assert match_all(c1, y, detected, cfg, BERN)[1] == {0: 0, 1: 1}
+
+
+def test_containment_decides_at_u1():
+    # one undetected deletion: both rows contain [0, 1, 0], but only the
+    # typical one under (0.75, 0.25) is accepted, so the result is a match
+    # that plain equality would have missed
+    cfg = MatcherConfig(epsilon=0.3)
+    c1 = _db([[0, 0, 1, 0], [1, 0, 1, 0]])
+    outcome = match_row([0, 1, 0], c1, [], cfg, SKEWED)
+    assert outcome == MatchOutcome(MatchStatus.MATCHED, 0)
+    assert outcome == _brute_force(c1, [0, 1, 0], [], cfg, SKEWED)
+    loose = MatcherConfig(epsilon=1.0)
+    assert match_row([0, 1, 0], c1, [], loose, SKEWED).status is MatchStatus.COLLISION
 
 
 def test_mismatch_rate_trivials():

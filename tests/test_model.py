@@ -20,6 +20,14 @@ def test_invalid_distribution_rejected():
         Distribution((1.2, -0.2))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_distribution_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Distribution((bad, 0.5))
+    with pytest.raises(ValueError, match="finite"):
+        Distribution.bernoulli(bad)
+
+
 def test_distribution_helpers():
     d = Distribution.bernoulli(0.2)
     assert d.probabilities == (0.8, 0.2)
@@ -194,6 +202,15 @@ def test_database_csv_roundtrip():
     back = database_from_csv(text)
     assert back.q == 5
     assert np.array_equal(back.symbols, db.symbols)
+
+
+@pytest.mark.parametrize("symbol", [300, -1, 2])
+def test_database_csv_rejects_symbols_outside_alphabet(symbol):
+    text = f"2,2,2\n0,1\n1,{symbol}\n"
+    with pytest.raises(ValueError, match=f"symbol {symbol} outside"):
+        database_from_csv(text)
+    with pytest.raises(ValueError, match="alphabet size 1000"):
+        database_from_csv(f"2,2,1000\n0,1\n1,{symbol}\n")
 
 
 def test_experiment_save_load_bit_exact(tmp_path):

@@ -13,7 +13,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import expm1, log1p, log2
+from math import expm1, isfinite, log1p, log2
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from . import model
 from .infotheory import (entropy, RateParams, achievable_rate,
                          supersequence_count_exact, supersequence_count_bound,
                          detection_probability_bound)
-from .matcher import MatcherConfig, default_epsilon, match_all, match_experiment
+from .matcher import (MatcherConfig, default_epsilon, match_all, match_experiment,
+                      count_mismatches, _containment_counts)
 from .detector import (Verdict, detect_f, detect_g, detection_trial,
                        count_embeddings, brute_force_embeddings,
                        posterior_deletions, posterior_deletions_naive,
@@ -137,6 +138,12 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if self.eval_rows < 1:
             raise ConfigError("eval_rows must be >= 1")
+        if self.m is not None and self.m < 1:
+            raise ConfigError("m must be >= 1")
+        for name in ("rate", "epsilon", "detect_epsilon"):
+            value = getattr(self, name)
+            if value is not None and not (isfinite(value) and value >= 0.0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
 
     def resolve_m(self, n: int) -> int:
         if self.m is not None:
@@ -164,11 +171,8 @@ def _match_trial(args):
     c1 = sample_database(dist, m, n, derive_seed(trial_seed, STREAM_DATABASE))
     exp = apply_deletion_channel(c1, delta, alpha,
                                  derive_seed(trial_seed, STREAM_CHANNEL))
-    outcomes, _ = match_experiment(exp, MatcherConfig(epsilon=epsilon), dist)
-    perm = exp.labeling.perm
-    wrong = sum(1 for j, o in enumerate(outcomes)
-                if not (o.is_match and int(perm[o.row]) == j))
-    return wrong, m
+    _, matched = match_experiment(exp, MatcherConfig(epsilon=epsilon), dist)
+    return count_mismatches(matched, exp.labeling.perm, np.arange(m)), m
 
 
 def _virtual_match_trial(args):
@@ -224,10 +228,9 @@ def _pipeline_trial(args):
     remaining = [j for j in range(m) if j not in batch_images]
     if not remaining:
         return 0, 0, len(detected), deleted_cols
-    outcomes, _ = match_all(exp.c1, exp.c2.symbols[remaining], detected,
-                            MatcherConfig(epsilon=epsilon), dist)
-    wrong = sum(1 for pos, j in enumerate(remaining)
-                if not (outcomes[pos].is_match and int(perm[outcomes[pos].row]) == j))
+    _, matched = match_all(exp.c1, exp.c2.symbols[remaining], detected,
+                           MatcherConfig(epsilon=epsilon), dist)
+    wrong = count_mismatches(matched, perm, remaining)
     return wrong, len(remaining), len(detected), deleted_cols
 
 
@@ -368,6 +371,10 @@ def run_simulate_detect(dist: Distribution, n_values, batch_sizes, delta: float,
     """Empirical detection probability next to the analytic bound, per (n, B)."""
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    if not 0.0 <= delta < 1.0:
+        raise ConfigError("delta must be in [0, 1)")
+    if not (isfinite(epsilon) and epsilon >= 0.0):
+        raise ConfigError(f"epsilon must be finite and >= 0, got {epsilon}")
     started = time.time()
     h = entropy(dist)
     points, seed_log = [], []
@@ -576,14 +583,8 @@ def _all_sequences(n: int, q: int) -> np.ndarray:
 
 
 def _count_containing(seqs: np.ndarray, fixed: np.ndarray) -> int:
-    k = fixed.shape[0]
-    if k == 0:
-        return seqs.shape[0]
-    progress = np.zeros(seqs.shape[0], dtype=np.int64)
-    for col in range(seqs.shape[1]):
-        wanted = fixed[np.minimum(progress, k - 1)]
-        progress += (progress < k) & (seqs[:, col] == wanted)
-    return int((progress >= k).sum())
+    counts, _ = _containment_counts(seqs, np.asarray(fixed).reshape(1, -1))
+    return int(counts[0])
 
 
 def check_g_subset_f(cases: int, seed: int) -> list:

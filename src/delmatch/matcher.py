@@ -9,6 +9,7 @@ two observations may map to the same source row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -49,8 +50,8 @@ class MatcherConfig:
     min_detected: int = None
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be >= 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
 
 
 def default_epsilon(dist: Distribution) -> float:
@@ -73,34 +74,104 @@ def _keep_mask(n: int, detected) -> np.ndarray:
     return keep
 
 
-def _containment_mask(rows: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """For each row of a (m, L) matrix, whether y embeds into it in order."""
+# Fixed tile sizes of the containment kernel: observed rows per block, and
+# 64-bit words of source rows per tile (4096 rows).  They bound the symbol
+# table at width * (q + 1) * 512 bytes and each lag array at
+# 64 * (u + 1) * 512 bytes.
+_OBS_BLOCK = 64
+_SOURCE_WORDS = 64
+
+
+def _symbol_sets(rows: np.ndarray, symbols: int) -> np.ndarray:
+    """eq[c, s]: packed bitset of the rows with rows[i, c] == s.
+
+    Row i is bit i % 64 of word i // 64.  Rows sharing a bit position lie in
+    distinct words, so one fancy-indexed OR per bit position sets them all.
+    """
     m, width = rows.shape
-    k = y.shape[0]
-    if k == 0:
-        return np.ones(m, dtype=bool)
-    if k > width:
-        return np.zeros(m, dtype=bool)
-    progress = np.zeros(m, dtype=np.int64)
-    for col in range(width):
-        wanted = y[np.minimum(progress, k - 1)]
-        progress += (progress < k) & (rows[:, col] == wanted)
-    return progress >= k
+    eq = np.zeros((width, symbols, -(-m // 64)), dtype=np.uint64)
+    cols = np.arange(width)
+    for bit in range(min(64, m)):
+        part = rows[bit::64]
+        eq[cols, part, np.arange(part.shape[0])[:, None]] |= np.uint64(1 << bit)
+    return eq
+
+
+def _containing_sets(rows: np.ndarray, ys: np.ndarray):
+    """Bit-parallel subsequence containment of every ys row in every rows row.
+
+    Yields (lo, start, sets) per tile: bit i of sets[b] (word i // 64, bit
+    i % 64) is set iff ys[lo + b] embeds in order into rows[start + i].
+
+    Greedy embedding is exact for subsequences.  After c columns a row's
+    greedy progress is c - lag, and a row whose lag exceeds u = width - K
+    can no longer finish, so u + 1 bitsets, one per lag, carry the state of
+    64 source rows per word.  The lag axis is stored reversed (index
+    r = u - lag), so the symbol wanted at column c and index r is
+    ys[c + r - u]; positions outside y hold a symbol no row has.
+    """
+    m, width = rows.shape
+    count, k = ys.shape
+    lags = width - k + 1
+    absent = int(max(rows.max(initial=0), ys.max(initial=0))) + 1
+    # uint16 holds the absent symbol 256 and keeps this copy of ys small
+    padded = np.full((count, width + lags), absent, dtype=np.uint16)
+    padded[:, lags - 1:lags - 1 + k] = ys
+    wanted = np.lib.stride_tricks.sliding_window_view(padded, lags, axis=1)[:, :width]
+    tile = 64 * _SOURCE_WORDS
+    for start in range(0, m, tile):
+        eq = _symbol_sets(rows[start:start + tile], absent + 1)
+        size = min(tile, m - start)
+        full = np.full(-(-size // 64), ~np.uint64(0))
+        if size % 64:
+            full[-1] = np.uint64((1 << (size % 64)) - 1)
+        for lo in range(0, count, _OBS_BLOCK):
+            sym = wanted[lo:lo + _OBS_BLOCK]
+            state = np.zeros((sym.shape[0], lags, full.shape[0]), dtype=np.uint64)
+            state[:, -1] = full
+            step = np.empty_like(state)
+            for c in range(width):
+                # mode="clip" lets take write into out without a buffer
+                np.take(eq[c], sym[:, c], axis=0, out=step, mode="clip")
+                np.bitwise_and(state, step, out=step)           # stay: lag kept
+                np.bitwise_xor(state, step, out=state)          # move: lag + 1
+                np.bitwise_or(step[:, :-1], state[:, 1:], out=step[:, :-1])
+                state, step = step, state
+            yield lo, start, state[:, 0]
+
+
+def _containment_counts(rows: np.ndarray, ys: np.ndarray):
+    """For each row of ys, how many rows of `rows` contain it as a
+    subsequence, and the index of the containing row where exactly one does."""
+    counts = np.zeros(ys.shape[0], dtype=np.int64)
+    first = np.zeros(ys.shape[0], dtype=np.int64)
+    for lo, start, sets in _containing_sets(rows, ys):
+        tile_counts = np.bitwise_count(sets).sum(axis=1, dtype=np.int64)
+        counts[lo:lo + sets.shape[0]] += tile_counts
+        word = np.argmax(sets != 0, axis=1)
+        low = sets[np.arange(sets.shape[0]), word]
+        # A word holding exactly one set bit 2^b has b set bits below it.
+        bit = np.bitwise_count(low - np.uint64(1)).astype(np.int64)
+        one = tile_counts == 1
+        first[lo:lo + sets.shape[0]][one] = start + 64 * word[one] + bit[one]
+    return counts, first
 
 
 def _typicality_mask(rows: np.ndarray, dist: Distribution, epsilon: float) -> np.ndarray:
     m, width = rows.shape
     if width == 0:
         return np.ones(m, dtype=bool)
+    h = entropy(dist)
     scores = dist.neg_log2()[rows].mean(axis=1)
-    return np.abs(scores - entropy(dist)) <= epsilon
+    # The mean and H round differently, so allow a few ulps at epsilon = 0.
+    return np.abs(scores - h) <= epsilon + 1e-12 * max(1.0, h)
 
 
-def _classify(candidates) -> MatchOutcome:
-    """Outcome from the indices of the c1 rows that passed both tests."""
-    if len(candidates) == 1:
-        return MatchOutcome(MatchStatus.MATCHED, int(candidates[0]))
-    if len(candidates) >= 2:
+def _classify(count: int, row: int) -> MatchOutcome:
+    """Outcome from how many c1 rows passed both tests, and which if one did."""
+    if count == 1:
+        return MatchOutcome(MatchStatus.MATCHED, row)
+    if count >= 2:
         return MatchOutcome(MatchStatus.COLLISION)
     return MatchOutcome(MatchStatus.NO_CANDIDATE)
 
@@ -115,11 +186,12 @@ def _row_keys(rows: np.ndarray) -> list:
 
 
 def _equality_index(restricted: np.ndarray, typical: np.ndarray) -> dict:
-    """Map the bytes of each typical restricted row to its c1 row indices."""
+    """Map the bytes of each typical restricted row to (count, first c1 row)."""
     keys = _row_keys(restricted)
     index = {}
     for i in np.flatnonzero(typical).tolist():
-        index.setdefault(keys[i], []).append(i)
+        count, first = index.get(keys[i], (0, i))
+        index[keys[i]] = (count + 1, first)
     return index
 
 
@@ -153,9 +225,13 @@ def match_all(c1: Database, c2_rows, detected, cfg: MatcherConfig,
 
     When the observed rows are as wide as the undetected columns (no
     undetected deletion remains), containment is equality, and a hash join
-    over the typical rows decides every row in O(m * width).
+    over the typical rows decides every row in O(m * width).  Otherwise the
+    bit-parallel kernel tests all typical rows at once, in
+    O(m^2 * width * (u + 1) / 64) word operations for u undetected deletions.
     """
-    c2_rows = np.atleast_2d(np.asarray(c2_rows, dtype=np.uint8))
+    c2_rows = np.asarray(c2_rows, dtype=np.uint8)
+    if c2_rows.ndim == 1:  # one observed row; an empty list is no rows
+        c2_rows = c2_rows.reshape(min(1, c2_rows.size), c2_rows.size)
     keep = _keep_mask(c1.n, detected)
     width = int(keep.sum())
     observed_cols = c2_rows.shape[1]
@@ -170,12 +246,13 @@ def match_all(c1: Database, c2_rows, detected, cfg: MatcherConfig,
     typical = _typicality_mask(restricted, dist, cfg.epsilon)
     if observed_cols == width:
         index = _equality_index(restricted, typical)
-        outcomes = [_classify(index.get(key, ())) for key in _row_keys(c2_rows)]
+        found = [index.get(key, (0, None)) for key in _row_keys(c2_rows)]
     else:
-        outcomes = []
-        for y in c2_rows:
-            candidates = typical & _containment_mask(restricted, y)
-            outcomes.append(_classify(np.flatnonzero(candidates)))
+        candidates = np.flatnonzero(typical)
+        counts, first = _containment_counts(restricted[candidates], c2_rows)
+        rows = candidates[first] if candidates.size else first
+        found = zip(counts.tolist(), rows.tolist())
+    outcomes = [_classify(count, row) for count, row in found]
     matched = {j: o.row for j, o in enumerate(outcomes) if o.is_match}
     return outcomes, matched
 
@@ -196,7 +273,15 @@ def mismatch_rate(outcomes, true_labeling: Labeling) -> float:
         raise ValueError("no outcomes to score")
     if len(outcomes) != true_labeling.m:
         raise ValueError("outcome count does not match labeling size")
-    perm = true_labeling.perm
-    wrong = sum(1 for j, o in enumerate(outcomes)
-                if not (o.is_match and int(perm[o.row]) == j))
-    return wrong / len(outcomes)
+    matched = {j: o.row for j, o in enumerate(outcomes) if o.is_match}
+    return count_mismatches(matched, true_labeling.perm,
+                            np.arange(len(outcomes))) / len(outcomes)
+
+
+def count_mismatches(matched: dict, perm, observed) -> int:
+    """Observed rows not matched to their true source row, from match_all's
+    matched map; observed[j] is the c2 index of the j-th observed row."""
+    observed = np.asarray(observed)
+    positions = np.fromiter(matched.keys(), dtype=np.int64, count=len(matched))
+    rows = np.fromiter(matched.values(), dtype=np.int64, count=len(matched))
+    return observed.shape[0] - int(np.count_nonzero(perm[rows] == observed[positions]))

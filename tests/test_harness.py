@@ -314,6 +314,33 @@ def test_cli_rejects_nan_distribution(capsys):
     assert "finite" in captured.err
 
 
+@pytest.mark.parametrize("bad, message", [
+    (["--m", "16", "--epsilon", "nan"], "epsilon must be finite"),
+    (["--m", "16", "--epsilon", "-0.5"], "epsilon must be finite"),
+    (["--rate", "-1"], "rate must be finite"),
+    (["--rate", "nan"], "rate must be finite"),
+    (["--m", "0"], "m must be >= 1"),
+])
+def test_cli_rejects_bad_sweep_parameters(capsys, bad, message):
+    args = ["simulate-match", "--dist", "bern:0.5", "--n", "8", "--delta", "0.2",
+            "--alpha", "1", "--trials", "2"]
+    assert cli.main(args + bad) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_cli_rejects_bad_detect_and_pipeline_parameters(capsys):
+    detect = ["simulate-detect", "--dist", "bern:0.5", "--n", "8", "--B", "4",
+              "--trials", "2"]
+    assert cli.main(detect + ["--delta", "0.3", "--epsilon", "nan"]) == 2
+    assert cli.main(detect + ["--delta", "nan"]) == 2
+    assert cli.main(["pipeline", "--dist", "bern:0.5", "--n", "8", "--m", "16",
+                     "--delta", "0.2", "--B", "2", "--trials", "2",
+                     "--detect-epsilon", "inf"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_oracle_check_exit_code(capsys):
     assert cli.main(["oracle-check", "--cases", "40", "--seed", "2"]) == 0
     assert "all suites passed" in capsys.readouterr().out

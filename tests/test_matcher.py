@@ -9,6 +9,8 @@ from delmatch import (Distribution, Database, MatcherConfig, MatchStatus,
                       match_experiment, mismatch_rate, default_epsilon,
                       sample_database, apply_deletion_channel, derive_seed,
                       entropy)
+from delmatch import matcher
+from delmatch.matcher import count_mismatches
 
 
 def _db(rows, q=2):
@@ -188,7 +190,9 @@ def _brute_force(c1, y, detected, cfg, dist):
     for i, row in enumerate(c1.symbols.tolist()):
         x = [row[j] for j in keep]
         score = sum(-math.log2(dist.probabilities[s]) for s in x) / len(x) if x else h
-        if abs(score - h) <= cfg.epsilon and is_subsequence(list(y), x):
+        # scores equal to H up to rounding are typical, also at epsilon = 0
+        typical = abs(score - h) <= cfg.epsilon + 1e-12 * max(1.0, h)
+        if typical and is_subsequence(list(y), x):
             candidates.append(i)
     if len(candidates) == 1:
         return MatchOutcome(MatchStatus.MATCHED, candidates[0])
@@ -294,6 +298,93 @@ def test_containment_decides_at_u1():
     assert match_row([0, 1, 0], c1, [], loose, SKEWED).status is MatchStatus.COLLISION
 
 
+# -- bit-parallel containment (undetected deletions remain) --------------------
+
+@st.composite
+def _hidden_instances(draw):
+    """Observed rows that are source rows with u >= 1 undetected deletions,
+    plus random rows; contents come from a drawn numpy seed."""
+    dist = draw(st.sampled_from([BERN, SKEWED, Distribution.uniform(3),
+                                 Distribution.uniform(256)]))
+    q = dist.alphabet_size
+    n = draw(st.integers(1, 8))
+    m = draw(st.sampled_from([0, 1, 2, 5, 63, 64, 65]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.choice(q, size=(m, n), p=dist.probabilities).astype(np.uint8)
+    for _ in range(draw(st.integers(0, 3)) if m else 0):  # plant duplicate rows
+        rows[rng.integers(m)] = rows[rng.integers(m)]
+    detected = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n - 1)))
+    keep = [j for j in range(n) if j not in detected]
+    k = draw(st.integers(0, len(keep) - 1))  # u = len(keep) - k >= 1
+    observed = [row[np.sort(rng.choice(keep, size=k, replace=False))]
+                for row in rows]
+    observed += list(rng.integers(0, q, size=(draw(st.integers(0, 3)), k)))
+    gate = st.one_of(st.none(), st.integers(0, n + 1))
+    cfg = MatcherConfig(epsilon=draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])),
+                        min_retained=draw(gate), min_detected=draw(gate))
+    c2_rows = np.array(observed, dtype=np.uint8).reshape(len(observed), k)
+    return Database(rows, q), c2_rows, detected, cfg, dist
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hidden_instances())
+def test_containment_kernel_equals_brute_force(instance):
+    c1, c2_rows, detected, cfg, dist = instance
+    outcomes, matched = match_all(c1, c2_rows, detected, cfg, dist)
+    assert len(outcomes) == c2_rows.shape[0]
+    for j, y in enumerate(c2_rows):
+        expected = _brute_force(c1, y.tolist(), detected, cfg, dist)
+        assert outcomes[j] == expected
+        assert matched.get(j) == (expected.row if expected.is_match else None)
+
+
+@pytest.mark.parametrize("m, source_words, obs_block",
+                         [(0, 64, 64), (65, 64, 64), (130, 1, 3), (4096 + 65, 64, 64)])
+def test_containing_sets_equal_is_subsequence(monkeypatch, m, source_words, obs_block):
+    # every bit of every tile against the greedy scan, also across tiles
+    monkeypatch.setattr(matcher, "_SOURCE_WORDS", source_words)
+    monkeypatch.setattr(matcher, "_OBS_BLOCK", obs_block)
+    rng = np.random.default_rng(m)
+    rows = rng.integers(0, 3, size=(m, 6)).astype(np.uint8)
+    ys = rng.integers(0, 3, size=(7, 3)).astype(np.uint8)
+    ys[0] = rows[m // 2, [0, 2, 5]] if m else ys[0]
+    seen = np.zeros((7, m), dtype=int)
+    for lo, start, sets in matcher._containing_sets(rows, ys):
+        bits = np.unpackbits(sets.view(np.uint8), axis=1, bitorder="little")
+        tile = min(64 * source_words, m - start)
+        assert not bits[:, tile:].any()
+        for b in range(sets.shape[0]):
+            for i in range(tile):
+                seen[lo + b, start + i] += 1
+                assert bits[b, i] == is_subsequence(ys[lo + b].tolist(),
+                                                    rows[start + i].tolist())
+    assert (seen == 1).all()
+
+
+def test_empty_observation_list():
+    c1 = _db([[0, 1], [1, 0], [0, 1]])
+    cfg = MatcherConfig(epsilon=1.0)
+    assert match_all(c1, [], [], cfg, BERN) == ([], {})
+    assert match_all(c1, np.zeros((0, 1), dtype=np.uint8), [], cfg, BERN) == ([], {})
+
+
+def test_uniform_rows_typical_at_zero_slack():
+    # the mean of -log2(1/3) and H(uniform:3) differ in the last ulp
+    dist = Distribution.uniform(3)
+    c1 = _db([[0, 1, 2, 2], [2, 1, 0, 0]], q=3)
+    cfg = MatcherConfig(epsilon=0.0)
+    assert match_all(c1, [[0, 1, 2, 2]], [], cfg, dist)[1] == {0: 0}  # u = 0
+    assert match_all(c1, [[1, 0, 0]], [], cfg, dist)[1] == {0: 1}     # u = 1
+
+
+def test_count_mismatches_on_a_subset():
+    # observed rows are c2 rows 1, 3, 4; perm sends c1 row i to c2 row perm[i]
+    perm = np.array([3, 4, 0, 1, 2])
+    assert count_mismatches({0: 3, 1: 0, 2: 1}, perm, [1, 3, 4]) == 0
+    assert count_mismatches({0: 3, 2: 0}, perm, [1, 3, 4]) == 2
+    assert count_mismatches({}, perm, [1, 3, 4]) == 3
+
+
 def test_mismatch_rate_trivials():
     from delmatch import Labeling
     lab = Labeling(np.arange(4))
@@ -316,8 +407,9 @@ def test_mismatch_rate_guards():
 
 
 def test_matcher_config_validation():
-    with pytest.raises(ValueError):
-        MatcherConfig(epsilon=-0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            MatcherConfig(epsilon=bad)
 
 
 def test_default_epsilon_scales_entropy():

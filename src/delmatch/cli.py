@@ -235,10 +235,7 @@ def main(argv=None) -> int:
     try:
         cfgmap = parse_config_file(args.config) if args.config else {}
         return args.func(args, cfgmap)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -18,7 +18,7 @@ from math import comb, sqrt
 import numpy as np
 
 from .model import Distribution, SeedBatch, derive_seed, _rng
-from .infotheory import entropy
+from .infotheory import typicality_mask
 
 BRUTE_FORCE_PATTERN_GUARD = 10 ** 6
 
@@ -55,12 +55,16 @@ def _column_ids(d1, d2):
     entrywise over all rows.  Hash-free: ids come from a sort-based grouping,
     so equality is exact by construction."""
     n, k = d1.shape[1], d2.shape[1]
-    stacked = np.concatenate([d1.T, d2.T], axis=0) if n + k else np.zeros((0, d1.shape[0]))
-    if stacked.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    _, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1).astype(np.int64)
-    return inverse[:n], inverse[n:]
+    stacked = np.concatenate([d1, d2], axis=1)
+    if stacked.size == 0:  # no columns, or no rows to tell columns apart
+        return np.zeros(n, dtype=np.int64), np.zeros(k, dtype=np.int64)
+    # Sort the columns lexicographically, first row first, and number each
+    # run of equal neighbours.
+    order = np.lexsort(stacked[::-1])
+    ranked = stacked[:, order]
+    ids = np.empty(n + k, dtype=np.int64)
+    ids[order] = np.cumsum(np.r_[False, np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)])
+    return ids[:n], ids[n:]
 
 
 def count_embeddings(d1, d2) -> int:
@@ -95,16 +99,6 @@ def _prefix_table(ids1, ids2):
     return tab
 
 
-def _embedding_tables(d1, d2):
-    d1, d2 = _as_batch_matrices(d1, d2)
-    ids1, ids2 = _column_ids(d1, d2)
-    ids1 = ids1.tolist()
-    ids2 = ids2.tolist()
-    fore = _prefix_table(ids1, ids2)
-    back = _prefix_table(ids1[::-1], ids2[::-1])
-    return ids1, ids2, fore, back
-
-
 def posterior_deletions(batch: SeedBatch) -> list:
     """Exact posterior deletion probability of every column given the batch.
 
@@ -113,7 +107,9 @@ def posterior_deletions(batch: SeedBatch) -> list:
     is identical to recounting n+1 times (see posterior_deletions_naive).
     """
     n, k = batch.n, batch.retained_count
-    _, _, fore, back = _embedding_tables(batch.d1, batch.d2)
+    ids1, ids2 = (ids.tolist() for ids in _column_ids(batch.d1, batch.d2))
+    fore = _prefix_table(ids1, ids2)
+    back = _prefix_table(ids1[::-1], ids2[::-1])
     total = fore[k][n]
     if total == 0:
         raise InconsistentBatchError("no deletion pattern maps d1 to d2")
@@ -136,33 +132,20 @@ def posterior_deletions_naive(d1, d2) -> list:
             for j in range(d1.shape[1])]
 
 
-def _typical_column_mask(d1, dist: Distribution, epsilon: float) -> np.ndarray:
-    """Per-column weak typicality of d1's length-B columns (all True at B=0)."""
-    big, n = d1.shape
-    if big == 0:
-        return np.ones(n, dtype=bool)
-    scores = dist.neg_log2()[d1].mean(axis=0)
-    return np.abs(scores - entropy(dist)) <= epsilon
-
-
 def detect_f(batch: SeedBatch, dist: Distribution, epsilon: float) -> list:
     """Certainty classification of every column of d1.
 
     Deleted   iff the posterior is exactly 1 and the column is typical;
     Retained  iff the posterior is exactly 0 and the column is typical;
-    Inconclusive otherwise.
+    Inconclusive otherwise.  certain_verdict_masks decides the two exact
+    posterior values without computing any posterior.
     """
-    posts = posterior_deletions(batch)
-    typical = _typical_column_mask(batch.d1, dist, epsilon)
-    verdicts = []
-    for j in range(batch.n):
-        if typical[j] and posts[j] == 1:
-            verdicts.append(Verdict.DELETED)
-        elif typical[j] and posts[j] == 0:
-            verdicts.append(Verdict.RETAINED)
-        else:
-            verdicts.append(Verdict.INCONCLUSIVE)
-    return verdicts
+    certainly_deleted, certainly_retained = certain_verdict_masks(batch.d1, batch.d2)
+    typical = typicality_mask(batch.d1, dist, epsilon, axis=0).tolist()
+    return [Verdict.DELETED if typ and dele else
+            Verdict.RETAINED if typ and ret else Verdict.INCONCLUSIVE
+            for typ, dele, ret in zip(typical, certainly_deleted.tolist(),
+                                      certainly_retained.tolist())]
 
 
 def detect_g(batch: SeedBatch, dist: Distribution, epsilon: float) -> list:
@@ -173,26 +156,32 @@ def detect_g(batch: SeedBatch, dist: Distribution, epsilon: float) -> list:
     """
     ids1, ids2 = _column_ids(batch.d1, batch.d2)
     present = set(ids2.tolist())
-    typical = _typical_column_mask(batch.d1, dist, epsilon)
+    typical = typicality_mask(batch.d1, dist, epsilon, axis=0)
     return [Verdict.DELETED if typical[j] and int(ids1[j]) not in present
             else Verdict.INCONCLUSIVE
             for j in range(batch.n)]
 
 
-def brute_force_embeddings(d1, d2) -> int:
-    """Oracle for count_embeddings: enumerate every K-subset of columns and
-    count those equal to d2 columnwise.  Refuses when C(n, K) > 10^6."""
+def _brute_force_patterns(d1, d2):
+    """Iterator over every K-subset of d1's columns equal to d2 columnwise,
+    found by enumerating all C(n, K) of them.  Refuses when C(n, K) > 10^6."""
     d1, d2 = _as_batch_matrices(d1, d2)
     n, k = d1.shape[1], d2.shape[1]
     if k > n:
-        return 0
+        return iter(())
     if comb(n, k) > BRUTE_FORCE_PATTERN_GUARD:
         raise GuardExceededError(f"C({n},{k}) exceeds {BRUTE_FORCE_PATTERN_GUARD}")
     ids1, ids2 = _column_ids(d1, d2)
     ids1 = ids1.tolist()
     target = tuple(ids2.tolist())
-    return sum(1 for combo in combinations(range(n), k)
-               if tuple(ids1[i] for i in combo) == target)
+    return (combo for combo in combinations(range(n), k)
+            if tuple(ids1[i] for i in combo) == target)
+
+
+def brute_force_embeddings(d1, d2) -> int:
+    """Oracle for count_embeddings: enumerate every K-subset of columns and
+    count those equal to d2 columnwise.  Refuses when C(n, K) > 10^6."""
+    return sum(1 for _ in _brute_force_patterns(d1, d2))
 
 
 def brute_force_posterior(d1, d2) -> list:
@@ -201,34 +190,36 @@ def brute_force_posterior(d1, d2) -> list:
     columns, so the Bernoulli prior weight cancels and the average is
     uniform.  Same guard as brute_force_embeddings."""
     d1, d2 = _as_batch_matrices(d1, d2)
-    n, k = d1.shape[1], d2.shape[1]
-    if comb(n, max(k, 0)) > BRUTE_FORCE_PATTERN_GUARD:
-        raise GuardExceededError(f"C({n},{k}) exceeds {BRUTE_FORCE_PATTERN_GUARD}")
-    if k > n:
-        raise InconsistentBatchError("d2 wider than d1")
-    ids1, ids2 = _column_ids(d1, d2)
-    ids1 = ids1.tolist()
-    target = tuple(ids2.tolist())
     total = 0
-    deleted_counts = [0] * n
-    for combo in combinations(range(n), k):
-        if tuple(ids1[i] for i in combo) != target:
-            continue
+    kept_counts = [0] * d1.shape[1]
+    for combo in _brute_force_patterns(d1, d2):
         total += 1
-        kept = set(combo)
-        for j in range(n):
-            if j not in kept:
-                deleted_counts[j] += 1
+        for j in combo:
+            kept_counts[j] += 1
     if total == 0:
         raise InconsistentBatchError("no deletion pattern maps d1 to d2")
-    return [Fraction(c, total) for c in deleted_counts]
+    return [Fraction(total - c, total) for c in kept_counts]
 
 
 # ---------------------------------------------------------------------------
 # Fast boolean kernel for Monte Carlo work.  The certainty tests need only
-# S(d1 minus column j) == 0 and == S, which reduce to reachability questions
-# on the same DP; no big integers required.  Equivalence with detect_f is a
+# whether some embedding uses column j and whether some embedding avoids it;
+# the leftmost and rightmost greedy embeddings answer both for every column
+# at once, with no counting.  Equivalence with the exact posteriors is a
 # tested guarantee.
+
+def _greedy_embedding(ids1: list, ids2: list) -> list:
+    """Leftmost embedding of ids2 into ids1: each symbol at the first
+    position after the previous one.  Raises when ids2 does not embed."""
+    positions, start = [], 0
+    try:
+        for sym in ids2:
+            start = ids1.index(sym, start) + 1
+            positions.append(start - 1)
+    except ValueError:
+        raise InconsistentBatchError("no deletion pattern maps d1 to d2") from None
+    return positions
+
 
 def certain_verdict_masks(d1, d2):
     """(certainly_deleted, certainly_retained) boolean masks per column.
@@ -236,37 +227,34 @@ def certain_verdict_masks(d1, d2):
     certainly_deleted[j]  <=> no embedding of d2 uses column j      (P_j = 1)
     certainly_retained[j] <=> no embedding of d2 avoids column j    (P_j = 0)
 
-    Requires at least one embedding to exist; raises otherwise.
+    Requires at least one embedding to exist; raises otherwise.  Costs two
+    O(n) greedy passes and O(n log n) for the searches.
     """
     d1, d2 = _as_batch_matrices(d1, d2)
     n, k = d1.shape[1], d2.shape[1]
     if k > n:
         raise InconsistentBatchError("d2 wider than d1")
     ids1, ids2 = _column_ids(d1, d2)
-    match = np.equal.outer(ids2, ids1)          # (k, n)
-
-    nz_fore = np.zeros((k + 1, n + 1), dtype=bool)
-    nz_fore[0] = True
-    for t in range(1, k + 1):
-        nz_fore[t][1:] = np.logical_or.accumulate(match[t - 1] & nz_fore[t - 1][:-1])
-
-    match_rev = match[::-1, ::-1]
-    nz_back = np.zeros((k + 1, n + 1), dtype=bool)
-    nz_back[0] = True
-    for t in range(1, k + 1):
-        nz_back[t][1:] = np.logical_or.accumulate(match_rev[t - 1] & nz_back[t - 1][:-1])
-
-    if not nz_fore[k][n]:
-        raise InconsistentBatchError("no deletion pattern maps d1 to d2")
-
-    used = np.zeros(n, dtype=bool)    # some embedding maps a d2 column onto j
-    avoid = np.zeros(n, dtype=bool)   # some embedding leaves column j unused
-    for t in range(k + 1):
-        behind = nz_back[k - t][n - 1::-1]      # behind[j] = nz_back[k-t][n-1-j]
-        avoid |= nz_fore[t][:n] & behind
-        if t >= 1:
-            used |= nz_fore[t - 1][:n] & match[t - 1] & behind
-    return ~used, ~avoid
+    list1, list2 = ids1.tolist(), ids2.tolist()
+    # d2's column t sits in column left[t] of the leftmost embedding and
+    # right[t] of the rightmost one; no embedding puts it outside that range.
+    left = np.array(_greedy_embedding(list1, list2), dtype=np.int64)
+    right = n - 1 - np.array(_greedy_embedding(list1[::-1], list2[::-1])[::-1],
+                             dtype=np.int64)
+    cols = np.arange(n)
+    # Some embedding avoids j iff, for some split t, d2[:t] fits left of j
+    # and d2[t:] right of it: left[t-1] < j < right[t], with left[-1] = -1
+    # and right[K] = n.  Both arrays increase, so count such t by search.
+    avoid = (np.searchsorted(right, cols, side="right")
+             <= np.searchsorted(left, cols, side="left"))
+    # Every column with d2[t]'s id in [left[t], right[t]] is used by some
+    # embedding.  Those t form the range [#(right < j), #(left <= j)); look
+    # for ids1[j] among them on the keys id * (K+1) + t, sorted.
+    keys = np.sort(ids2 * (k + 1) + np.arange(k))
+    base = ids1 * (k + 1)
+    first = np.searchsorted(keys, base + np.searchsorted(right, cols, side="left"))
+    past = np.searchsorted(keys, base + np.searchsorted(left, cols, side="right"))
+    return past <= first, ~avoid
 
 
 def detection_trial(dist: Distribution, n: int, B: int, delta: float,
@@ -286,7 +274,7 @@ def detection_trial(dist: Distribution, n: int, B: int, delta: float,
     if deleted_total == 0:
         return 0, 0
     certainly_deleted, _ = certain_verdict_masks(d1, d2)
-    typical = _typical_column_mask(d1, dist, epsilon)
+    typical = typicality_mask(d1, dist, epsilon, axis=0)
     hits = int((certainly_deleted & typical & deleted).sum())
     return hits, deleted_total
 
@@ -302,8 +290,16 @@ def wilson_interval(successes: int, total: int, z: float = 1.96):
     return max(0.0, center - half), min(1.0, center + half)
 
 
+class _HalfWidth:
+    """ci_half_width of a result with a Wilson interval [ci_low, ci_high]."""
+
+    @property
+    def ci_half_width(self) -> float:
+        return (self.ci_high - self.ci_low) / 2.0
+
+
 @dataclass(frozen=True)
-class DetectionEstimate:
+class DetectionEstimate(_HalfWidth):
     estimate: float
     ci_low: float
     ci_high: float
@@ -311,9 +307,16 @@ class DetectionEstimate:
     deleted_columns: int
     trials: int
 
-    @property
-    def ci_half_width(self) -> float:
-        return (self.ci_high - self.ci_low) / 2.0
+    @classmethod
+    def pool(cls, detected: int, deleted: int, trials: int,
+             where: str = "") -> "DetectionEstimate":
+        """The estimate from detection_trial's hits and deleted-column counts,
+        summed over trials, with a Wilson 95% interval."""
+        if deleted == 0:
+            raise RuntimeError(f"no columns were deleted in any trial{where}; "
+                               f"estimate undefined (delta too small?)")
+        lo, hi = wilson_interval(detected, deleted)
+        return cls(detected / deleted, lo, hi, detected, deleted, trials)
 
 
 def empirical_detection_probability(dist: Distribution, n: int, B: int,
@@ -323,17 +326,10 @@ def empirical_detection_probability(dist: Distribution, n: int, B: int,
     pooled over trials and deleted columns, with a Wilson 95% interval."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    detected = deleted = 0
-    for t in range(trials):
-        hits, total = detection_trial(dist, n, B, delta, epsilon,
-                                      derive_seed(rng_seed, t))
-        detected += hits
-        deleted += total
-    if deleted == 0:
-        raise RuntimeError("no columns were deleted in any trial; "
-                           "estimate undefined (delta too small?)")
-    lo, hi = wilson_interval(detected, deleted)
-    return DetectionEstimate(detected / deleted, lo, hi, detected, deleted, trials)
+    hits, deleted = zip(*(detection_trial(dist, n, B, delta, epsilon,
+                                          derive_seed(rng_seed, t))
+                          for t in range(trials)))
+    return DetectionEstimate.pool(sum(hits), sum(deleted), trials)
 
 
 def verdicts_to_csv(verdicts, posteriors) -> str:

@@ -9,6 +9,7 @@ so results are byte-identical regardless of worker count or scheduling.
 from __future__ import annotations
 
 import hashlib
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -26,11 +27,11 @@ from .infotheory import (entropy, RateParams, achievable_rate,
                          detection_probability_bound)
 from .matcher import (MatcherConfig, default_epsilon, match_all, match_experiment,
                       count_mismatches, _containment_counts)
-from .detector import (Verdict, detect_f, detect_g, detection_trial,
+from .detector import (Verdict, DetectionEstimate, detect_f, detect_g, detection_trial,
                        count_embeddings, brute_force_embeddings,
                        posterior_deletions, posterior_deletions_naive,
                        brute_force_posterior, certain_verdict_masks,
-                       wilson_interval)
+                       wilson_interval, _HalfWidth)
 from . import detector
 
 # Desk-scale guard: largest m*n a matching sweep will materialize
@@ -234,12 +235,30 @@ def _pipeline_trial(args):
     return wrong, len(remaining), len(detected), deleted_cols
 
 
-def _map_tasks(worker, tasks, threads: int):
+def _run_task(task):
+    worker, args = task
+    return worker(args)
+
+
+def _sweep(points, trials: int, master_seed: int, threads: int):
+    """Run every trial of every grid point, on one process pool when
+    threads > 1.
+
+    points[pidx] = (worker, args); trial t of point pidx runs
+    worker(args + (trial_seed,)).  Returns each point's trial results summed
+    field by field, and the (point, trial, seed) log for the manifest.
+    """
+    seed_log = [(pidx, t, derive_seed(master_seed, pidx, t))
+                for pidx in range(len(points)) for t in range(trials)]
+    tasks = [(points[pidx][0], points[pidx][1] + (seed,)) for pidx, _, seed in seed_log]
     if threads <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    chunk = max(1, len(tasks) // (threads * 8))
-    with ProcessPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(worker, tasks, chunksize=chunk))
+        results = [_run_task(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=threads) as ex:
+            results = list(ex.map(_run_task, tasks,
+                                  chunksize=max(1, len(tasks) // (threads * 8))))
+    return ([tuple(map(sum, zip(*results[i:i + trials])))
+             for i in range(0, len(results), trials)], seed_log)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +295,7 @@ def run_rates(dist: Distribution, deltas, alphas, out: str = None) -> list:
 
 
 @dataclass(frozen=True)
-class MatchPoint:
+class MatchPoint(_HalfWidth):
     n: int
     rate: float
     delta: float
@@ -288,10 +307,6 @@ class MatchPoint:
     ci_low: float
     ci_high: float
     mode: str
-
-    @property
-    def ci_half_width(self) -> float:
-        return (self.ci_high - self.ci_low) / 2.0
 
 
 def _choose_match_mode(cfg: ExperimentConfig, m: int, n: int) -> str:
@@ -312,21 +327,18 @@ def run_simulate_match(cfg: ExperimentConfig) -> list:
         raise ConfigError("simulate-match needs the given-alpha mode")
     started = time.time()
     epsilon = cfg.matcher_epsilon()
-    points, seed_log = [], []
-    for pidx, n in enumerate(cfg.n_values):
+    specs, modes = [], []
+    for n in cfg.n_values:
         m = cfg.resolve_m(n)
-        mode = _choose_match_mode(cfg, m, n)
-        seeds = [derive_seed(cfg.master_seed, pidx, t) for t in range(cfg.trials)]
-        seed_log.extend((pidx, t, s) for t, s in enumerate(seeds))
-        if mode == "materialized":
-            tasks = [(cfg.dist, n, m, cfg.delta, cfg.alpha, epsilon, s) for s in seeds]
-            results = _map_tasks(_match_trial, tasks, cfg.threads)
+        modes.append(_choose_match_mode(cfg, m, n))
+        if modes[-1] == "materialized":
+            specs.append((_match_trial, (cfg.dist, n, m, cfg.delta, cfg.alpha, epsilon)))
         else:
-            tasks = [(cfg.dist, n, m, cfg.delta, cfg.alpha, cfg.eval_rows, s)
-                     for s in seeds]
-            results = _map_tasks(_virtual_match_trial, tasks, cfg.threads)
-        wrong = sum(r[0] for r in results)
-        evaluated = sum(r[1] for r in results)
+            specs.append((_virtual_match_trial,
+                          (cfg.dist, n, m, cfg.delta, cfg.alpha, cfg.eval_rows)))
+    totals, seed_log = _sweep(specs, cfg.trials, cfg.master_seed, cfg.threads)
+    points = []
+    for n, mode, (wrong, evaluated) in zip(cfg.n_values, modes, totals):
         lo, hi = wilson_interval(wrong, evaluated)
         points.append(MatchPoint(n, cfg.rate_for(n), cfg.delta, cfg.alpha,
                                  cfg.trials, wrong, evaluated,
@@ -347,7 +359,7 @@ def match_csv(points):
 
 
 @dataclass(frozen=True)
-class DetectPoint:
+class DetectPoint(_HalfWidth):
     n: int
     B: int
     delta: float
@@ -359,10 +371,6 @@ class DetectPoint:
     ci_low: float
     ci_high: float
     bound: float
-
-    @property
-    def ci_half_width(self) -> float:
-        return (self.ci_high - self.ci_low) / 2.0
 
 
 def run_simulate_detect(dist: Distribution, n_values, batch_sizes, delta: float,
@@ -377,21 +385,15 @@ def run_simulate_detect(dist: Distribution, n_values, batch_sizes, delta: float,
         raise ConfigError(f"epsilon must be finite and >= 0, got {epsilon}")
     started = time.time()
     h = entropy(dist)
-    points, seed_log = [], []
     grid = [(n, b) for n in n_values for b in batch_sizes]
-    for pidx, (n, b) in enumerate(grid):
-        seeds = [derive_seed(master_seed, pidx, t) for t in range(trials)]
-        seed_log.extend((pidx, t, s) for t, s in enumerate(seeds))
-        tasks = [(dist, n, b, delta, epsilon, s) for s in seeds]
-        results = _map_tasks(_detect_trial, tasks, threads)
-        detected = sum(r[0] for r in results)
-        deleted = sum(r[1] for r in results)
-        if deleted == 0:
-            raise RuntimeError(f"no columns deleted at (n={n}, B={b}); "
-                               f"empirical detection probability undefined")
-        lo, hi = wilson_interval(detected, deleted)
-        points.append(DetectPoint(n, b, delta, epsilon, trials, detected,
-                                  deleted, detected / deleted, lo, hi,
+    totals, seed_log = _sweep([(_detect_trial, (dist, n, b, delta, epsilon))
+                               for n, b in grid], trials, master_seed, threads)
+    points = []
+    for (n, b), (detected, deleted) in zip(grid, totals):
+        est = DetectionEstimate.pool(detected, deleted, trials, f" at (n={n}, B={b})")
+        points.append(DetectPoint(n, b, delta, epsilon, trials, est.detected,
+                                  est.deleted_columns, est.estimate, est.ci_low,
+                                  est.ci_high,
                                   detection_probability_bound(n, b, delta, h, epsilon)))
     if out:
         header, rows = detect_csv(points)
@@ -413,7 +415,7 @@ def detect_csv(points):
 
 
 @dataclass(frozen=True)
-class PipelinePoint:
+class PipelinePoint(_HalfWidth):
     n: int
     B: int
     rate: float
@@ -428,10 +430,6 @@ class PipelinePoint:
     ci_high: float
 
     @property
-    def ci_half_width(self) -> float:
-        return (self.ci_high - self.ci_low) / 2.0
-
-    @property
     def detected_fraction(self) -> float:
         return self.detected_cols / self.deleted_cols if self.deleted_cols else 0.0
 
@@ -443,9 +441,9 @@ def run_pipeline(cfg: ExperimentConfig) -> list:
     started = time.time()
     epsilon = cfg.matcher_epsilon()
     detect_eps = cfg.detector_epsilon()
-    points, seed_log = [], []
     grid = [(n, b) for n in cfg.n_values for b in cfg.batch_sizes]
-    for pidx, (n, b) in enumerate(grid):
+    specs = []
+    for n, b in grid:
         m = cfg.resolve_m(n)
         if b >= m:
             raise ConfigError(f"batch size {b} must be < m = {m}")
@@ -454,15 +452,10 @@ def run_pipeline(cfg: ExperimentConfig) -> list:
                 f"m*n = {m * n} exceeds the materialization guard {CELL_GUARD}; "
                 f"reduce m to <= {max(1, CELL_GUARD // n)} at n = {n}, or set "
                 f"override_guards")
-        seeds = [derive_seed(cfg.master_seed, pidx, t) for t in range(cfg.trials)]
-        seed_log.extend((pidx, t, s) for t, s in enumerate(seeds))
-        tasks = [(cfg.dist, n, m, cfg.delta, b, epsilon, detect_eps, s)
-                 for s in seeds]
-        results = _map_tasks(_pipeline_trial, tasks, cfg.threads)
-        wrong = sum(r[0] for r in results)
-        evaluated = sum(r[1] for r in results)
-        detected_cols = sum(r[2] for r in results)
-        deleted_cols = sum(r[3] for r in results)
+        specs.append((_pipeline_trial, (cfg.dist, n, m, cfg.delta, b, epsilon, detect_eps)))
+    totals, seed_log = _sweep(specs, cfg.trials, cfg.master_seed, cfg.threads)
+    points = []
+    for (n, b), (wrong, evaluated, detected_cols, deleted_cols) in zip(grid, totals):
         lo, hi = wilson_interval(wrong, evaluated) if evaluated else (0.0, 1.0)
         points.append(PipelinePoint(n, b, cfg.rate_for(n), cfg.delta,
                                     cfg.trials, wrong, evaluated, detected_cols,
@@ -674,8 +667,6 @@ def _emit(out: str, command: str, header: str, rows, config_echo,
           master_seed, trial_seeds, elapsed: float = 0.0) -> None:
     csv_text = header + "\n" + "".join(",".join(r) + "\n" for r in rows)
     data = csv_text.encode()
-    with open(out, "wb") as f:
-        f.write(data)
     digest = hashlib.sha256(data).hexdigest()
     lines = [
         f"artifact = delmatch {__version__}",
@@ -691,5 +682,16 @@ def _emit(out: str, command: str, header: str, rows, config_echo,
         lines.append(f"master_seed = {master_seed}")
     lines.extend(f"config.{k} = {v}" for k, v in config_echo)
     lines.extend(f"trial_seed.{p}.{t} = {s}" for p, t, s in trial_seeds)
-    with open(str(out) + ".manifest.txt", "w") as f:
-        f.write("\n".join(lines) + "\n")
+    manifest = ("\n".join(lines) + "\n").encode()
+    # Each file goes to a temporary name next to it and is renamed into
+    # place, so a failed write leaves neither a partial file nor the
+    # temporary one.
+    for path, payload in ((str(out), data), (str(out) + ".manifest.txt", manifest)):
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as f:
+                f.write(payload)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)

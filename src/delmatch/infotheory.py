@@ -100,8 +100,23 @@ def is_typical(sequence, dist: Distribution, params: TypicalityParams) -> bool:
         return True
     if seq.size and int(seq.max()) >= dist.alphabet_size:
         raise ValueError("symbol index exceeds alphabet size")
-    score = float(dist.neg_log2()[seq].mean())
-    return abs(score - entropy(dist)) <= params.epsilon
+    return bool(typicality_mask(seq[None, :], dist, params.epsilon, axis=1)[0])
+
+
+def typicality_mask(mat, dist: Distribution, epsilon: float, axis: int) -> np.ndarray:
+    """Weak typicality of every line of a symbol matrix along axis (1: each
+    row, 0: each column): |-(1/L) log2 p(line) - H(X)| <= epsilon.
+
+    Lines of length 0 are typical.  The mean and H round differently, so a
+    few ulps of slack, 1e-12 * max(1, H), keep exactly typical lines
+    typical at epsilon = 0.
+    """
+    mat = np.asarray(mat)
+    if mat.shape[axis] == 0:
+        return np.ones(mat.shape[1 - axis], dtype=bool)
+    h = entropy(dist)
+    scores = dist.neg_log2()[mat].mean(axis=axis)
+    return np.abs(scores - h) <= epsilon + 1e-12 * max(1.0, h)
 
 
 def supersequence_count_exact(n: int, k: int, q: int) -> int:

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .model import Database, DeletionExperiment, Distribution, Labeling
-from .infotheory import entropy
+from .infotheory import entropy, typicality_mask
 
 
 class MatchStatus(Enum):
@@ -157,16 +157,6 @@ def _containment_counts(rows: np.ndarray, ys: np.ndarray):
     return counts, first
 
 
-def _typicality_mask(rows: np.ndarray, dist: Distribution, epsilon: float) -> np.ndarray:
-    m, width = rows.shape
-    if width == 0:
-        return np.ones(m, dtype=bool)
-    h = entropy(dist)
-    scores = dist.neg_log2()[rows].mean(axis=1)
-    # The mean and H round differently, so allow a few ulps at epsilon = 0.
-    return np.abs(scores - h) <= epsilon + 1e-12 * max(1.0, h)
-
-
 def _classify(count: int, row: int) -> MatchOutcome:
     """Outcome from how many c1 rows passed both tests, and which if one did."""
     if count == 1:
@@ -243,7 +233,7 @@ def match_all(c1: Database, c2_rows, detected, cfg: MatcherConfig,
         outcomes = [gate] * c2_rows.shape[0]
         return outcomes, {}
     restricted = c1.symbols[:, keep]
-    typical = _typicality_mask(restricted, dist, cfg.epsilon)
+    typical = typicality_mask(restricted, dist, cfg.epsilon, axis=1)
     if observed_cols == width:
         index = _equality_index(restricted, typical)
         found = [index.get(key, (0, None)) for key in _row_keys(c2_rows)]

@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delmatch import (Distribution, SeedBatch, sample_database,
                       apply_deletion_channel, extract_seed_batch,
@@ -12,6 +14,7 @@ from delmatch import (Distribution, SeedBatch, sample_database,
                       empirical_detection_probability, wilson_interval,
                       verdicts_to_csv, InconsistentBatchError,
                       GuardExceededError, detection_probability_bound)
+from delmatch.detector import _column_ids
 
 A, B_, C = 0, 1, 2  # symbol aliases for readable single-row fixtures
 
@@ -216,6 +219,113 @@ def test_certain_masks_match_posteriors():
 def test_certain_masks_reject_inconsistent():
     with pytest.raises(InconsistentBatchError):
         certain_verdict_masks(_rows("aa"), _rows("b"))
+
+
+@st.composite
+def _batches(draw, max_n=12):
+    """(d1, d2, d1 as uint8, d2 as uint8): a B x n batch over q symbols and a
+    consistent, complete, empty or arbitrary d2.  The first pair holds the
+    symbols as drawn, either uint8 or arbitrary int64 values; the second
+    relabels them 0..q-1 for SeedBatch, keeping which columns are equal."""
+    q = draw(st.sampled_from([1, 2, 3, 256]))
+    n = draw(st.integers(0, max_n))
+    rows = draw(st.integers(0, 3))
+    labels = np.array(draw(st.lists(st.integers(0, q - 1), min_size=rows * n,
+                                    max_size=rows * n)), dtype=np.uint8).reshape(rows, n)
+    kind = draw(st.sampled_from(["consistent", "none deleted", "all deleted", "arbitrary"]))
+    if kind == "consistent":
+        keep = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        labels2 = labels[:, keep]
+    elif kind == "none deleted":
+        labels2 = labels
+    elif kind == "all deleted":
+        labels2 = labels[:, :0]
+    else:
+        k = draw(st.integers(0, n))
+        labels2 = np.array(draw(st.lists(st.integers(0, q - 1), min_size=rows * k,
+                                         max_size=rows * k)), dtype=np.uint8).reshape(rows, k)
+    if draw(st.booleans()):
+        values = np.array(draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=q,
+                                        max_size=q, unique=True)), dtype=np.int64)
+        return values[labels], values[labels2], labels, labels2
+    return labels, labels2, labels, labels2
+
+
+@settings(max_examples=400, deadline=None)
+@given(_batches())
+def test_certain_masks_equal_exact_posteriors(batch):
+    d1, d2, labels, labels2 = batch
+    try:
+        posts = posterior_deletions(SeedBatch(labels, labels2))
+    except InconsistentBatchError:
+        with pytest.raises(InconsistentBatchError):
+            certain_verdict_masks(d1, d2)
+        with pytest.raises(InconsistentBatchError):
+            brute_force_posterior(d1, d2)
+        return
+    assert posts == brute_force_posterior(d1, d2)
+    cdel, cret = certain_verdict_masks(d1, d2)
+    assert cdel.tolist() == [p == 1 for p in posts]
+    assert cret.tolist() == [p == 0 for p in posts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_batches(max_n=20))
+def test_column_ids_group_like_unique(batch):
+    d1, d2, _, _ = batch
+    ids1, ids2 = _column_ids(d1, d2)
+    columns = [tuple(c) for c in np.concatenate([d1, d2], axis=1).T.tolist()]
+    ids = ids1.tolist() + ids2.tolist()
+    if d1.shape[0]:
+        _, inverse = np.unique(np.concatenate([d1, d2], axis=1).T, axis=0,
+                               return_inverse=True)
+        assert ids == inverse.reshape(-1).tolist()
+    for a in range(len(columns)):
+        for b in range(len(columns)):
+            assert (ids[a] == ids[b]) == (columns[a] == columns[b])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([Distribution.bernoulli(0.5), Distribution((0.6, 0.3, 0.1)),
+                        Distribution.uniform(3)]),
+       st.integers(0, 48), st.integers(0, 6), st.floats(0.0, 1.0),
+       st.sampled_from([0.0, 0.05, 0.3]), st.integers(0, 2 ** 32))
+def test_deleted_verdict_is_true_deletion(dist, n, rows, delta, epsilon, seed):
+    rng = np.random.default_rng(seed)
+    d1 = rng.choice(dist.alphabet_size, size=(rows, n), p=dist.probabilities)
+    deleted = rng.random(n) < delta
+    batch = SeedBatch(d1, d1[:, ~deleted])
+    verdicts = detect_f(batch, dist, epsilon)
+    for j, v in enumerate(verdicts):
+        if v is Verdict.DELETED:
+            assert deleted[j]
+        if v is Verdict.RETAINED:
+            assert not deleted[j]
+    cdel, cret = certain_verdict_masks(batch.d1, batch.d2)
+    assert not np.any(cdel & ~deleted)
+    assert not np.any(cret & deleted)
+
+
+def test_detect_f_is_posterior_classification():
+    rng = np.random.default_rng(707)
+    probs = (0.6, 0.3, 0.1)
+    h = -sum(p * math.log2(p) for p in probs)
+    for _ in range(200):
+        d1, d2 = _random_pair(rng, consistent=True)
+        batch = SeedBatch(d1, d2)
+        eps = float(rng.choice([0.0, 0.1, 0.4]))
+        posts = posterior_deletions(batch)
+        typical = [not col or abs(sum(-math.log2(probs[s]) for s in col) / len(col) - h)
+                   <= eps + 1e-12 * max(1.0, h) for col in d1.T.tolist()]
+        want = [Verdict.DELETED if t and p == 1 else
+                Verdict.RETAINED if t and p == 0 else Verdict.INCONCLUSIVE
+                for t, p in zip(typical, posts)]
+        assert detect_f(batch, Distribution(probs), eps) == want
+
+
+def test_detect_f_rejects_inconsistent():
+    with pytest.raises(InconsistentBatchError):
+        detect_f(SeedBatch(_rows("aa"), _rows("b")), Distribution.bernoulli(0.5), 0.1)
 
 
 # -- Monte Carlo ----------------------------------------------------------------

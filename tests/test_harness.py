@@ -1,3 +1,5 @@
+import dataclasses
+import errno
 import hashlib
 import math
 
@@ -175,6 +177,27 @@ def test_simulate_detect_deterministic_and_bounded():
         assert p.empirical_alpha + p.ci_half_width >= p.bound
 
 
+def test_sweep_runs_every_point_on_one_pool(monkeypatch):
+    pools = []
+    real_pool = harness.ProcessPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        pools.append(kwargs)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", counting_pool)
+    detect = run_simulate_detect(BERN, (16, 24), (4, 8), 0.5, 0.05, 10, 3, threads=2)
+    assert len(pools) == 1
+    # one materialized and one closed-form point in the same pool
+    mixed = _match_cfg(n_values=(8, 120), trials=4)
+    match = run_simulate_match(dataclasses.replace(mixed, threads=2))
+    assert len(pools) == 2
+    monkeypatch.undo()
+    assert [p.mode for p in match] == ["materialized", "virtual"]
+    assert match == run_simulate_match(mixed)
+    assert detect == run_simulate_detect(BERN, (16, 24), (4, 8), 0.5, 0.05, 10, 3)
+
+
 def test_simulate_detect_requires_deletions():
     with pytest.raises(RuntimeError):
         run_simulate_detect(BERN, (8,), (4,), 0.0, 0.05, 5, 3)
@@ -339,6 +362,50 @@ def test_cli_rejects_bad_detect_and_pipeline_parameters(capsys):
                      "--delta", "0.2", "--B", "2", "--trials", "2",
                      "--detect-epsilon", "inf"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_cli_detect_uniform3_columns_typical_at_epsilon_zero(tmp_path):
+    # Every uniform:3 column is exactly typical; the float mean of -log2 p
+    # and H(X) round differently, which must not reject them at epsilon 0.
+    out = tmp_path / "detect.csv"
+    assert cli.main(["simulate-detect", "--dist", "uniform:3", "--n", "16",
+                     "--B", "8", "--delta", "0.3", "--trials", "20",
+                     "--epsilon", "0", "--seed", "1", "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    fields = dict(zip(header.split(","), map(float, row.split(","))))
+    assert fields["empirical_alpha"] + fields["CI"] >= fields["theorem2_bound"]
+
+
+def test_emit_failed_write_leaves_previous_output(tmp_path, monkeypatch):
+    out = tmp_path / "detect.csv"
+    run_simulate_detect(BERN, (16,), (8,), 0.5, 0.05, 5, 3, out=str(out))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    real_open = open
+
+    class FullDisk:
+        """A file that takes half of the first write, then fails."""
+
+        def __init__(self, path, mode):
+            self.f = real_open(path, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(harness, "open", FullDisk, raising=False)
+    with pytest.raises(OSError):
+        run_simulate_detect(BERN, (16,), (8,), 0.5, 0.05, 5, 4, out=str(out))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    with pytest.raises(OSError):
+        run_simulate_detect(BERN, (16,), (8,), 0.5, 0.05, 5, 4,
+                            out=str(tmp_path / "new.csv"))
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_cli_oracle_check_exit_code(capsys):

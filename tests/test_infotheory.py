@@ -9,6 +9,7 @@ from delmatch import (Distribution, entropy, binary_entropy, RateParams,
                       supersequence_count_exact, supersequence_count_bound,
                       min_seed_batch_size, detection_probability_bound,
                       detection_probability_bound_clamped)
+from delmatch.infotheory import typicality_mask
 
 
 # -- entropy ---------------------------------------------------------------
@@ -150,6 +151,17 @@ def test_typicality_length_checked():
 
 def test_empty_sequence_typical():
     assert is_typical([], Distribution((0.8, 0.2)), TypicalityParams(0.0, 0))
+
+
+@pytest.mark.parametrize("q", [3, 6, 7, 200])
+def test_uniform_lines_typical_at_epsilon_zero_along_either_axis(q):
+    # the float mean of -log2 p and H(X) differ by rounding for these q
+    dist = Distribution.uniform(q)
+    mat = np.random.default_rng(q).integers(0, q, size=(9, 13))
+    assert typicality_mask(mat, dist, 0.0, axis=1).tolist() == [True] * 9
+    assert typicality_mask(mat, dist, 0.0, axis=0).tolist() == [True] * 13
+    assert all(is_typical(row, dist, TypicalityParams(0.0, 13)) for row in mat)
+    assert typicality_mask(mat[:0], dist, 0.0, axis=0).tolist() == [True] * 13
 
 
 def test_typicality_matches_direct_inequality():

@@ -19,8 +19,8 @@ from .infotheory import (entropy, binary_entropy, RateParams, achievable_rate,
                          detection_probability_bound,
                          detection_probability_bound_clamped)
 from .matcher import (MatchStatus, MatchOutcome, MatcherConfig, default_epsilon,
-                      is_subsequence, match_row, match_all, match_experiment,
-                      mismatch_rate)
+                      is_subsequence, match_row, match_all, match_counts,
+                      match_experiment, mismatch_rate)
 from .detector import (Verdict, InconsistentBatchError, GuardExceededError,
                        count_embeddings, posterior_deletions,
                        posterior_deletions_naive, detect_f, detect_g,

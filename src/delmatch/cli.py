@@ -3,12 +3,13 @@
 Subcommands: rates, simulate-match, simulate-detect, pipeline, oracle-check.
 Values may come from flags or from a flat 'key = value' config file
 (--config); flags win.  Exit codes: 0 success, 1 check failure, 2 usage
-error.  Without --out, data commands print the CSV to stdout.
+or file error.  Without --out, data commands print the CSV to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .harness import (ConfigError, ExperimentConfig, parse_config_file,
@@ -101,6 +102,16 @@ def _add_match_args(p):
                    help="materialize beyond the m*n desk-scale guard")
 
 
+def _out_path(path: str) -> str:
+    """--out, refused before any trial runs if it cannot be a file."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ConfigError(f"output directory {directory} does not exist")
+    if os.path.isdir(path):
+        raise ConfigError(f"output path {path} is a directory")
+    return path
+
+
 def _get(args, cfgmap, key, conv=None, default=None, required=False):
     val = getattr(args, key.replace("-", "_"), None)
     if val is None and key in cfgmap:
@@ -124,7 +135,7 @@ def cmd_rates(args, cfgmap) -> int:
     dist = parse_distribution(_get(args, cfgmap, "dist"))
     deltas = parse_float_grid(str(_get(args, cfgmap, "deltas")))
     alphas = parse_float_grid(str(_get(args, cfgmap, "alphas")))
-    out = _get(args, cfgmap, "out")
+    out = _get(args, cfgmap, "out", _out_path)
     points = run_rates(dist, deltas, alphas, out)
     if out:
         print(f"wrote {len(points)} rate points to {out}")
@@ -143,7 +154,7 @@ def _match_config(args, cfgmap, need_alpha: bool) -> ExperimentConfig:
         rate=_get(args, cfgmap, "rate", float),
         m=_get(args, cfgmap, "m", int),
         epsilon=_get(args, cfgmap, "epsilon", float),
-        out=_get(args, cfgmap, "out"),
+        out=_get(args, cfgmap, "out", _out_path),
         threads=_get(args, cfgmap, "threads", int),
         eval_rows=_get(args, cfgmap, "eval_rows", int),
         override_guards=bool(_get(args, cfgmap, "override_guards",
@@ -187,7 +198,7 @@ def cmd_simulate_detect(args, cfgmap) -> int:
     trials = _get(args, cfgmap, "trials", int)
     seed = _get(args, cfgmap, "seed", int)
     threads = _get(args, cfgmap, "threads", int)
-    out = _get(args, cfgmap, "out")
+    out = _get(args, cfgmap, "out", _out_path)
     points = run_simulate_detect(dist, n_values, batch_sizes, delta, epsilon,
                                  trials, seed, threads, out)
     if out:
@@ -213,13 +224,13 @@ def cmd_pipeline(args, cfgmap) -> int:
 def cmd_oracle_check(args, cfgmap) -> int:
     seed = _get(args, cfgmap, "seed", int)
     cases = _get(args, cfgmap, "cases", int)
+    out = _get(args, cfgmap, "out", _out_path)
     report = run_oracle_check(seed, cases)
     lines = [f"{'ok  ' if ok else 'FAIL'} {name}" for name, ok in report.suites]
     lines += [f"counterexample: {msg}" for msg in report.failures]
     lines.append("oracle-check: " + ("all suites passed" if report.passed
                                      else f"{len(report.failures)} failure(s)"))
     print("\n".join(lines))
-    out = _get(args, cfgmap, "out")
     if out:
         with open(out, "w") as f:
             f.write("\n".join(lines) + "\n")
@@ -235,7 +246,7 @@ def main(argv=None) -> int:
     try:
         cfgmap = parse_config_file(args.config) if args.config else {}
         return args.func(args, cfgmap)
-    except ValueError as exc:  # ConfigError included
+    except (ValueError, OSError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

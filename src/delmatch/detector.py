@@ -17,7 +17,7 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .model import Distribution, SeedBatch, derive_seed, _rng
+from .model import Distribution, SeedBatch, derive_seed, _column_ids, _rng
 from .infotheory import typicality_mask
 
 BRUTE_FORCE_PATTERN_GUARD = 10 ** 6
@@ -48,23 +48,6 @@ def _as_batch_matrices(d1, d2):
     if d1.shape[0] != d2.shape[0]:
         raise ValueError(f"row counts differ: {d1.shape[0]} vs {d2.shape[0]}")
     return d1, d2
-
-
-def _column_ids(d1, d2):
-    """Label columns so that two columns get the same id iff they are equal
-    entrywise over all rows.  Hash-free: ids come from a sort-based grouping,
-    so equality is exact by construction."""
-    n, k = d1.shape[1], d2.shape[1]
-    stacked = np.concatenate([d1, d2], axis=1)
-    if stacked.size == 0:  # no columns, or no rows to tell columns apart
-        return np.zeros(n, dtype=np.int64), np.zeros(k, dtype=np.int64)
-    # Sort the columns lexicographically, first row first, and number each
-    # run of equal neighbours.
-    order = np.lexsort(stacked[::-1])
-    ranked = stacked[:, order]
-    ids = np.empty(n + k, dtype=np.int64)
-    ids[order] = np.cumsum(np.r_[False, np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)])
-    return ids[:n], ids[n:]
 
 
 def count_embeddings(d1, d2) -> int:

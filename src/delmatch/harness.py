@@ -25,14 +25,13 @@ from . import model
 from .infotheory import (entropy, RateParams, achievable_rate,
                          supersequence_count_exact, supersequence_count_bound,
                          detection_probability_bound)
-from .matcher import (MatcherConfig, default_epsilon, match_all, match_experiment,
-                      count_mismatches, _containment_counts)
+from .matcher import (MatcherConfig, default_epsilon, match_counts, count_mismatches,
+                      _containment_counts)
 from .detector import (Verdict, DetectionEstimate, detect_f, detect_g, detection_trial,
                        count_embeddings, brute_force_embeddings,
                        posterior_deletions, posterior_deletions_naive,
                        brute_force_posterior, certain_verdict_masks,
                        wilson_interval, _HalfWidth)
-from . import detector
 
 # Desk-scale guard: largest m*n a matching sweep will materialize
 # (m ~ 2^16 rows at n = 64).  Overridable per config.
@@ -172,8 +171,9 @@ def _match_trial(args):
     c1 = sample_database(dist, m, n, derive_seed(trial_seed, STREAM_DATABASE))
     exp = apply_deletion_channel(c1, delta, alpha,
                                  derive_seed(trial_seed, STREAM_CHANNEL))
-    _, matched = match_experiment(exp, MatcherConfig(epsilon=epsilon), dist)
-    return count_mismatches(matched, exp.labeling.perm, np.arange(m)), m
+    _, rows, _ = match_counts(exp.c1, exp.c2.symbols, exp.detection.detected_indices,
+                              MatcherConfig(epsilon=epsilon), dist)
+    return count_mismatches(rows, exp.labeling.perm, np.arange(m)), m
 
 
 def _virtual_match_trial(args):
@@ -225,14 +225,13 @@ def _pipeline_trial(args):
     deleted_cols = n - exp.retained_count
 
     perm = exp.labeling.perm
-    batch_images = set(int(perm[i]) for i in batch.source_rows)
-    remaining = [j for j in range(m) if j not in batch_images]
-    if not remaining:
+    remaining = np.delete(np.arange(m), perm[batch.source_rows])
+    if not remaining.size:
         return 0, 0, len(detected), deleted_cols
-    _, matched = match_all(exp.c1, exp.c2.symbols[remaining], detected,
-                           MatcherConfig(epsilon=epsilon), dist)
-    wrong = count_mismatches(matched, perm, remaining)
-    return wrong, len(remaining), len(detected), deleted_cols
+    _, rows, _ = match_counts(exp.c1, exp.c2.symbols[remaining], detected,
+                              MatcherConfig(epsilon=epsilon), dist)
+    wrong = count_mismatches(rows, perm, remaining)
+    return wrong, remaining.size, len(detected), deleted_cols
 
 
 def _run_task(task):
@@ -536,7 +535,7 @@ def check_posteriors(cases: int, seed: int) -> list:
             continue
         if sum(fast) != n - k:
             failures.append(f"posterior case {i}: sum {sum(fast)} != n-K = {n - k}")
-        ids1, ids2 = detector._column_ids(d1, d2)
+        ids1, ids2 = model._column_ids(d1, d2)
         present = set(ids2.tolist())
         for j in range(n):
             if int(ids1[j]) not in present and fast[j] != 1:

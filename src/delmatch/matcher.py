@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import Database, DeletionExperiment, Distribution, Labeling
+from .model import Database, DeletionExperiment, Distribution, Labeling, _column_ids
 from .infotheory import entropy, typicality_mask
 
 
@@ -157,34 +157,6 @@ def _containment_counts(rows: np.ndarray, ys: np.ndarray):
     return counts, first
 
 
-def _classify(count: int, row: int) -> MatchOutcome:
-    """Outcome from how many c1 rows passed both tests, and which if one did."""
-    if count == 1:
-        return MatchOutcome(MatchStatus.MATCHED, row)
-    if count >= 2:
-        return MatchOutcome(MatchStatus.COLLISION)
-    return MatchOutcome(MatchStatus.NO_CANDIDATE)
-
-
-def _row_keys(rows: np.ndarray) -> list:
-    """The bytes of each row of a uint8 matrix, as hashable keys."""
-    m, width = rows.shape
-    if width == 0:
-        return [b""] * m
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, width))).ravel().tolist()
-
-
-def _equality_index(restricted: np.ndarray, typical: np.ndarray) -> dict:
-    """Map the bytes of each typical restricted row to (count, first c1 row)."""
-    keys = _row_keys(restricted)
-    index = {}
-    for i in np.flatnonzero(typical).tolist():
-        count, first = index.get(keys[i], (0, i))
-        index[keys[i]] = (count + 1, first)
-    return index
-
-
 def match_row(y, c1: Database, detected, cfg: MatcherConfig,
               dist: Distribution) -> MatchOutcome:
     """Match one observed row y against every row of c1.
@@ -197,12 +169,48 @@ def match_row(y, c1: Database, detected, cfg: MatcherConfig,
     return outcomes[0]
 
 
-def _threshold_gate(cfg: MatcherConfig, observed_cols: int, detected_count: int):
-    if cfg.min_retained is not None and observed_cols < cfg.min_retained:
-        return MatchOutcome(MatchStatus.THRESHOLD)
-    if cfg.min_detected is not None and detected_count < cfg.min_detected:
-        return MatchOutcome(MatchStatus.THRESHOLD)
-    return None
+def match_counts(c1: Database, c2_rows, detected, cfg: MatcherConfig,
+                 dist: Distribution):
+    """The matcher's decisions for every observed row, as arrays.
+
+    Returns (counts, rows, gated): counts[j] is the number of typical c1
+    rows containing observed row j, rows[j] the c1 row where counts[j] is 1
+    and -1 elsewhere.  gated is True when K or the detected count is below
+    a configured gate; every count is then 0.
+
+    With no undetected deletion left, containment is equality: one sort
+    labels the typical restricted rows and the observed rows together, equal
+    rows alike, in O(m * width * log m).  Otherwise the bit-parallel kernel
+    tests all typical rows at once, in O(m^2 * width * (u + 1) / 64) word
+    operations for u undetected deletions.
+    """
+    c2_rows = np.asarray(c2_rows, dtype=np.uint8)
+    if c2_rows.ndim == 1:  # one observed row; an empty list is no rows
+        c2_rows = c2_rows.reshape(min(1, c2_rows.size), c2_rows.size)
+    keep = _keep_mask(c1.n, detected)
+    width = int(keep.sum())
+    count, observed_cols = c2_rows.shape
+    if observed_cols > width:
+        raise ValueError(f"observed rows have {observed_cols} symbols but only "
+                         f"{width} undetected columns remain")
+    if ((cfg.min_retained is not None and observed_cols < cfg.min_retained)
+            or (cfg.min_detected is not None and c1.n - width < cfg.min_detected)):
+        return np.zeros(count, dtype=np.int64), np.full(count, -1, dtype=np.int64), True
+    restricted = c1.symbols[:, keep]
+    candidates = np.flatnonzero(typicality_mask(restricted, dist, cfg.epsilon, axis=1))
+    if observed_cols == width:
+        source_ids, ids = _column_ids(restricted[candidates].T, c2_rows.T)
+        labels = source_ids.size + ids.size
+        counts = np.bincount(source_ids, minlength=labels)[ids]
+        first = np.zeros(labels, dtype=np.int64)
+        first[source_ids] = np.arange(source_ids.size)  # valid where counts is 1
+        first = first[ids]
+    else:
+        counts, first = _containment_counts(restricted[candidates], c2_rows)
+    rows = np.full(count, -1, dtype=np.int64)
+    one = counts == 1
+    rows[one] = candidates[first[one]]
+    return counts, rows, False
 
 
 def match_all(c1: Database, c2_rows, detected, cfg: MatcherConfig,
@@ -211,40 +219,20 @@ def match_all(c1: Database, c2_rows, detected, cfg: MatcherConfig,
 
     Returns (outcomes, matched) where outcomes[j] is the MatchOutcome for
     observed row j and matched maps observed row index -> c1 row index for
-    the MATCHED outcomes (not necessarily injective).
-
-    When the observed rows are as wide as the undetected columns (no
-    undetected deletion remains), containment is equality, and a hash join
-    over the typical rows decides every row in O(m * width).  Otherwise the
-    bit-parallel kernel tests all typical rows at once, in
-    O(m^2 * width * (u + 1) / 64) word operations for u undetected deletions.
+    the MATCHED outcomes (not necessarily injective).  The decisions are
+    match_counts'; with no undetected deletion they come from a sort-based
+    labelling join of the typical restricted rows with the observed rows.
     """
-    c2_rows = np.asarray(c2_rows, dtype=np.uint8)
-    if c2_rows.ndim == 1:  # one observed row; an empty list is no rows
-        c2_rows = c2_rows.reshape(min(1, c2_rows.size), c2_rows.size)
-    keep = _keep_mask(c1.n, detected)
-    width = int(keep.sum())
-    observed_cols = c2_rows.shape[1]
-    if observed_cols > width:
-        raise ValueError(f"observed rows have {observed_cols} symbols but only "
-                         f"{width} undetected columns remain")
-    gate = _threshold_gate(cfg, observed_cols, c1.n - width)
-    if gate is not None:
-        outcomes = [gate] * c2_rows.shape[0]
-        return outcomes, {}
-    restricted = c1.symbols[:, keep]
-    typical = typicality_mask(restricted, dist, cfg.epsilon, axis=1)
-    if observed_cols == width:
-        index = _equality_index(restricted, typical)
-        found = [index.get(key, (0, None)) for key in _row_keys(c2_rows)]
-    else:
-        candidates = np.flatnonzero(typical)
-        counts, first = _containment_counts(restricted[candidates], c2_rows)
-        rows = candidates[first] if candidates.size else first
-        found = zip(counts.tolist(), rows.tolist())
-    outcomes = [_classify(count, row) for count, row in found]
-    matched = {j: o.row for j, o in enumerate(outcomes) if o.is_match}
-    return outcomes, matched
+    counts, rows, gated = match_counts(c1, c2_rows, detected, cfg, dist)
+    if gated:
+        return [MatchOutcome(MatchStatus.THRESHOLD)] * counts.shape[0], {}
+    unmatched = (MatchOutcome(MatchStatus.NO_CANDIDATE), None,
+                 MatchOutcome(MatchStatus.COLLISION))
+    outcomes = [MatchOutcome(MatchStatus.MATCHED, row) if row >= 0
+                else unmatched[min(count, 2)]
+                for count, row in zip(counts.tolist(), rows.tolist())]
+    hits = np.flatnonzero(rows >= 0)
+    return outcomes, dict(zip(hits.tolist(), rows[hits].tolist()))
 
 
 def match_experiment(exp: DeletionExperiment, cfg: MatcherConfig,
@@ -263,15 +251,15 @@ def mismatch_rate(outcomes, true_labeling: Labeling) -> float:
         raise ValueError("no outcomes to score")
     if len(outcomes) != true_labeling.m:
         raise ValueError("outcome count does not match labeling size")
-    matched = {j: o.row for j, o in enumerate(outcomes) if o.is_match}
-    return count_mismatches(matched, true_labeling.perm,
+    rows = [o.row if o.is_match else -1 for o in outcomes]
+    return count_mismatches(rows, true_labeling.perm,
                             np.arange(len(outcomes))) / len(outcomes)
 
 
-def count_mismatches(matched: dict, perm, observed) -> int:
-    """Observed rows not matched to their true source row, from match_all's
-    matched map; observed[j] is the c2 index of the j-th observed row."""
-    observed = np.asarray(observed)
-    positions = np.fromiter(matched.keys(), dtype=np.int64, count=len(matched))
-    rows = np.fromiter(matched.values(), dtype=np.int64, count=len(matched))
-    return observed.shape[0] - int(np.count_nonzero(perm[rows] == observed[positions]))
+def count_mismatches(rows, perm, observed) -> int:
+    """Observed rows not matched to their true source row.  rows[j] is the
+    c1 row matched to the j-th observed row, or -1 (match_counts' rows);
+    observed[j] is that row's c2 index."""
+    rows, observed = np.asarray(rows, dtype=np.int64), np.asarray(observed)
+    hits = rows >= 0
+    return observed.shape[0] - int(np.count_nonzero(perm[rows[hits]] == observed[hits]))

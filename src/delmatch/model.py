@@ -45,6 +45,33 @@ def _frozen(arr: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
+def _flag_vector(flags) -> np.ndarray:
+    """A read-only uint8 copy of a 1-d 0/1 flag vector; raises otherwise."""
+    flags = np.asarray(flags)
+    if flags.ndim != 1:
+        raise ValueError("flags must be a 1-d bit vector")
+    if flags.size and not np.isin(flags, (0, 1)).all():
+        raise ValueError("flags must be 0/1")
+    return _frozen(flags, np.uint8)
+
+
+def _column_ids(d1, d2):
+    """Label columns so that two columns get the same id iff they are equal
+    entrywise over all rows (seed-batch columns, or transposed rows).  Ids
+    come from a sort-based grouping, not hashing, so equality is exact."""
+    n, k = d1.shape[1], d2.shape[1]
+    stacked = np.concatenate([d1, d2], axis=1)
+    if stacked.size == 0:  # no columns, or no rows to tell columns apart
+        return np.zeros(n, dtype=np.int64), np.zeros(k, dtype=np.int64)
+    # Sort the columns lexicographically, first row first, and number each
+    # run of equal neighbours.
+    order = np.lexsort(stacked[::-1])
+    ranked = stacked[:, order]
+    ids = np.empty(n + k, dtype=np.int64)
+    ids[order] = np.cumsum(np.r_[False, np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)])
+    return ids[:n], ids[n:]
+
+
 @dataclass(frozen=True)
 class Distribution:
     """A pmf over the symbol alphabet {0, ..., q-1}."""
@@ -125,14 +152,9 @@ class DeletionPattern:
     delta: float
 
     def __post_init__(self):
-        flags = np.asarray(self.flags)
-        if flags.ndim != 1:
-            raise ValueError("flags must be a 1-d bit vector")
-        if flags.size and not np.isin(flags, (0, 1)).all():
-            raise ValueError("flags must be 0/1")
+        object.__setattr__(self, "flags", _flag_vector(self.flags))
         if not 0.0 <= self.delta < 1.0:
             raise ValueError("delta must be in [0, 1)")
-        object.__setattr__(self, "flags", _frozen(flags, np.uint8))
 
     @property
     def n(self) -> int:
@@ -156,14 +178,9 @@ class DetectionPattern:
     alpha: float
 
     def __post_init__(self):
-        flags = np.asarray(self.flags)
-        if flags.ndim != 1:
-            raise ValueError("flags must be a 1-d bit vector")
-        if flags.size and not np.isin(flags, (0, 1)).all():
-            raise ValueError("flags must be 0/1")
+        object.__setattr__(self, "flags", _flag_vector(self.flags))
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
-        object.__setattr__(self, "flags", _frozen(flags, np.uint8))
 
     @property
     def detected_indices(self) -> np.ndarray:
@@ -334,8 +351,10 @@ def database_to_csv(db: Database) -> str:
 def database_from_csv(text: str) -> Database:
     lines = [ln for ln in text.strip().splitlines() if ln]
     m, n, q = (int(x) for x in lines[0].split(","))
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} rows, found {len(lines) - 1}")
+    # A row of no symbols is written as an empty line, and those are skipped.
+    if len(lines) - 1 != (m if n else 0):
+        raise ValueError(f"expected {m} rows of {n} symbols, found "
+                         f"{len(lines) - 1} non-empty lines")
     if not 2 <= q <= MAX_ALPHABET:
         raise ValueError(f"alphabet size {q} outside 2..{MAX_ALPHABET}")
     if m and n:

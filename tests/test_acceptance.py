@@ -18,7 +18,7 @@ from delmatch import (Distribution, SeedBatch, RateParams, achievable_rate,
                       brute_force_posterior, detect_f, detect_g, Verdict,
                       ExperimentConfig)
 from delmatch.harness import (run_simulate_match, run_simulate_detect,
-                              _all_sequences, _count_containing)
+                              _all_sequences, _count_containing, _random_instance)
 from delmatch.model import _rng
 from delmatch import cli
 
@@ -29,20 +29,6 @@ THREADS = 4
 
 def _report(num, name, detail):
     print(f"[acceptance] C{num} {name}: PASS ({detail})")
-
-
-def _random_pair(rng, n_max=12, b_max=3, consistent=True):
-    q = int(rng.choice([2, 3]))
-    n = int(rng.integers(1, n_max + 1))
-    rows = int(rng.integers(0, b_max + 1))
-    d1 = rng.integers(0, q, size=(rows, n)).astype(np.uint8)
-    if consistent:
-        deleted = rng.random(n) < rng.uniform(0.0, 0.9)
-        d2 = d1[:, ~deleted]
-    else:
-        k = int(rng.integers(0, n + 1))
-        d2 = rng.integers(0, q, size=(rows, k)).astype(np.uint8)
-    return d1, d2
 
 
 def test_c01_rate_formula_fidelity():
@@ -91,7 +77,7 @@ def test_c03_counting_oracle_equivalence():
     rng = _rng(MASTER_SEED, 3)
     cases = 1000
     for i in range(cases):
-        d1, d2 = _random_pair(rng, consistent=bool(i % 2))
+        d1, d2 = _random_instance(rng, consistent=bool(i % 2))
         assert count_embeddings(d1, d2) == brute_force_embeddings(d1, d2)
     elapsed = time.time() - started
     assert elapsed < 60.0
@@ -103,7 +89,7 @@ def test_c04_posterior_oracle_equivalence():
     rng = _rng(MASTER_SEED, 4)
     cases = 1000
     for _ in range(cases):
-        d1, d2 = _random_pair(rng, consistent=True)
+        d1, d2 = _random_instance(rng, consistent=True)
         post = posterior_deletions(SeedBatch(d1, d2))
         assert post == brute_force_posterior(d1, d2)
         assert sum(post) == Fraction(d1.shape[1] - d2.shape[1])
@@ -164,7 +150,7 @@ def test_c07_g_implies_f():
     cases = 1000
     g_deleted = 0
     for i in range(cases):
-        d1, d2 = _random_pair(rng, n_max=10, consistent=True)
+        d1, d2 = _random_instance(rng, n_max=10, consistent=True)
         dist = dists[i % len(dists)]
         if int(d1.max(initial=0)) >= dist.alphabet_size:
             dist = Distribution.uniform(3)

@@ -15,6 +15,7 @@ from delmatch import (Distribution, SeedBatch, sample_database,
                       verdicts_to_csv, InconsistentBatchError,
                       GuardExceededError, detection_probability_bound)
 from delmatch.detector import _column_ids
+from delmatch.harness import _random_instance
 
 A, B_, C = 0, 1, 2  # symbol aliases for readable single-row fixtures
 
@@ -23,20 +24,6 @@ def _rows(*strings):
     """Build a B x n matrix from strings like 'aba' (a=0, b=1, c=2)."""
     return np.array([[ord(ch) - ord("a") for ch in s] for s in strings],
                     dtype=np.uint8)
-
-
-def _random_pair(rng, n_max=12, b_max=3, consistent=True):
-    q = int(rng.choice([2, 3]))
-    n = int(rng.integers(1, n_max + 1))
-    rows = int(rng.integers(0, b_max + 1))
-    d1 = rng.integers(0, q, size=(rows, n)).astype(np.uint8)
-    if consistent:
-        deleted = rng.random(n) < rng.uniform(0.0, 0.9)
-        d2 = d1[:, ~deleted]
-    else:
-        k = int(rng.integers(0, n + 1))
-        d2 = rng.integers(0, q, size=(rows, k)).astype(np.uint8)
-    return d1, d2
 
 
 # -- counting ----------------------------------------------------------------
@@ -61,7 +48,7 @@ def test_count_row_mismatch_rejected():
 def test_count_matches_brute_force():
     rng = np.random.default_rng(101)
     for i in range(300):
-        d1, d2 = _random_pair(rng, consistent=bool(i % 2))
+        d1, d2 = _random_instance(rng, consistent=bool(i % 2))
         assert count_embeddings(d1, d2) == brute_force_embeddings(d1, d2)
 
 
@@ -110,7 +97,7 @@ def test_posterior_requires_consistency():
 def test_posterior_equals_oracles():
     rng = np.random.default_rng(202)
     for _ in range(300):
-        d1, d2 = _random_pair(rng, consistent=True)
+        d1, d2 = _random_instance(rng, consistent=True)
         batch = SeedBatch(d1, d2)
         fast = posterior_deletions(batch)
         assert fast == posterior_deletions_naive(d1, d2)
@@ -128,7 +115,7 @@ def test_posterior_single_pattern_is_indicator():
 def test_absent_column_posterior_one():
     rng = np.random.default_rng(303)
     for _ in range(100):
-        d1, d2 = _random_pair(rng, consistent=True)
+        d1, d2 = _random_instance(rng, consistent=True)
         post = posterior_deletions(SeedBatch(d1, d2))
         d2_cols = {tuple(col) for col in d2.T.tolist()}
         for j in range(d1.shape[1]):
@@ -172,7 +159,7 @@ def test_g_deleted_subset_of_f_deleted():
     rng = np.random.default_rng(404)
     dist3 = Distribution.uniform(3)
     for _ in range(200):
-        d1, d2 = _random_pair(rng, n_max=10, consistent=True)
+        d1, d2 = _random_instance(rng, n_max=10, consistent=True)
         batch = SeedBatch(d1, d2)
         eps = float(rng.uniform(0.0, 0.6))
         f_v = detect_f(batch, dist3, eps)
@@ -209,7 +196,7 @@ def test_more_rows_preserve_certainty():
 def test_certain_masks_match_posteriors():
     rng = np.random.default_rng(606)
     for _ in range(300):
-        d1, d2 = _random_pair(rng, consistent=True)
+        d1, d2 = _random_instance(rng, consistent=True)
         posts = posterior_deletions(SeedBatch(d1, d2))
         cdel, cret = certain_verdict_masks(d1, d2)
         assert np.array_equal(cdel, np.array([p == 1 for p in posts]))
@@ -311,7 +298,7 @@ def test_detect_f_is_posterior_classification():
     probs = (0.6, 0.3, 0.1)
     h = -sum(p * math.log2(p) for p in probs)
     for _ in range(200):
-        d1, d2 = _random_pair(rng, consistent=True)
+        d1, d2 = _random_instance(rng, consistent=True)
         batch = SeedBatch(d1, d2)
         eps = float(rng.choice([0.0, 0.1, 0.4]))
         posts = posterior_deletions(batch)

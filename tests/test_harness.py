@@ -5,11 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delmatch import (Distribution, ExperimentConfig, ConfigError, entropy,
                       run_rates, run_simulate_match, run_simulate_detect,
                       run_pipeline, run_oracle_check, parse_distribution,
-                      parse_float_grid, parse_int_list, parse_config_file)
+                      parse_float_grid, parse_int_list, parse_config_file,
+                      MatcherConfig, match_all, match_experiment, mismatch_rate,
+                      sample_database, apply_deletion_channel,
+                      extract_seed_batch, detect_f)
 from delmatch import harness
 from delmatch.detector import Verdict
 from delmatch.harness import (_match_trial, _pipeline_trial, _virtual_match_trial,
@@ -153,6 +157,48 @@ def test_virtual_trial_matches_materialized_statistically():
         rate_mat = wrong_mat / total_mat
         rate_virt = wrong_virt / total_virt
         assert abs(rate_mat - rate_virt) < 0.03, (alpha, rate_mat, rate_virt)
+
+
+SKEWED = Distribution((0.75, 0.25))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([BERN, SKEWED]), st.integers(1, 40), st.integers(1, 12),
+       st.sampled_from([0.0, 0.3, 0.6]), st.sampled_from([0.0, 0.5, 1.0]),
+       st.integers(0, 2 ** 64 - 1))
+def test_match_trial_counts_like_mismatch_rate(dist, m, n, delta, alpha, seed):
+    # the trial's array count against mismatch_rate over match_all's outcomes
+    wrong, evaluated = _match_trial((dist, n, m, delta, alpha, 0.1, seed))
+    c1 = sample_database(dist, m, n, derive_seed(seed, harness.STREAM_DATABASE))
+    exp = apply_deletion_channel(c1, delta, alpha,
+                                 derive_seed(seed, harness.STREAM_CHANNEL))
+    outcomes, _ = match_experiment(exp, MatcherConfig(epsilon=0.1), dist)
+    assert evaluated == m
+    assert wrong / evaluated == mismatch_rate(outcomes, exp.labeling)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([BERN, SKEWED]), st.integers(2, 40), st.integers(1, 12),
+       st.sampled_from([0.0, 0.3, 0.6]), st.integers(0, 8),
+       st.integers(0, 2 ** 64 - 1))
+def test_pipeline_trial_counts_like_match_all(dist, m, n, delta, b, seed):
+    # the rows left after the seed batch, scored outcome by outcome
+    b = min(b, m - 1)
+    wrong, evaluated, detected_cols, _ = _pipeline_trial(
+        (dist, n, m, delta, b, 0.1, 0.1, seed))
+    c1 = sample_database(dist, m, n, derive_seed(seed, harness.STREAM_DATABASE))
+    exp = apply_deletion_channel(c1, delta, 0.0,
+                                 derive_seed(seed, harness.STREAM_CHANNEL))
+    batch = extract_seed_batch(exp, b, derive_seed(seed, harness.STREAM_BATCH))
+    detected = [j for j, v in enumerate(detect_f(batch, dist, 0.1))
+                if v is Verdict.DELETED]
+    perm = exp.labeling.perm
+    remaining = sorted(set(range(m)) - set(perm[batch.source_rows].tolist()))
+    outcomes, _ = match_all(exp.c1, exp.c2.symbols[remaining], detected,
+                            MatcherConfig(epsilon=0.1), dist)
+    assert (evaluated, detected_cols) == (len(remaining), len(detected))
+    assert wrong == sum(not (o.is_match and perm[o.row] == j)
+                        for o, j in zip(outcomes, remaining))
 
 
 def test_simulate_match_csv(tmp_path):
@@ -406,6 +452,29 @@ def test_emit_failed_write_leaves_previous_output(tmp_path, monkeypatch):
         run_simulate_detect(BERN, (16,), (8,), 0.5, 0.05, 5, 4,
                             out=str(tmp_path / "new.csv"))
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_cli_unwritable_out_fails_before_any_trial(tmp_path, capsys, monkeypatch):
+    def no_trial(args):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(harness, "_detect_trial", no_trial)
+    detect = ["simulate-detect", "--dist", "bern:0.5", "--n", "8", "--B", "4",
+              "--delta", "0.3", "--trials", "5", "--out"]
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert cli.main(detect + [str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert cli.main(["oracle-check", "--cases", "1",
+                     "--out", str(tmp_path / "missing" / "x.txt")]) == 2
+    assert "does not exist" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_os_error_is_one_error_line(tmp_path, capsys):
+    assert cli.main(["simulate-detect", "--config", str(tmp_path / "none.cfg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_cli_oracle_check_exit_code(capsys):

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from delmatch import (Distribution, Database, MatcherConfig, MatchStatus,
                       MatchOutcome, is_subsequence, match_row, match_all,
                       match_experiment, mismatch_rate, default_epsilon,
-                      sample_database, apply_deletion_channel, derive_seed,
-                      entropy)
+                      match_counts, sample_database, apply_deletion_channel,
+                      derive_seed, entropy)
 from delmatch import matcher
 from delmatch.matcher import count_mismatches
 
@@ -361,6 +361,62 @@ def test_containing_sets_equal_is_subsequence(monkeypatch, m, source_words, obs_
     assert (seen == 1).all()
 
 
+# -- the array-valued core ---------------------------------------------------------
+
+def _brute_force_candidates(c1, y, detected, cfg, dist):
+    """The typical c1 rows containing y, from _brute_force on each row alone,
+    or None when a gate applies."""
+    if _brute_force(c1, y, detected, cfg, dist).status is MatchStatus.THRESHOLD:
+        return None
+    return [i for i in range(c1.m)
+            if _brute_force(_db(c1.symbols[i:i + 1], c1.q), y, detected, cfg,
+                            dist).is_match]
+
+
+def _assert_counts_equal_brute_force(c1, c2_rows, detected, cfg, dist):
+    counts, rows, gated = match_counts(c1, c2_rows, detected, cfg, dist)
+    assert counts.shape == rows.shape == (np.asarray(c2_rows).shape[0],)
+    for j, y in enumerate(np.asarray(c2_rows, dtype=np.uint8)):
+        candidates = _brute_force_candidates(c1, y.tolist(), detected, cfg, dist)
+        assert gated == (candidates is None)
+        candidates = candidates or []
+        assert counts[j] == len(candidates)
+        assert rows[j] == (candidates[0] if len(candidates) == 1 else -1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_u0_instances(), _hidden_instances()))
+def test_match_counts_equal_brute_force(instance):
+    # u = 0 (labelling join) and u > 0 (containment kernel), with planted
+    # duplicate rows, width 0 and the THRESHOLD gates
+    _assert_counts_equal_brute_force(*instance)
+
+
+@pytest.mark.parametrize("rows, observed, detected, cfg", [
+    # no typical row: under (0.75, 0.25) at slack 0.05, none of width 3 is
+    ([[0, 0, 0], [0, 1, 1], [0, 0, 0]], [[0, 0, 0], [0, 1, 1]], [],
+     MatcherConfig(epsilon=0.05)),
+    ([[0, 0, 1, 1], [0, 1, 1, 0]], [[0, 1], [1, 1]], [],
+     MatcherConfig(epsilon=0.05, min_retained=0)),
+    # width 0: every typical row equals the empty observation
+    ([[1, 0, 1], [0, 0, 1]], [[], []], [0, 1, 2], MatcherConfig(epsilon=1.0)),
+    ([[1, 0, 1]], [[]], [0, 1, 2], MatcherConfig(epsilon=0.0)),
+    # planted duplicates, one of them atypical, next to a unique row
+    ([[0, 0, 0, 1], [0, 0, 0, 1], [1, 1, 1, 1], [1, 1, 1, 1], [0, 1, 0, 0]],
+     [[0, 0, 0, 1], [1, 1, 1, 1], [0, 1, 0, 0], [1, 0, 0, 0]], [],
+     MatcherConfig(epsilon=0.3)),
+    # both gates, at u = 0 and at u = 1
+    ([[0, 1, 1], [1, 1, 0]], [[0, 1], [1, 1]], [2],
+     MatcherConfig(epsilon=1.0, min_retained=3)),
+    ([[0, 1, 1], [1, 1, 0]], [[0, 1], [1, 1]], [],
+     MatcherConfig(epsilon=1.0, min_detected=1)),
+])
+def test_match_counts_edge_cases(rows, observed, detected, cfg):
+    c1 = _db(rows)
+    c2_rows = np.array(observed, dtype=np.uint8).reshape(len(observed), -1)
+    _assert_counts_equal_brute_force(c1, c2_rows, detected, cfg, SKEWED)
+
+
 def test_empty_observation_list():
     c1 = _db([[0, 1], [1, 0], [0, 1]])
     cfg = MatcherConfig(epsilon=1.0)
@@ -378,11 +434,12 @@ def test_uniform_rows_typical_at_zero_slack():
 
 
 def test_count_mismatches_on_a_subset():
-    # observed rows are c2 rows 1, 3, 4; perm sends c1 row i to c2 row perm[i]
+    # observed rows are c2 rows 1, 3, 4; perm sends c1 row i to c2 row perm[i];
+    # -1 marks an observed row with no match
     perm = np.array([3, 4, 0, 1, 2])
-    assert count_mismatches({0: 3, 1: 0, 2: 1}, perm, [1, 3, 4]) == 0
-    assert count_mismatches({0: 3, 2: 0}, perm, [1, 3, 4]) == 2
-    assert count_mismatches({}, perm, [1, 3, 4]) == 3
+    assert count_mismatches([3, 0, 1], perm, [1, 3, 4]) == 0
+    assert count_mismatches([3, -1, 0], perm, [1, 3, 4]) == 2
+    assert count_mismatches([-1, -1, -1], perm, [1, 3, 4]) == 3
 
 
 def test_mismatch_rate_trivials():

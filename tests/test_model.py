@@ -1,5 +1,10 @@
+import math
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delmatch import (Distribution, Database, DeletionPattern, DetectionPattern,
                       Labeling, DeletionExperiment, sample_database,
@@ -213,14 +218,14 @@ def test_database_csv_rejects_symbols_outside_alphabet(symbol):
         database_from_csv(f"2,2,1000\n0,1\n1,{symbol}\n")
 
 
-def test_experiment_save_load_bit_exact(tmp_path):
-    d = Distribution.bernoulli(0.3)
-    c1 = sample_database(d, 6, 14, 123)
-    exp = apply_deletion_channel(c1, 0.4, 0.5, 456)
-    save_experiment(exp, tmp_path)
-    back = load_experiment(tmp_path)
+def _assert_round_trip(exp, directory):
+    """save -> load gives back every part of exp exactly, and saving the
+    loaded experiment again writes the same bytes."""
+    save_experiment(exp, directory)
+    back = load_experiment(directory)
     assert np.array_equal(back.c1.symbols, exp.c1.symbols)
     assert np.array_equal(back.c2.symbols, exp.c2.symbols)
+    assert back.c1.q == exp.c1.q and back.c2.q == exp.c2.q
     assert np.array_equal(back.labeling.perm, exp.labeling.perm)
     assert np.array_equal(back.deletion.flags, exp.deletion.flags)
     assert np.array_equal(back.detection.flags, exp.detection.flags)
@@ -228,10 +233,54 @@ def test_experiment_save_load_bit_exact(tmp_path):
     assert back.detection.alpha == exp.detection.alpha
     assert back.master_seed == exp.master_seed
     # a second save produces identical bytes
-    other = tmp_path / "again"
+    other = os.path.join(directory, "again")
     save_experiment(back, other)
     for name in ("c1.csv", "c2.csv", "experiment.txt"):
-        assert (tmp_path / name).read_bytes() == (other / name).read_bytes()
+        with open(os.path.join(directory, name), "rb") as a, \
+                open(os.path.join(other, name), "rb") as b:
+            assert a.read() == b.read()
+
+
+def test_experiment_save_load_bit_exact(tmp_path):
+    d = Distribution.bernoulli(0.3)
+    c1 = sample_database(d, 6, 14, 123)
+    exp = apply_deletion_channel(c1, 0.4, 0.5, 456)
+    _assert_round_trip(exp, tmp_path)
+
+
+_EDGE_DELTAS = [0.0, 5e-324, 0.1, 1 / 3, math.nextafter(1.0, 0.0)]
+_EDGE_ALPHAS = [0.0, 5e-324, 1 / 3, math.nextafter(1.0, 0.0), 1.0]
+
+
+@st.composite
+def _experiments(draw):
+    """Consistent experiments of any shape, including every column deleted
+    or detected, with delta and alpha at and near the ends of their ranges."""
+    q = draw(st.integers(2, 256))
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    symbols = rng.integers(0, q, size=(m, n)).astype(np.uint8)
+    bits = st.lists(st.booleans(), min_size=n, max_size=n)
+    deleted = np.array(draw(bits))
+    detected = deleted & np.array(draw(bits))
+    perm = rng.permutation(m)
+    shuffled = np.empty((m, int((~deleted).sum())), dtype=np.uint8)
+    shuffled[perm] = symbols[:, ~deleted]
+    delta = draw(st.one_of(st.sampled_from(_EDGE_DELTAS),
+                           st.floats(0.0, 1.0, exclude_max=True)))
+    alpha = draw(st.one_of(st.sampled_from(_EDGE_ALPHAS), st.floats(0.0, 1.0)))
+    return DeletionExperiment(
+        Database(symbols, q), Database(shuffled, q), Labeling(perm),
+        DeletionPattern(deleted.astype(np.uint8), delta),
+        DetectionPattern(detected.astype(np.uint8), alpha),
+        draw(st.integers(0, 2 ** 64 - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_experiments())
+def test_experiment_save_load_round_trip_property(exp):
+    with tempfile.TemporaryDirectory() as directory:
+        _assert_round_trip(exp, directory)
 
 
 def test_types_are_immutable():

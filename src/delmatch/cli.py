@@ -15,7 +15,7 @@ import sys
 from .harness import (ConfigError, ExperimentConfig, parse_config_file,
                       parse_distribution, parse_float_grid, parse_int_list,
                       run_rates, run_simulate_match, run_simulate_detect,
-                      run_pipeline, run_oracle_check,
+                      run_pipeline, run_oracle_check, write_atomic,
                       rates_csv, match_csv, detect_csv, pipeline_csv)
 
 DEFAULTS = {
@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "given-alpha side information")
     _add_match_args(p)
     p.add_argument("--alpha", type=float, help="deletion detection probability")
-    p.set_defaults(func=cmd_simulate_match)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate-detect", parents=[common],
                        help="empirical deletion-detection probability vs the "
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, help="column deletion probability")
     p.add_argument("--epsilon", type=float,
                    help="typicality slack for the detector (default 0.05)")
-    p.set_defaults(func=cmd_simulate_detect)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("pipeline", parents=[common],
                        help="end to end: seed rows -> detected deletions -> "
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detect-epsilon", type=float,
                    help="typicality slack for the detector "
                         "(defaults to --epsilon)")
-    p.set_defaults(func=cmd_pipeline)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("oracle-check", parents=[common],
                        help="exhaustive small-instance verification of the "
@@ -113,16 +113,13 @@ def _out_path(path: str) -> str:
 
 
 def _get(args, cfgmap, key, conv=None, default=None, required=False):
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is None and key in cfgmap:
-        val = cfgmap[key]
+    """A flag, else the config file's key, else the default."""
+    val = getattr(args, key, None)
     if val is None:
-        val = DEFAULTS.get(key, default)
-    if val is None:
-        if required:
-            raise ConfigError(f"missing required option --{key}")
-        return None
-    return conv(val) if conv else val
+        val = cfgmap.get(key, DEFAULTS.get(key, default))
+    if val is None and required:
+        raise ConfigError(f"missing required option --{key}")
+    return conv(val) if conv and val is not None else val
 
 
 def _print_csv(header, rows):
@@ -144,7 +141,20 @@ def cmd_rates(args, cfgmap) -> int:
     return 0
 
 
-def _match_config(args, cfgmap, need_alpha: bool) -> ExperimentConfig:
+# Per sweep command: runner, CSV table, and the line printed per point
+# after writing --out.
+SWEEPS = {
+    "simulate-match": (run_simulate_match, match_csv,
+                       "n={0.n} m_eval={0.evaluated} mode={0.mode} "
+                       "mismatch_rate={0.mismatch_rate:.6f}"),
+    "simulate-detect": (run_simulate_detect, detect_csv, None),
+    "pipeline": (run_pipeline, pipeline_csv,
+                 "n={0.n} B={0.B} detected_fraction={0.detected_fraction:.6f} "
+                 "mismatch_rate={0.mismatch_rate:.6f}"),
+}
+
+
+def _sweep_config(args, cfgmap) -> ExperimentConfig:
     kw = dict(
         dist=parse_distribution(_get(args, cfgmap, "dist")),
         n_values=parse_int_list(_get(args, cfgmap, "n", required=True)),
@@ -154,19 +164,18 @@ def _match_config(args, cfgmap, need_alpha: bool) -> ExperimentConfig:
         rate=_get(args, cfgmap, "rate", float),
         m=_get(args, cfgmap, "m", int),
         epsilon=_get(args, cfgmap, "epsilon", float),
+        detect_epsilon=_get(args, cfgmap, "detect_epsilon", float),
         out=_get(args, cfgmap, "out", _out_path),
         threads=_get(args, cfgmap, "threads", int),
         eval_rows=_get(args, cfgmap, "eval_rows", int),
-        override_guards=bool(_get(args, cfgmap, "override_guards",
-                                  _parse_bool, default=False)),
+        override_guards=_get(args, cfgmap, "override_guards", _parse_bool, default=False),
     )
-    if need_alpha:
+    if args.command == "simulate-match":
         kw["alpha"] = _get(args, cfgmap, "alpha", float, required=True)
     else:
         kw["batch_sizes"] = parse_int_list(_get(args, cfgmap, "B", required=True))
-        kw["detect_epsilon"] = _get(args, cfgmap, "detect-epsilon", float)
-        if kw["detect_epsilon"] is None:
-            kw["detect_epsilon"] = _get(args, cfgmap, "detect_epsilon", float)
+    if args.command == "simulate-detect":  # no matcher: --epsilon is the detector's
+        kw["detect_epsilon"] = 0.05 if kw["epsilon"] is None else kw["epsilon"]
     return ExperimentConfig(**kw)
 
 
@@ -176,48 +185,17 @@ def _parse_bool(v):
     return str(v).strip().lower() in ("1", "true", "yes", "on")
 
 
-def cmd_simulate_match(args, cfgmap) -> int:
-    cfg = _match_config(args, cfgmap, need_alpha=True)
-    points = run_simulate_match(cfg)
+def cmd_sweep(args, cfgmap) -> int:
+    runner, to_csv, point_line = SWEEPS[args.command]
+    cfg = _sweep_config(args, cfgmap)
+    points = runner(cfg)
     if cfg.out:
         print(f"wrote {len(points)} points to {cfg.out}")
-        for p in points:
-            print(f"  n={p.n} m_eval={p.evaluated} mode={p.mode} "
-                  f"mismatch_rate={p.mismatch_rate:.6f}")
+        if point_line:
+            for p in points:
+                print("  " + point_line.format(p))
     else:
-        _print_csv(*match_csv(points))
-    return 0
-
-
-def cmd_simulate_detect(args, cfgmap) -> int:
-    dist = parse_distribution(_get(args, cfgmap, "dist"))
-    n_values = parse_int_list(_get(args, cfgmap, "n", required=True))
-    batch_sizes = parse_int_list(_get(args, cfgmap, "B", required=True))
-    delta = _get(args, cfgmap, "delta", float, required=True)
-    epsilon = _get(args, cfgmap, "epsilon", float, default=0.05)
-    trials = _get(args, cfgmap, "trials", int)
-    seed = _get(args, cfgmap, "seed", int)
-    threads = _get(args, cfgmap, "threads", int)
-    out = _get(args, cfgmap, "out", _out_path)
-    points = run_simulate_detect(dist, n_values, batch_sizes, delta, epsilon,
-                                 trials, seed, threads, out)
-    if out:
-        print(f"wrote {len(points)} points to {out}")
-    else:
-        _print_csv(*detect_csv(points))
-    return 0
-
-
-def cmd_pipeline(args, cfgmap) -> int:
-    cfg = _match_config(args, cfgmap, need_alpha=False)
-    points = run_pipeline(cfg)
-    if cfg.out:
-        print(f"wrote {len(points)} points to {cfg.out}")
-        for p in points:
-            print(f"  n={p.n} B={p.B} detected_fraction={p.detected_fraction:.6f} "
-                  f"mismatch_rate={p.mismatch_rate:.6f}")
-    else:
-        _print_csv(*pipeline_csv(points))
+        _print_csv(*to_csv(points))
     return 0
 
 
@@ -232,8 +210,7 @@ def cmd_oracle_check(args, cfgmap) -> int:
                                      else f"{len(report.failures)} failure(s)"))
     print("\n".join(lines))
     if out:
-        with open(out, "w") as f:
-            f.write("\n".join(lines) + "\n")
+        write_atomic(out, ("\n".join(lines) + "\n").encode())
     return 0 if report.passed else 1
 
 

@@ -291,13 +291,12 @@ class DetectionEstimate(_HalfWidth):
     trials: int
 
     @classmethod
-    def pool(cls, detected: int, deleted: int, trials: int,
-             where: str = "") -> "DetectionEstimate":
+    def pool(cls, detected: int, deleted: int, trials: int) -> "DetectionEstimate":
         """The estimate from detection_trial's hits and deleted-column counts,
         summed over trials, with a Wilson 95% interval."""
         if deleted == 0:
-            raise RuntimeError(f"no columns were deleted in any trial{where}; "
-                               f"estimate undefined (delta too small?)")
+            raise RuntimeError("no columns were deleted in any trial; "
+                               "estimate undefined (delta too small?)")
         lo, hi = wilson_interval(detected, deleted)
         return cls(detected / deleted, lo, hi, detected, deleted, trials)
 

@@ -14,20 +14,20 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import expm1, isfinite, log1p, log2
+from math import expm1, log1p, log2
 
 import numpy as np
 
 from . import __version__
 from .model import (Distribution, derive_seed, _rng, sample_database,
-                    apply_deletion_channel, extract_seed_batch)
+                    apply_deletion_channel, extract_seed_batch, check_range)
 from . import model
 from .infotheory import (entropy, RateParams, achievable_rate,
                          supersequence_count_exact, supersequence_count_bound,
                          detection_probability_bound)
 from .matcher import (MatcherConfig, default_epsilon, match_counts, count_mismatches,
                       _containment_counts)
-from .detector import (Verdict, DetectionEstimate, detect_f, detect_g, detection_trial,
+from .detector import (Verdict, detect_f, detect_g, detection_trial,
                        count_embeddings, brute_force_embeddings,
                        posterior_deletions, posterior_deletions_naive,
                        brute_force_posterior, certain_verdict_masks,
@@ -82,7 +82,8 @@ def parse_int_list(spec: str) -> tuple:
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat 'key = value' text config; '#' starts a comment line."""
+    """Flat 'key = value' text config; '#' starts a comment line.  A '-' in
+    a key reads as '_', so 'detect-epsilon' is 'detect_epsilon'."""
     out = {}
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
@@ -92,16 +93,17 @@ def parse_config_file(path: str) -> dict:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            out[key.strip()] = value.strip()
+            out[key.strip().replace("-", "_")] = value.strip()
     return out
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One matching or pipeline experiment description.
+    """One sweep description: simulate-match, simulate-detect or pipeline.
 
-    Exactly one of rate/m fixes the row count (m = round(2^(n*rate)) when the
-    rate is given); exactly one of alpha/batch_sizes picks the side-information
+    At most one of rate/m fixes the row count (m = round(2^(n*rate)) when the
+    rate is given); the matching sweeps need one, detection alone needs
+    neither.  Exactly one of alpha/batch_sizes picks the side-information
     mode (detection probability vs. seed rows).
     """
 
@@ -122,16 +124,15 @@ class ExperimentConfig:
     override_guards: bool = False
 
     def __post_init__(self):
-        if (self.rate is None) == (self.m is None):
-            raise ConfigError("exactly one of rate/m must be given")
+        if self.rate is not None and self.m is not None:
+            raise ConfigError("at most one of rate/m may be given")
         if (self.alpha is None) == (self.batch_sizes is None):
             raise ConfigError("exactly one of alpha/batch_sizes must be given")
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ConfigError("n values must be positive")
-        if not 0.0 <= self.delta < 1.0:
-            raise ConfigError("delta must be in [0, 1)")
-        if self.alpha is not None and not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError("alpha must be in [0, 1]")
+        check_range("delta", self.delta, hi=1.0, error=ConfigError)
+        if self.alpha is not None:
+            check_range("alpha", self.alpha, hi=1.0, closed=True, error=ConfigError)
         if self.batch_sizes is not None and any(b < 0 for b in self.batch_sizes):
             raise ConfigError("batch sizes must be >= 0")
         if self.trials < 1:
@@ -141,13 +142,14 @@ class ExperimentConfig:
         if self.m is not None and self.m < 1:
             raise ConfigError("m must be >= 1")
         for name in ("rate", "epsilon", "detect_epsilon"):
-            value = getattr(self, name)
-            if value is not None and not (isfinite(value) and value >= 0.0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+            if getattr(self, name) is not None:
+                check_range(name, getattr(self, name), error=ConfigError)
 
     def resolve_m(self, n: int) -> int:
         if self.m is not None:
             return self.m
+        if self.rate is None:
+            raise ConfigError("one of rate/m must be given")
         if n * self.rate > 512:
             raise ConfigError(f"2^({n}*{self.rate}) is beyond any supported size")
         return max(1, round(2.0 ** (n * self.rate)))
@@ -205,8 +207,7 @@ def _virtual_match_trial(args):
 
 
 def _detect_trial(args):
-    dist, n, B, delta, epsilon, trial_seed = args
-    return detection_trial(dist, n, B, delta, epsilon, trial_seed)
+    return detection_trial(*args)
 
 
 def _pipeline_trial(args):
@@ -260,6 +261,26 @@ def _sweep(points, trials: int, master_seed: int, threads: int):
              for i in range(0, len(results), trials)], seed_log)
 
 
+def _run_sweep(command: str, cfg: ExperimentConfig, grid, specs, point, to_csv) -> list:
+    """The loop every Monte Carlo command shares: run the trials of each grid
+    point, pool them into a rate with a Wilson interval, emit when cfg.out.
+
+    specs[i] is grid[i]'s (worker, args) for _sweep.  Workers return
+    (successes, total, *more); point(grid[i], sums, estimate) builds the
+    result from those summed over trials, estimate = (rate, ci_low, ci_high).
+    """
+    started = time.time()
+    totals, seed_log = _sweep(specs, cfg.trials, cfg.master_seed, cfg.threads)
+    points = [point(key, sums, (sums[0] / sums[1] if sums[1] else 0.0,
+                                *wilson_interval(sums[0], sums[1])))
+              for key, sums in zip(grid, totals)]
+    if cfg.out:
+        header, rows = to_csv(points)
+        _emit(cfg.out, command, header, rows, _cfg_echo(cfg, command), cfg.master_seed,
+              tuple(seed_log), time.time() - started)
+    return points
+
+
 # ---------------------------------------------------------------------------
 # Runners
 
@@ -309,14 +330,16 @@ class MatchPoint(_HalfWidth):
 
 
 def _choose_match_mode(cfg: ExperimentConfig, m: int, n: int) -> str:
+    """'materialized' within the m*n guard; beyond it 'virtual', the exact
+    closed form, which needs simulate-match and a uniform distribution."""
     if m * n <= CELL_GUARD or cfg.override_guards:
         return "materialized"
-    if cfg.dist.is_uniform():
+    if cfg.alpha is not None and cfg.dist.is_uniform():
         return "virtual"
     raise ConfigError(
-        f"m*n = {m * n} exceeds the materialization guard {CELL_GUARD} and the "
-        f"distribution is not uniform, so the exact closed-form mode does not "
-        f"apply; reduce m to <= {max(1, CELL_GUARD // n)} at n = {n}, or set "
+        f"m*n = {m * n} exceeds the materialization guard {CELL_GUARD}, and the "
+        f"exact closed-form mode needs simulate-match and a uniform distribution; "
+        f"reduce m to <= {max(1, CELL_GUARD // n)} at n = {n}, or set "
         f"override_guards to force materialization")
 
 
@@ -324,30 +347,20 @@ def run_simulate_match(cfg: ExperimentConfig) -> list:
     """Monte Carlo mismatch rates for the given-alpha side-information mode."""
     if cfg.alpha is None:
         raise ConfigError("simulate-match needs the given-alpha mode")
-    started = time.time()
     epsilon = cfg.matcher_epsilon()
-    specs, modes = [], []
-    for n in cfg.n_values:
-        m = cfg.resolve_m(n)
-        modes.append(_choose_match_mode(cfg, m, n))
-        if modes[-1] == "materialized":
-            specs.append((_match_trial, (cfg.dist, n, m, cfg.delta, cfg.alpha, epsilon)))
-        else:
-            specs.append((_virtual_match_trial,
-                          (cfg.dist, n, m, cfg.delta, cfg.alpha, cfg.eval_rows)))
-    totals, seed_log = _sweep(specs, cfg.trials, cfg.master_seed, cfg.threads)
-    points = []
-    for n, mode, (wrong, evaluated) in zip(cfg.n_values, modes, totals):
-        lo, hi = wilson_interval(wrong, evaluated)
-        points.append(MatchPoint(n, cfg.rate_for(n), cfg.delta, cfg.alpha,
-                                 cfg.trials, wrong, evaluated,
-                                 wrong / evaluated, lo, hi, mode))
-    if cfg.out:
-        header, rows = match_csv(points)
-        _emit(cfg.out, "simulate-match", header, rows,
-              config_echo=_cfg_echo(cfg), master_seed=cfg.master_seed,
-              trial_seeds=tuple(seed_log), elapsed=time.time() - started)
-    return points
+    grid = [(n, m, _choose_match_mode(cfg, m, n))
+            for n in cfg.n_values for m in [cfg.resolve_m(n)]]
+    specs = [(_match_trial, (cfg.dist, n, m, cfg.delta, cfg.alpha, epsilon))
+             if mode == "materialized" else
+             (_virtual_match_trial, (cfg.dist, n, m, cfg.delta, cfg.alpha, cfg.eval_rows))
+             for n, m, mode in grid]
+
+    def point(key, sums, estimate):
+        n, _, mode = key
+        return MatchPoint(n, cfg.rate_for(n), cfg.delta, cfg.alpha, cfg.trials,
+                          *sums, *estimate, mode)
+
+    return _run_sweep("simulate-match", cfg, grid, specs, point, match_csv)
 
 
 def match_csv(points):
@@ -372,39 +385,28 @@ class DetectPoint(_HalfWidth):
     bound: float
 
 
-def run_simulate_detect(dist: Distribution, n_values, batch_sizes, delta: float,
-                        epsilon: float, trials: int, master_seed: int,
-                        threads: int = 1, out: str = None) -> list:
-    """Empirical detection probability next to the analytic bound, per (n, B)."""
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if not 0.0 <= delta < 1.0:
-        raise ConfigError("delta must be in [0, 1)")
-    if not (isfinite(epsilon) and epsilon >= 0.0):
-        raise ConfigError(f"epsilon must be finite and >= 0, got {epsilon}")
-    started = time.time()
-    h = entropy(dist)
-    grid = [(n, b) for n in n_values for b in batch_sizes]
-    totals, seed_log = _sweep([(_detect_trial, (dist, n, b, delta, epsilon))
-                               for n, b in grid], trials, master_seed, threads)
-    points = []
-    for (n, b), (detected, deleted) in zip(grid, totals):
-        est = DetectionEstimate.pool(detected, deleted, trials, f" at (n={n}, B={b})")
-        points.append(DetectPoint(n, b, delta, epsilon, trials, est.detected,
-                                  est.deleted_columns, est.estimate, est.ci_low,
-                                  est.ci_high,
-                                  detection_probability_bound(n, b, delta, h, epsilon)))
-    if out:
-        header, rows = detect_csv(points)
-        _emit(out, "simulate-detect", header, rows,
-              config_echo=[("dist", _dist_echo(dist)),
-                           ("n", ",".join(str(n) for n in n_values)),
-                           ("B", ",".join(str(b) for b in batch_sizes)),
-                           ("delta", repr(delta)), ("epsilon", repr(epsilon)),
-                           ("trials", str(trials))],
-              master_seed=master_seed, trial_seeds=tuple(seed_log),
-              elapsed=time.time() - started)
-    return points
+def run_simulate_detect(cfg: ExperimentConfig) -> list:
+    """Empirical detection probability next to the analytic bound, per (n, B).
+
+    The slack is cfg.detector_epsilon(); rate, m and the matcher's keys are unused."""
+    if cfg.batch_sizes is None:
+        raise ConfigError("simulate-detect needs the seeded(B) mode")
+    if min(cfg.batch_sizes, default=1) < 1:
+        raise ConfigError(f"batch size {min(cfg.batch_sizes)} must be >= 1")
+    epsilon = cfg.detector_epsilon()
+    h = entropy(cfg.dist)
+    grid = [(n, b) for n in cfg.n_values for b in cfg.batch_sizes]
+    specs = [(_detect_trial, (cfg.dist, n, b, cfg.delta, epsilon)) for n, b in grid]
+
+    def point(key, sums, estimate):
+        (n, b), (_, deleted) = key, sums
+        if not deleted:
+            raise RuntimeError(f"no columns were deleted in any trial at (n={n}, "
+                               f"B={b}); estimate undefined (delta too small?)")
+        return DetectPoint(n, b, cfg.delta, epsilon, cfg.trials, *sums, *estimate,
+                           detection_probability_bound(n, b, cfg.delta, h, epsilon))
+
+    return _run_sweep("simulate-detect", cfg, grid, specs, point, detect_csv)
 
 
 def detect_csv(points):
@@ -437,7 +439,6 @@ def run_pipeline(cfg: ExperimentConfig) -> list:
     """Seeds -> certainty verdicts -> detected set -> match the remaining rows."""
     if cfg.batch_sizes is None:
         raise ConfigError("pipeline needs the seeded(B) mode")
-    started = time.time()
     epsilon = cfg.matcher_epsilon()
     detect_eps = cfg.detector_epsilon()
     grid = [(n, b) for n in cfg.n_values for b in cfg.batch_sizes]
@@ -446,27 +447,15 @@ def run_pipeline(cfg: ExperimentConfig) -> list:
         m = cfg.resolve_m(n)
         if b >= m:
             raise ConfigError(f"batch size {b} must be < m = {m}")
-        if m * n > CELL_GUARD and not cfg.override_guards:
-            raise ConfigError(
-                f"m*n = {m * n} exceeds the materialization guard {CELL_GUARD}; "
-                f"reduce m to <= {max(1, CELL_GUARD // n)} at n = {n}, or set "
-                f"override_guards")
+        _choose_match_mode(cfg, m, n)  # no closed form here: raises beyond the guard
         specs.append((_pipeline_trial, (cfg.dist, n, m, cfg.delta, b, epsilon, detect_eps)))
-    totals, seed_log = _sweep(specs, cfg.trials, cfg.master_seed, cfg.threads)
-    points = []
-    for (n, b), (wrong, evaluated, detected_cols, deleted_cols) in zip(grid, totals):
-        lo, hi = wilson_interval(wrong, evaluated) if evaluated else (0.0, 1.0)
-        points.append(PipelinePoint(n, b, cfg.rate_for(n), cfg.delta,
-                                    cfg.trials, wrong, evaluated, detected_cols,
-                                    deleted_cols,
-                                    wrong / evaluated if evaluated else 0.0,
-                                    lo, hi))
-    if cfg.out:
-        header, rows = pipeline_csv(points)
-        _emit(cfg.out, "pipeline", header, rows,
-              config_echo=_cfg_echo(cfg), master_seed=cfg.master_seed,
-              trial_seeds=tuple(seed_log), elapsed=time.time() - started)
-    return points
+
+    def point(key, sums, estimate):
+        n, b = key
+        return PipelinePoint(n, b, cfg.rate_for(n), cfg.delta, cfg.trials,
+                             *sums, *estimate)
+
+    return _run_sweep("pipeline", cfg, grid, specs, point, pipeline_csv)
 
 
 def pipeline_csv(points):
@@ -619,6 +608,8 @@ def check_fast_kernel(cases: int, seed: int) -> list:
 def run_oracle_check(master_seed: int = 0, cases: int = 400) -> OracleReport:
     """Run every brute-force equivalence suite; counterexamples are collected
     verbatim."""
+    if cases < 1:
+        raise ConfigError(f"cases must be >= 1, got {cases}")
     suites = [
         ("embedding counts vs enumeration", check_counting(cases, master_seed)),
         ("posteriors: fb = naive = Bayes enumeration", check_posteriors(cases, master_seed)),
@@ -643,7 +634,7 @@ def _dist_echo(dist: Distribution) -> str:
     return ",".join(repr(p) for p in dist.probabilities)
 
 
-def _cfg_echo(cfg: ExperimentConfig) -> list:
+def _cfg_echo(cfg: ExperimentConfig, command: str) -> list:
     echo = [("dist", _dist_echo(cfg.dist)),
             ("n", ",".join(str(n) for n in cfg.n_values)),
             ("delta", repr(cfg.delta)), ("trials", str(cfg.trials))]
@@ -655,6 +646,8 @@ def _cfg_echo(cfg: ExperimentConfig) -> list:
         echo.append(("alpha", repr(cfg.alpha)))
     if cfg.batch_sizes is not None:
         echo.append(("B", ",".join(str(b) for b in cfg.batch_sizes)))
+    if command == "simulate-detect":  # no matcher: its one slack is the detector's
+        return echo + [("epsilon", repr(cfg.detector_epsilon()))]
     echo.append(("epsilon", repr(cfg.matcher_epsilon())))
     echo.append(("detect_epsilon", repr(cfg.detector_epsilon())))
     echo.append(("eval_rows", str(cfg.eval_rows)))
@@ -681,16 +674,19 @@ def _emit(out: str, command: str, header: str, rows, config_echo,
         lines.append(f"master_seed = {master_seed}")
     lines.extend(f"config.{k} = {v}" for k, v in config_echo)
     lines.extend(f"trial_seed.{p}.{t} = {s}" for p, t, s in trial_seeds)
-    manifest = ("\n".join(lines) + "\n").encode()
-    # Each file goes to a temporary name next to it and is renamed into
-    # place, so a failed write leaves neither a partial file nor the
-    # temporary one.
-    for path, payload in ((str(out), data), (str(out) + ".manifest.txt", manifest)):
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "wb") as f:
-                f.write(payload)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+    write_atomic(out, data)
+    write_atomic(str(out) + ".manifest.txt", ("\n".join(lines) + "\n").encode())
+
+
+def write_atomic(path, payload: bytes) -> None:
+    """Write payload to a temporary name next to path and rename it into
+    place, so a failed write leaves neither a partial file nor the
+    temporary one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(payload)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)

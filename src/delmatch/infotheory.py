@@ -12,7 +12,7 @@ from math import ceil, comb, log2
 
 import numpy as np
 
-from .model import Distribution
+from .model import Distribution, check_range
 
 
 def entropy(dist: Distribution) -> float:
@@ -22,8 +22,7 @@ def entropy(dist: Distribution) -> float:
 
 def binary_entropy(x: float) -> float:
     """H_b(x) in bits, with H_b(0) = H_b(1) = 0 exactly."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("argument must be in [0, 1]")
+    check_range("argument", x, hi=1.0, closed=True)
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * log2(x) - (1.0 - x) * log2(1.0 - x)
@@ -38,10 +37,8 @@ class RateParams:
     alpha: float
 
     def __post_init__(self):
-        if not 0.0 <= self.delta < 1.0:
-            raise ValueError("delta must be in [0, 1)")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
+        check_range("delta", self.delta, hi=1.0)
+        check_range("alpha", self.alpha, hi=1.0, closed=True)
 
     @property
     def regime_ok(self) -> bool:
@@ -79,8 +76,7 @@ class TypicalityParams:
     length: int
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be >= 0")
+        check_range("epsilon", self.epsilon)
         if self.length < 0:
             raise ValueError("length must be >= 0")
 
@@ -159,8 +155,9 @@ def min_seed_batch_size(n: int, delta: float, alpha_target: float,
         raise ValueError("alpha_target = 1 is unbounded; need alpha_target < 1")
     if entropy_bits <= 0.0:
         raise ValueError("entropy must be positive")
-    if n < 1 or not 0.0 <= delta < 1.0:
-        raise ValueError("invalid n or delta")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    check_range("delta", delta, hi=1.0)
     need = log2(n * (1.0 - delta) / (1.0 - alpha_target)) / entropy_bits
     # snap float noise so exact-integer thresholds stay exact
     nearest = round(need)
@@ -178,8 +175,8 @@ def detection_probability_bound(n: int, B: int, delta: float,
     """
     if B < 1:
         raise ValueError("batch size must be >= 1")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be >= 0")
+    check_range("delta", delta, hi=1.0)
+    check_range("epsilon", epsilon)
     return 1.0 - epsilon - n * 2.0 ** (-B * (entropy_bits - epsilon)) * (1.0 - delta)
 
 

@@ -9,13 +9,13 @@ two observations may map to the same source row.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .model import Database, DeletionExperiment, Distribution, Labeling, _column_ids
+from .model import (Database, DeletionExperiment, Distribution, Labeling, _column_ids,
+                    check_range)
 from .infotheory import entropy, typicality_mask
 
 
@@ -23,7 +23,6 @@ class MatchStatus(Enum):
     MATCHED = "matched"
     NO_CANDIDATE = "no_candidate"        # no row both typical and containing y
     COLLISION = "collision"              # two or more candidate rows
-    ATYPICAL = "atypical"                # typicality failure of the true row
     THRESHOLD = "threshold"              # K or |I_A| below the configured gate
 
 
@@ -50,8 +49,7 @@ class MatcherConfig:
     min_detected: int = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        check_range("epsilon", self.epsilon)
 
 
 def default_epsilon(dist: Distribution) -> float:

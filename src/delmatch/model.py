@@ -39,6 +39,17 @@ def _rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed & _U64, *path]))
 
 
+def check_range(name: str, value, lo: float = 0.0, hi: float = math.inf,
+                closed: bool = False, error=ValueError):
+    """Raise error unless lo <= value < hi (value <= hi when closed).  NaN
+    fails every comparison, so it is rejected too; hi = inf means "finite
+    and >= lo"."""
+    if not (lo <= value <= hi if closed else lo <= value < hi):
+        bounds = (f"finite and >= {lo:g}" if hi == math.inf
+                  else f"in [{lo:g}, {hi:g}{']' if closed else ')'}")
+        raise error(f"{name} must be {bounds}, got {value}")
+
+
 def _frozen(arr: np.ndarray, dtype) -> np.ndarray:
     out = np.ascontiguousarray(np.asarray(arr, dtype=dtype))
     out.setflags(write=False)
@@ -153,8 +164,7 @@ class DeletionPattern:
 
     def __post_init__(self):
         object.__setattr__(self, "flags", _flag_vector(self.flags))
-        if not 0.0 <= self.delta < 1.0:
-            raise ValueError("delta must be in [0, 1)")
+        check_range("delta", self.delta, hi=1.0)
 
     @property
     def n(self) -> int:
@@ -179,8 +189,7 @@ class DetectionPattern:
 
     def __post_init__(self):
         object.__setattr__(self, "flags", _flag_vector(self.flags))
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError("alpha must be in [0, 1]")
+        check_range("alpha", self.alpha, hi=1.0, closed=True)
 
     @property
     def detected_indices(self) -> np.ndarray:
@@ -302,10 +311,8 @@ def apply_deletion_channel(c1: Database, delta: float, alpha: float,
 
     The same columns are deleted in every row; retained entries are noise-free.
     """
-    if not 0.0 <= delta < 1.0:
-        raise ValueError("delta must be in [0, 1)")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must be in [0, 1]")
+    check_range("delta", delta, hi=1.0)
+    check_range("alpha", alpha, hi=1.0, closed=True)
     deleted = (_rng(rng_seed, STREAM_DELETION).random(c1.n) < delta).astype(np.uint8)
     detect_draw = _rng(rng_seed, STREAM_DETECTION).random(c1.n)
     detected = ((deleted == 1) & (detect_draw < alpha)).astype(np.uint8)

@@ -42,9 +42,11 @@ def test_parse_grids():
 
 def test_parse_config_file(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("# comment\ndist = bern:0.5\nn = 16\n\ndelta = 0.2\n")
+    path.write_text("# comment\ndist = bern:0.5\nn = 16\n\ndelta = 0.2\n"
+                    "detect-epsilon = 0.3\neval_rows = 7\n")
     assert parse_config_file(str(path)) == {"dist": "bern:0.5", "n": "16",
-                                            "delta": "0.2"}
+                                            "delta": "0.2", "detect_epsilon": "0.3",
+                                            "eval_rows": "7"}
     bad = tmp_path / "bad.cfg"
     bad.write_text("just words\n")
     with pytest.raises(ConfigError):
@@ -53,8 +55,13 @@ def test_parse_config_file(tmp_path):
 
 def test_experiment_config_validation():
     base = dict(dist=BERN, n_values=(16,), delta=0.2, trials=10, master_seed=0)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(**base)  # neither rate nor m
+    # neither rate nor m suits detection alone; a matching sweep needs one
+    with pytest.raises(ConfigError, match="rate/m"):
+        ExperimentConfig(**base, alpha=1.0).resolve_m(16)
+    with pytest.raises(ConfigError, match="rate/m"):
+        run_simulate_match(_match_cfg(rate=None))
+    with pytest.raises(ConfigError, match="rate/m"):
+        run_pipeline(_match_cfg(rate=None, alpha=None, batch_sizes=(2,)))
     with pytest.raises(ConfigError):
         ExperimentConfig(**base, rate=0.2, m=9, alpha=1.0)
     with pytest.raises(ConfigError):
@@ -214,9 +221,14 @@ def test_simulate_match_csv(tmp_path):
 
 # -- simulate-detect ---------------------------------------------------------------
 
+def _detect_cfg(n_values, batch_sizes, delta, epsilon, trials, master_seed, **over):
+    return ExperimentConfig(BERN, n_values, delta, trials, master_seed,
+                            batch_sizes=batch_sizes, detect_epsilon=epsilon, **over)
+
+
 def test_simulate_detect_deterministic_and_bounded():
-    pts1 = run_simulate_detect(BERN, (16,), (8, 16), 0.5, 0.05, 50, 3, threads=1)
-    pts4 = run_simulate_detect(BERN, (16,), (8, 16), 0.5, 0.05, 50, 3, threads=4)
+    pts1 = run_simulate_detect(_detect_cfg((16,), (8, 16), 0.5, 0.05, 50, 3, threads=1))
+    pts4 = run_simulate_detect(_detect_cfg((16,), (8, 16), 0.5, 0.05, 50, 3, threads=4))
     assert pts1 == pts4
     for p in pts1:
         assert 0.0 <= p.empirical_alpha <= 1.0
@@ -232,7 +244,7 @@ def test_sweep_runs_every_point_on_one_pool(monkeypatch):
         return real_pool(*args, **kwargs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", counting_pool)
-    detect = run_simulate_detect(BERN, (16, 24), (4, 8), 0.5, 0.05, 10, 3, threads=2)
+    detect = run_simulate_detect(_detect_cfg((16, 24), (4, 8), 0.5, 0.05, 10, 3, threads=2))
     assert len(pools) == 1
     # one materialized and one closed-form point in the same pool
     mixed = _match_cfg(n_values=(8, 120), trials=4)
@@ -241,17 +253,17 @@ def test_sweep_runs_every_point_on_one_pool(monkeypatch):
     monkeypatch.undo()
     assert [p.mode for p in match] == ["materialized", "virtual"]
     assert match == run_simulate_match(mixed)
-    assert detect == run_simulate_detect(BERN, (16, 24), (4, 8), 0.5, 0.05, 10, 3)
+    assert detect == run_simulate_detect(_detect_cfg((16, 24), (4, 8), 0.5, 0.05, 10, 3))
 
 
 def test_simulate_detect_requires_deletions():
     with pytest.raises(RuntimeError):
-        run_simulate_detect(BERN, (8,), (4,), 0.0, 0.05, 5, 3)
+        run_simulate_detect(_detect_cfg((8,), (4,), 0.0, 0.05, 5, 3))
 
 
 def test_simulate_detect_csv(tmp_path):
     out = tmp_path / "detect.csv"
-    run_simulate_detect(BERN, (16,), (8,), 0.5, 0.05, 20, 3, out=str(out))
+    run_simulate_detect(_detect_cfg((16,), (8,), 0.5, 0.05, 20, 3, out=str(out)))
     lines = out.read_text().splitlines()
     assert lines[0] == "n,B,empirical_alpha,CI,theorem2_bound"
 
@@ -313,8 +325,8 @@ def test_simulate_detect_double_log_batch_trend():
     estimates = []
     for n in (16, 64, 256):
         b = 2 * int(math.log2(n))
-        (p,) = run_simulate_detect(BERN, (n,), (b,), 0.5, 0.05, 150, 77,
-                                   threads=4)
+        (p,) = run_simulate_detect(_detect_cfg((n,), (b,), 0.5, 0.05, 150, 77,
+                                               threads=4))
         estimates.append(p.empirical_alpha)
     assert estimates[0] <= estimates[1] <= estimates[2]
     assert estimates[2] >= 0.99
@@ -422,35 +434,34 @@ def test_cli_detect_uniform3_columns_typical_at_epsilon_zero(tmp_path):
     assert fields["empirical_alpha"] + fields["CI"] >= fields["theorem2_bound"]
 
 
+class _FullDisk:
+    """A file that takes half of the first write, then fails."""
+
+    def __init__(self, path, mode):
+        self.f = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
 def test_emit_failed_write_leaves_previous_output(tmp_path, monkeypatch):
     out = tmp_path / "detect.csv"
-    run_simulate_detect(BERN, (16,), (8,), 0.5, 0.05, 5, 3, out=str(out))
+    run_simulate_detect(_detect_cfg((16,), (8,), 0.5, 0.05, 5, 3, out=str(out)))
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    real_open = open
-
-    class FullDisk:
-        """A file that takes half of the first write, then fails."""
-
-        def __init__(self, path, mode):
-            self.f = real_open(path, mode)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.f.close()
-
-        def write(self, data):
-            self.f.write(data[:len(data) // 2])
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-    monkeypatch.setattr(harness, "open", FullDisk, raising=False)
+    monkeypatch.setattr(harness, "open", _FullDisk, raising=False)
     with pytest.raises(OSError):
-        run_simulate_detect(BERN, (16,), (8,), 0.5, 0.05, 5, 4, out=str(out))
+        run_simulate_detect(_detect_cfg((16,), (8,), 0.5, 0.05, 5, 4, out=str(out)))
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     with pytest.raises(OSError):
-        run_simulate_detect(BERN, (16,), (8,), 0.5, 0.05, 5, 4,
-                            out=str(tmp_path / "new.csv"))
+        run_simulate_detect(_detect_cfg((16,), (8,), 0.5, 0.05, 5, 4,
+                                        out=str(tmp_path / "new.csv")))
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
@@ -480,6 +491,68 @@ def test_cli_os_error_is_one_error_line(tmp_path, capsys):
 def test_cli_oracle_check_exit_code(capsys):
     assert cli.main(["oracle-check", "--cases", "40", "--seed", "2"]) == 0
     assert "all suites passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cases", ["-3", "0"])
+def test_cli_oracle_check_rejects_no_cases(capsys, cases):
+    assert cli.main(["oracle-check", "--cases", cases]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cases must be >= 1" in captured.err
+
+
+def test_cli_oracle_check_failed_write_leaves_previous_output(tmp_path, monkeypatch):
+    out = tmp_path / "oracle.txt"
+    out.write_text("previous report\n")
+    monkeypatch.setattr(harness, "open", _FullDisk, raising=False)
+    assert cli.main(["oracle-check", "--cases", "2", "--out", str(out)]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["oracle.txt"]
+    assert out.read_text() == "previous report\n"
+
+
+@pytest.mark.parametrize("grid", [
+    ["--n", "64", "--B", "0,8", "--trials", "2000"],
+    ["--n", "64", "--B", "-1"],
+    ["--n", "0", "--B", "8"],
+])
+def test_cli_detect_grid_errors_come_before_any_trial(capsys, monkeypatch, grid):
+    def no_sweep(*args):
+        raise AssertionError("trials ran")
+    monkeypatch.setattr(harness, "_sweep", no_sweep)
+    assert cli.main(["simulate-detect", "--dist", "bern:0.5", "--delta", "0.3"]
+                    + grid) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_detect_manifest_echoes_its_own_keys(tmp_path):
+    # simulate-detect shares the sweep config but has no matcher, so its
+    # echo carries the detector slack as epsilon and no matcher-only key
+    out = tmp_path / "detect.csv"
+    assert cli.main(["simulate-detect", "--dist", "bern:0.5", "--n", "16,32",
+                     "--B", "8", "--delta", "0.5", "--trials", "3",
+                     "--out", str(out)]) == 0
+    manifest = (tmp_path / "detect.csv.manifest.txt").read_text().splitlines()
+    config = dict(line[len("config."):].split(" = ") for line in manifest
+                  if line.startswith("config."))
+    assert config == {"dist": "0.5,0.5", "n": "16,32", "B": "8", "delta": "0.5",
+                      "epsilon": "0.05", "trials": "3"}
+
+
+def test_cli_config_key_spellings(tmp_path):
+    cfgfile = tmp_path / "pipe.cfg"
+    csvs = []
+    for key in ("detect-epsilon", "detect_epsilon"):
+        cfgfile.write_text("dist = bern:0.5\nn = 16\nrate = 0.25\ndelta = 0.3\n"
+                           f"B = 4\ntrials = 2\n{key} = 0.2\neval-rows = 7\n")
+        out = tmp_path / f"{key}.csv"
+        assert cli.main(["pipeline", "--config", str(cfgfile), "--out", str(out)]) == 0
+        manifest = (tmp_path / f"{key}.csv.manifest.txt").read_text()
+        assert "config.detect_epsilon = 0.2\n" in manifest
+        assert "config.eval_rows = 7\n" in manifest
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def test_cli_check_failure_exit_code(capsys):

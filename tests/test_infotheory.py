@@ -149,6 +149,13 @@ def test_typicality_length_checked():
         is_typical([0, 1], dist, TypicalityParams(0.1, 3))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
+def test_typicality_params_reject_bad_epsilon(bad):
+    # a NaN slack would make every sequence atypical
+    with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+        TypicalityParams(bad, 2)
+
+
 def test_empty_sequence_typical():
     assert is_typical([], Distribution((0.8, 0.2)), TypicalityParams(0.0, 0))
 
@@ -281,6 +288,18 @@ def test_detection_bound_degrades_with_n():
         n = 4 * 2 ** B
         assert detection_probability_bound(n, B, delta, 1.0, 0.0) == pytest.approx(
             1.0 - 4.0 * (1.0 - delta), abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
+def test_detection_bound_rejects_bad_epsilon(bad):
+    with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+        detection_probability_bound(8, 4, 0.3, 1.0, bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1, 1.0])
+def test_detection_bound_rejects_bad_delta(bad):
+    with pytest.raises(ValueError, match=r"delta must be in \[0, 1\)"):
+        detection_probability_bound(8, 4, bad, 1.0, 0.1)
 
 
 def test_detection_bound_clamped():

@@ -449,7 +449,7 @@ def test_mismatch_rate_trivials():
     assert mismatch_rate(all_right, lab) == 0.0
     none = [MatchOutcome(MatchStatus.NO_CANDIDATE)] * 4
     assert mismatch_rate(none, lab) == 1.0
-    three = all_right[:3] + [MatchOutcome(MatchStatus.ATYPICAL)]
+    three = all_right[:3] + [MatchOutcome(MatchStatus.COLLISION)]
     assert mismatch_rate(three, lab) == 0.25
     wrong_target = all_right[:3] + [MatchOutcome(MatchStatus.MATCHED, 0)]
     assert mismatch_rate(wrong_target, lab) == 0.25

@@ -11,6 +11,7 @@ from delmatch import (Distribution, Database, DeletionPattern, DetectionPattern,
                       apply_deletion_channel, extract_seed_batch,
                       database_to_csv, database_from_csv, save_experiment,
                       load_experiment)
+from delmatch.model import check_range
 
 
 def test_degenerate_alphabet_rejected():
@@ -31,6 +32,25 @@ def test_non_finite_distribution_rejected(bad):
         Distribution((bad, 0.5))
     with pytest.raises(ValueError, match="finite"):
         Distribution.bernoulli(bad)
+
+
+def test_check_range():
+    nan, inf = float("nan"), float("inf")
+    check_range("delta", 0.0, hi=1.0)
+    check_range("alpha", 1.0, hi=1.0, closed=True)
+    check_range("epsilon", 1e300)
+    for bad in (nan, inf, -1e-300, 1.0):
+        with pytest.raises(ValueError, match=r"delta must be in \[0, 1\), got"):
+            check_range("delta", bad, hi=1.0)
+    for bad in (nan, inf, -0.5, 1.5):
+        with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\], got"):
+            check_range("alpha", bad, hi=1.0, closed=True)
+
+    class Refused(ValueError):
+        pass
+    for bad in (nan, inf, -inf, -1.0):
+        with pytest.raises(Refused, match="epsilon must be finite and >= 0, got"):
+            check_range("epsilon", bad, error=Refused)
 
 
 def test_distribution_helpers():

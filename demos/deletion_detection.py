@@ -7,18 +7,18 @@ directly: many deletion patterns can explain the same shortened rows.  But
 counting those patterns exactly gives per-column posteriors, and columns
 whose posterior is exactly 0 or 1 are settled with certainty.
 
-Equivalent CLI:  delmatch simulate-detect --dist bern:0.5 --n 64 --B 12 \
-                     --delta 0.5 --out detect.csv
+Equivalent CLI for the last table:
+    delmatch simulate-detect --dist bern:0.5 --n 48 --B 6,10,14 --delta 0.4 \
+        --trials 150 --seed 99
 """
 
 import numpy as np
 
-from delmatch import (Distribution, SeedBatch, sample_database,
+from delmatch import (Distribution, SeedBatch, ExperimentConfig, sample_database,
                       apply_deletion_channel, extract_seed_batch,
                       count_embeddings, posterior_deletions, detect_f, detect_g,
-                      verdicts_to_csv, min_seed_batch_size,
-                      empirical_detection_probability,
-                      detection_probability_bound, entropy)
+                      verdicts_to_csv, min_seed_batch_size, run_simulate_detect,
+                      entropy)
 
 # --- a tiny worked example -------------------------------------------------
 # One seed row pair: the source row is (a, b, a) and the observed row is (a).
@@ -67,9 +67,9 @@ for target in (0.5, 0.9, 0.99):
 print()
 
 # --- empirical detection probability vs. the analytic lower bound -----------
-for B_try in (6, 10, 14):
-    est = empirical_detection_probability(dist, n, B_try, delta, trials=150,
-                                          epsilon=0.05, rng_seed=99)
-    bound = detection_probability_bound(n, B_try, delta, h, epsilon=0.05)
-    print(f"B = {B_try:2d}: empirical {est.estimate:.4f} "
-          f"[{est.ci_low:.4f}, {est.ci_high:.4f}]  bound {bound:+.4f}")
+# One simulate-detect sweep: 150 trials per batch size, detector slack 0.05.
+cfg = ExperimentConfig(dist, n_values=(n,), delta=delta, trials=150,
+                       master_seed=99, batch_sizes=(6, 10, 14))
+for p in run_simulate_detect(cfg):
+    print(f"B = {p.B:2d}: empirical {p.empirical_alpha:.4f} "
+          f"[{p.ci_low:.4f}, {p.ci_high:.4f}]  bound {p.bound:+.4f}")

@@ -25,10 +25,8 @@ from .detector import (Verdict, InconsistentBatchError, GuardExceededError,
                        count_embeddings, posterior_deletions,
                        posterior_deletions_naive, detect_f, detect_g,
                        brute_force_embeddings, brute_force_posterior,
-                       certain_verdict_masks, detection_trial,
-                       empirical_detection_probability, DetectionEstimate,
-                       wilson_interval, verdicts_to_csv)
+                       certain_verdict_masks, detection_trial, verdicts_to_csv)
 from .harness import (ExperimentConfig, ConfigError, run_rates,
                       run_simulate_match, run_simulate_detect, run_pipeline,
                       run_oracle_check, parse_distribution, parse_float_grid,
-                      parse_int_list, parse_config_file)
+                      parse_int_list, parse_config_file, wilson_interval)

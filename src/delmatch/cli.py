@@ -175,7 +175,7 @@ def _sweep_config(args, cfgmap) -> ExperimentConfig:
     else:
         kw["batch_sizes"] = parse_int_list(_get(args, cfgmap, "B", required=True))
     if args.command == "simulate-detect":  # no matcher: --epsilon is the detector's
-        kw["detect_epsilon"] = 0.05 if kw["epsilon"] is None else kw["epsilon"]
+        kw["detect_epsilon"] = kw["epsilon"]
     return ExperimentConfig(**kw)
 
 

@@ -9,15 +9,14 @@ integer comparisons, never float ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from math import comb, sqrt
+from math import comb
 
 import numpy as np
 
-from .model import Distribution, SeedBatch, derive_seed, _column_ids, _rng
+from .model import Distribution, SeedBatch, _column_ids, _rng, _symbols
 from .infotheory import typicality_mask
 
 BRUTE_FORCE_PATTERN_GUARD = 10 ** 6
@@ -54,32 +53,25 @@ def count_embeddings(d1, d2) -> int:
     """S(d1, d2): the exact number of ways d2's columns embed, in order, into
     d1's columns with entrywise column equality.
 
-    Standard subsequence-occurrence DP over column ids, O(n*K) big-int adds.
+    Standard subsequence-occurrence DP over column ids, O(n*K) big-int adds,
+    keeping only its last row.
     """
-    d1, d2 = _as_batch_matrices(d1, d2)
-    n, k = d1.shape[1], d2.shape[1]
-    if k > n:
-        return 0
-    ids1, ids2 = _column_ids(d1, d2)
-    ids1 = ids1.tolist()
-    ids2 = ids2.tolist()
-    f = [1] + [0] * k
-    for i, ci in enumerate(ids1):
-        for t in range(min(i + 1, k), 0, -1):
-            if ids2[t - 1] == ci:
-                f[t] += f[t - 1]
-    return f[k]
+    ids1, ids2 = _column_ids(*_as_batch_matrices(d1, d2))
+    for row in _prefix_rows(ids1.tolist(), ids2.tolist()):
+        pass
+    return row[-1]
 
 
-def _prefix_table(ids1, ids2):
-    """tab[t][i] = number of embeddings of ids2[:t] into ids1[:i]."""
-    n, k = len(ids1), len(ids2)
-    tab = [[1] * (n + 1)] + [[0] * (n + 1) for _ in range(k)]
-    for t in range(1, k + 1):
-        row, prev, sym = tab[t], tab[t - 1], ids2[t - 1]
-        for i in range(1, n + 1):
-            row[i] = row[i - 1] + (prev[i - 1] if ids1[i - 1] == sym else 0)
-    return tab
+def _prefix_rows(ids1, ids2):
+    """The subsequence-count DP, one row per t = 0..len(ids2): entry i of
+    row t is the number of embeddings of ids2[:t] into ids1[:i]."""
+    row = [1] * (len(ids1) + 1)
+    yield row
+    for sym in ids2:
+        prev, row = row, [0]
+        for i, ci in enumerate(ids1):
+            row.append(row[i] + (prev[i] if ci == sym else 0))
+        yield row
 
 
 def posterior_deletions(batch: SeedBatch) -> list:
@@ -91,8 +83,8 @@ def posterior_deletions(batch: SeedBatch) -> list:
     """
     n, k = batch.n, batch.retained_count
     ids1, ids2 = (ids.tolist() for ids in _column_ids(batch.d1, batch.d2))
-    fore = _prefix_table(ids1, ids2)
-    back = _prefix_table(ids1[::-1], ids2[::-1])
+    fore = list(_prefix_rows(ids1, ids2))
+    back = list(_prefix_rows(ids1[::-1], ids2[::-1]))
     total = fore[k][n]
     if total == 0:
         raise InconsistentBatchError("no deletion pattern maps d1 to d2")
@@ -123,12 +115,17 @@ def detect_f(batch: SeedBatch, dist: Distribution, epsilon: float) -> list:
     Inconclusive otherwise.  certain_verdict_masks decides the two exact
     posterior values without computing any posterior.
     """
-    certainly_deleted, certainly_retained = certain_verdict_masks(batch.d1, batch.d2)
-    typical = typicality_mask(batch.d1, dist, epsilon, axis=0).tolist()
-    return [Verdict.DELETED if typ and dele else
-            Verdict.RETAINED if typ and ret else Verdict.INCONCLUSIVE
-            for typ, dele, ret in zip(typical, certainly_deleted.tolist(),
-                                      certainly_retained.tolist())]
+    deleted, retained = _verdict_masks(batch.d1, batch.d2, dist, epsilon)
+    return [Verdict.DELETED if dele else
+            Verdict.RETAINED if ret else Verdict.INCONCLUSIVE
+            for dele, ret in zip(deleted.tolist(), retained.tolist())]
+
+
+def _verdict_masks(d1, d2, dist: Distribution, epsilon: float):
+    """(Deleted, Retained) masks of detect_f: certain and typical."""
+    certainly_deleted, certainly_retained = certain_verdict_masks(d1, d2)
+    typical = typicality_mask(d1, dist, epsilon, axis=0)
+    return certainly_deleted & typical, certainly_retained & typical
 
 
 def detect_g(batch: SeedBatch, dist: Distribution, epsilon: float) -> list:
@@ -248,70 +245,13 @@ def detection_trial(dist: Distribution, n: int, B: int, delta: float,
     detector, and returns (columns flagged Deleted among truly deleted ones,
     number of truly deleted columns).
     """
-    rng_batch = _rng(trial_seed, _TRIAL_STREAM_BATCH)
-    d1 = rng_batch.choice(dist.alphabet_size, size=(B, n),
-                          p=dist.probabilities).astype(np.uint8)
+    d1 = _symbols(dist, (B, n), trial_seed, _TRIAL_STREAM_BATCH)
     deleted = _rng(trial_seed, _TRIAL_STREAM_DELETION).random(n) < delta
-    d2 = d1[:, ~deleted]
     deleted_total = int(deleted.sum())
     if deleted_total == 0:
         return 0, 0
-    certainly_deleted, _ = certain_verdict_masks(d1, d2)
-    typical = typicality_mask(d1, dist, epsilon, axis=0)
-    hits = int((certainly_deleted & typical & deleted).sum())
-    return hits, deleted_total
-
-
-def wilson_interval(successes: int, total: int, z: float = 1.96):
-    """95% Wilson score interval for a binomial proportion."""
-    if total == 0:
-        return 0.0, 1.0
-    phat = successes / total
-    denom = 1.0 + z * z / total
-    center = (phat + z * z / (2 * total)) / denom
-    half = z * sqrt(phat * (1.0 - phat) / total + z * z / (4.0 * total * total)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
-
-
-class _HalfWidth:
-    """ci_half_width of a result with a Wilson interval [ci_low, ci_high]."""
-
-    @property
-    def ci_half_width(self) -> float:
-        return (self.ci_high - self.ci_low) / 2.0
-
-
-@dataclass(frozen=True)
-class DetectionEstimate(_HalfWidth):
-    estimate: float
-    ci_low: float
-    ci_high: float
-    detected: int
-    deleted_columns: int
-    trials: int
-
-    @classmethod
-    def pool(cls, detected: int, deleted: int, trials: int) -> "DetectionEstimate":
-        """The estimate from detection_trial's hits and deleted-column counts,
-        summed over trials, with a Wilson 95% interval."""
-        if deleted == 0:
-            raise RuntimeError("no columns were deleted in any trial; "
-                               "estimate undefined (delta too small?)")
-        lo, hi = wilson_interval(detected, deleted)
-        return cls(detected / deleted, lo, hi, detected, deleted, trials)
-
-
-def empirical_detection_probability(dist: Distribution, n: int, B: int,
-                                    delta: float, trials: int, epsilon: float,
-                                    rng_seed: int) -> DetectionEstimate:
-    """Monte Carlo estimate of P(Deleted verdict | column truly deleted),
-    pooled over trials and deleted columns, with a Wilson 95% interval."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    hits, deleted = zip(*(detection_trial(dist, n, B, delta, epsilon,
-                                          derive_seed(rng_seed, t))
-                          for t in range(trials)))
-    return DetectionEstimate.pool(sum(hits), sum(deleted), trials)
+    flagged, _ = _verdict_masks(d1, d1[:, ~deleted], dist, epsilon)
+    return int((flagged & deleted).sum()), deleted_total
 
 
 def verdicts_to_csv(verdicts, posteriors) -> str:

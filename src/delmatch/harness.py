@@ -14,13 +14,14 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import expm1, log1p, log2
+from math import expm1, log1p, log2, sqrt
 
 import numpy as np
 
 from . import __version__
 from .model import (Distribution, derive_seed, _rng, sample_database,
-                    apply_deletion_channel, extract_seed_batch, check_range)
+                    apply_deletion_channel, extract_seed_batch, check_range,
+                    _channel_pattern)
 from . import model
 from .infotheory import (entropy, RateParams, achievable_rate,
                          supersequence_count_exact, supersequence_count_bound,
@@ -30,8 +31,7 @@ from .matcher import (MatcherConfig, default_epsilon, match_counts, count_mismat
 from .detector import (Verdict, detect_f, detect_g, detection_trial,
                        count_embeddings, brute_force_embeddings,
                        posterior_deletions, posterior_deletions_naive,
-                       brute_force_posterior, certain_verdict_masks,
-                       wilson_interval, _HalfWidth)
+                       brute_force_posterior, certain_verdict_masks)
 
 # Desk-scale guard: largest m*n a matching sweep will materialize
 # (m ~ 2^16 rows at n = 64).  Overridable per config.
@@ -73,6 +73,8 @@ def parse_float_grid(spec: str) -> tuple:
         if len(parts) != 3:
             raise ConfigError(f"bad grid spec {spec!r}")
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        if count < 1:
+            raise ConfigError(f"grid {spec!r} needs a count >= 1")
         return tuple(float(x) for x in np.linspace(start, stop, count))
     return tuple(float(x) for x in spec.split(","))
 
@@ -133,10 +135,12 @@ class ExperimentConfig:
         check_range("delta", self.delta, hi=1.0, error=ConfigError)
         if self.alpha is not None:
             check_range("alpha", self.alpha, hi=1.0, closed=True, error=ConfigError)
-        if self.batch_sizes is not None and any(b < 0 for b in self.batch_sizes):
-            raise ConfigError("batch sizes must be >= 0")
+        if self.batch_sizes is not None and min(self.batch_sizes, default=-1) < 0:
+            raise ConfigError("batch sizes must be a non-empty list of values >= 0")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.threads < 1:
+            raise ConfigError("threads must be >= 1")
         if self.eval_rows < 1:
             raise ConfigError("eval_rows must be >= 1")
         if self.m is not None and self.m < 1:
@@ -187,10 +191,8 @@ def _virtual_match_trial(args):
     content.  The per-row mismatch indicator is sampled from its exact
     marginal for eval_rows rows per trial."""
     dist, n, m, delta, alpha, eval_rows, trial_seed = args
-    chan_seed = derive_seed(trial_seed, STREAM_CHANNEL)
-    deleted = _rng(chan_seed, model.STREAM_DELETION).random(n) < delta
-    detect_draw = _rng(chan_seed, model.STREAM_DETECTION).random(n)
-    detected = deleted & (detect_draw < alpha)
+    deleted, detected = _channel_pattern(n, delta, alpha,
+                                         derive_seed(trial_seed, STREAM_CHANNEL))
     big_k = int(n - deleted.sum())
     width = int(n - detected.sum())
     q = dist.alphabet_size
@@ -259,6 +261,25 @@ def _sweep(points, trials: int, master_seed: int, threads: int):
                                   chunksize=max(1, len(tasks) // (threads * 8))))
     return ([tuple(map(sum, zip(*results[i:i + trials])))
              for i in range(0, len(results), trials)], seed_log)
+
+
+def wilson_interval(successes: int, total: int, z: float = 1.96):
+    """95% Wilson score interval for a binomial proportion."""
+    if total == 0:
+        return 0.0, 1.0
+    phat = successes / total
+    denom = 1.0 + z * z / total
+    center = (phat + z * z / (2 * total)) / denom
+    half = z * sqrt(phat * (1.0 - phat) / total + z * z / (4.0 * total * total)) / denom
+    return max(0.0, center - half), min(1.0, center + half)
+
+
+class _HalfWidth:
+    """ci_half_width of a result with a Wilson interval [ci_low, ci_high]."""
+
+    @property
+    def ci_half_width(self) -> float:
+        return (self.ci_high - self.ci_low) / 2.0
 
 
 def _run_sweep(command: str, cfg: ExperimentConfig, grid, specs, point, to_csv) -> list:
@@ -388,12 +409,13 @@ class DetectPoint(_HalfWidth):
 def run_simulate_detect(cfg: ExperimentConfig) -> list:
     """Empirical detection probability next to the analytic bound, per (n, B).
 
-    The slack is cfg.detector_epsilon(); rate, m and the matcher's keys are unused."""
+    The slack is cfg.detect_epsilon, 0.05 when unset; rate, m and the
+    matcher's keys are unused."""
     if cfg.batch_sizes is None:
         raise ConfigError("simulate-detect needs the seeded(B) mode")
     if min(cfg.batch_sizes, default=1) < 1:
         raise ConfigError(f"batch size {min(cfg.batch_sizes)} must be >= 1")
-    epsilon = cfg.detector_epsilon()
+    epsilon = _detect_only_epsilon(cfg)
     h = entropy(cfg.dist)
     grid = [(n, b) for n in cfg.n_values for b in cfg.batch_sizes]
     specs = [(_detect_trial, (cfg.dist, n, b, cfg.delta, epsilon)) for n, b in grid]
@@ -407,6 +429,11 @@ def run_simulate_detect(cfg: ExperimentConfig) -> list:
                            detection_probability_bound(n, b, cfg.delta, h, epsilon))
 
     return _run_sweep("simulate-detect", cfg, grid, specs, point, detect_csv)
+
+
+def _detect_only_epsilon(cfg: ExperimentConfig) -> float:
+    """simulate-detect's slack: detect_epsilon, else 0.05 (it has no matcher)."""
+    return 0.05 if cfg.detect_epsilon is None else cfg.detect_epsilon
 
 
 def detect_csv(points):
@@ -647,7 +674,7 @@ def _cfg_echo(cfg: ExperimentConfig, command: str) -> list:
     if cfg.batch_sizes is not None:
         echo.append(("B", ",".join(str(b) for b in cfg.batch_sizes)))
     if command == "simulate-detect":  # no matcher: its one slack is the detector's
-        return echo + [("epsilon", repr(cfg.detector_epsilon()))]
+        return echo + [("epsilon", repr(_detect_only_epsilon(cfg)))]
     echo.append(("epsilon", repr(cfg.matcher_epsilon())))
     echo.append(("detect_epsilon", repr(cfg.detector_epsilon())))
     echo.append(("eval_rows", str(cfg.eval_rows)))

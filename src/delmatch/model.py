@@ -295,13 +295,25 @@ class SeedBatch:
         return self.d2.shape[1]
 
 
+def _symbols(dist: Distribution, shape, seed: int, *path: int) -> np.ndarray:
+    """A uint8 array of i.i.d. symbols from dist, drawn from stream (seed, *path)."""
+    return _rng(seed, *path).choice(dist.alphabet_size, size=shape,
+                                    p=dist.probabilities).astype(np.uint8)
+
+
+def _channel_pattern(n: int, delta: float, alpha: float, seed: int):
+    """The channel's (deleted, detected) bool masks: each column is deleted
+    with probability delta, and each deleted one revealed with probability
+    alpha, from the channel seed's deletion and detection streams."""
+    deleted = _rng(seed, STREAM_DELETION).random(n) < delta
+    return deleted, deleted & (_rng(seed, STREAM_DETECTION).random(n) < alpha)
+
+
 def sample_database(dist: Distribution, m: int, n: int, rng_seed: int) -> Database:
     """Sample an m x n database with i.i.d. entries from dist."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    rng = _rng(rng_seed)
-    symbols = rng.choice(dist.alphabet_size, size=(m, n), p=dist.probabilities)
-    return Database(symbols.astype(np.uint8), dist.alphabet_size)
+    return Database(_symbols(dist, (m, n), rng_seed), dist.alphabet_size)
 
 
 def apply_deletion_channel(c1: Database, delta: float, alpha: float,
@@ -313,12 +325,10 @@ def apply_deletion_channel(c1: Database, delta: float, alpha: float,
     """
     check_range("delta", delta, hi=1.0)
     check_range("alpha", alpha, hi=1.0, closed=True)
-    deleted = (_rng(rng_seed, STREAM_DELETION).random(c1.n) < delta).astype(np.uint8)
-    detect_draw = _rng(rng_seed, STREAM_DETECTION).random(c1.n)
-    detected = ((deleted == 1) & (detect_draw < alpha)).astype(np.uint8)
+    deleted, detected = _channel_pattern(c1.n, delta, alpha, rng_seed)
     perm = _rng(rng_seed, STREAM_LABELING).permutation(c1.m)
 
-    keep = deleted == 0
+    keep = ~deleted
     shuffled = np.empty((c1.m, int(keep.sum())), dtype=np.uint8)
     shuffled[perm] = c1.symbols[:, keep]
     return DeletionExperiment(

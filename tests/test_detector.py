@@ -10,10 +10,10 @@ from delmatch import (Distribution, SeedBatch, sample_database,
                       count_embeddings, brute_force_embeddings,
                       posterior_deletions, posterior_deletions_naive,
                       brute_force_posterior, detect_f, detect_g, Verdict,
-                      certain_verdict_masks, detection_trial,
-                      empirical_detection_probability, wilson_interval,
+                      certain_verdict_masks, detection_trial, wilson_interval,
                       verdicts_to_csv, InconsistentBatchError,
-                      GuardExceededError, detection_probability_bound)
+                      GuardExceededError, detection_probability_bound,
+                      ExperimentConfig, run_simulate_detect)
 from delmatch.detector import _column_ids
 from delmatch.harness import _random_instance
 
@@ -323,33 +323,35 @@ def test_detection_trial_counts():
     assert 0 <= hits <= deleted <= 32
 
 
+def _detect_points(n, batch_sizes, delta, trials, epsilon, seed):
+    """The simulate-detect sweep's points over bern(0.5) batches."""
+    return run_simulate_detect(ExperimentConfig(
+        Distribution.bernoulli(0.5), (n,), delta, trials, seed,
+        batch_sizes=batch_sizes, detect_epsilon=epsilon))
+
+
 def test_empirical_detection_probability_runs():
-    dist = Distribution.bernoulli(0.5)
-    est = empirical_detection_probability(dist, 32, 12, 0.5, 40, 0.05, 7)
-    assert 0.0 <= est.ci_low <= est.estimate <= est.ci_high <= 1.0
-    assert est.deleted_columns > 0
+    (p,) = _detect_points(32, (12,), 0.5, 40, 0.05, 7)
+    assert 0.0 <= p.ci_low <= p.empirical_alpha <= p.ci_high <= 1.0
+    assert p.deleted > 0
     # generous sanity check against the analytic bound
     bound = detection_probability_bound(32, 12, 0.5, 1.0, 0.05)
-    assert est.ci_high >= bound
+    assert p.bound == bound and p.ci_high >= bound
 
 
 def test_empirical_detection_heavy_deletion_edge():
-    dist = Distribution.bernoulli(0.5)
-    est = empirical_detection_probability(dist, 8, 3, 0.95, 30, 0.1, 11)
-    assert est.estimate >= 0.9  # near-empty d2 makes deletions certain
+    (p,) = _detect_points(8, (3,), 0.95, 30, 0.1, 11)
+    assert p.empirical_alpha >= 0.9  # near-empty d2 makes deletions certain
 
 
 def test_empirical_detection_requires_deletions():
-    dist = Distribution.bernoulli(0.5)
     with pytest.raises(RuntimeError):
-        empirical_detection_probability(dist, 8, 3, 0.0, 5, 0.1, 11)
+        _detect_points(8, (3,), 0.0, 5, 0.1, 11)
 
 
 def test_detection_probability_improves_with_batch():
-    dist = Distribution.bernoulli(0.5)
-    low = empirical_detection_probability(dist, 16, 2, 0.5, 60, 0.05, 3)
-    high = empirical_detection_probability(dist, 16, 16, 0.5, 60, 0.05, 3)
-    assert high.estimate >= low.estimate
+    low, high = _detect_points(16, (2, 16), 0.5, 60, 0.05, 3)
+    assert high.empirical_alpha >= low.empirical_alpha
 
 
 # -- plumbing -------------------------------------------------------------------

@@ -38,6 +38,8 @@ def test_parse_grids():
     assert parse_float_grid("0:1:3") == (0.0, 0.5, 1.0)
     assert parse_float_grid("0.1,0.4") == (0.1, 0.4)
     assert parse_int_list("16,32") == (16, 32)
+    with pytest.raises(ConfigError, match="count >= 1"):
+        parse_float_grid("0:0.9:0")
 
 
 def test_parse_config_file(tmp_path):
@@ -68,6 +70,11 @@ def test_experiment_config_validation():
         ExperimentConfig(**base, rate=0.2)  # no side-info mode
     with pytest.raises(ConfigError):
         ExperimentConfig(**base, rate=0.2, alpha=1.0, batch_sizes=(4,))
+    with pytest.raises(ConfigError, match="non-empty"):
+        ExperimentConfig(**base, batch_sizes=())
+    for threads in (0, -4):
+        with pytest.raises(ConfigError, match="threads must be >= 1"):
+            ExperimentConfig(**base, batch_sizes=(4,), threads=threads)
     cfg = ExperimentConfig(**base, rate=0.2, alpha=1.0)
     assert cfg.resolve_m(16) == round(2 ** 3.2) == 9
     assert cfg.resolve_m(32) == 84
@@ -137,6 +144,17 @@ def test_simulate_match_guard_refusal():
                      n_values=(64,))
     with pytest.raises(ConfigError, match="guard"):
         run_simulate_match(cfg)
+
+
+def test_override_guards_materializes_beyond_guard(monkeypatch):
+    monkeypatch.setattr(harness, "CELL_GUARD", 64)
+    cfg = _match_cfg(dist=Distribution((0.7, 0.2, 0.1)), rate=None, m=16,
+                     n_values=(8,), trials=2)
+    with pytest.raises(ConfigError, match="guard"):
+        run_simulate_match(cfg)
+    (p,) = run_simulate_match(dataclasses.replace(cfg, override_guards=True))
+    assert p.mode == "materialized"
+    assert p.evaluated == 2 * 16
 
 
 def test_virtual_mode_engages_beyond_guard():
@@ -381,11 +399,14 @@ def test_cli_rates_stdout(capsys):
     assert out[2] == "0.400000,1.000000,0.600000,true"
 
 
-def test_cli_usage_errors():
+def test_cli_usage_errors(capsys):
     assert cli.main(["no-such-command"]) == 2
     assert cli.main(["simulate-match", "--dist", "bern:0.5"]) == 2  # missing --n
     assert cli.main(["simulate-match", "--n", "8", "--delta", "0.2",
                      "--rate", "0.2", "--m", "4", "--alpha", "1"]) == 2
+    capsys.readouterr()
+    assert cli.main(["rates", "--deltas", "0:0.9:0"]) == 2  # a grid of no points
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_rejects_nan_distribution(capsys):
@@ -514,6 +535,8 @@ def test_cli_oracle_check_failed_write_leaves_previous_output(tmp_path, monkeypa
     ["--n", "64", "--B", "0,8", "--trials", "2000"],
     ["--n", "64", "--B", "-1"],
     ["--n", "0", "--B", "8"],
+    ["--n", "8", "--B", "4", "--trials", "2", "--threads", "-4"],
+    ["--n", "8", "--B", "4", "--trials", "2", "--threads", "0"],
 ])
 def test_cli_detect_grid_errors_come_before_any_trial(capsys, monkeypatch, grid):
     def no_sweep(*args):
@@ -538,6 +561,19 @@ def test_cli_detect_manifest_echoes_its_own_keys(tmp_path):
                   if line.startswith("config."))
     assert config == {"dist": "0.5,0.5", "n": "16,32", "B": "8", "delta": "0.5",
                       "epsilon": "0.05", "trials": "3"}
+
+
+def test_detect_slack_default_same_in_cli_and_library(tmp_path):
+    # Neither sets the slack: both use simulate-detect's default, 0.05.
+    cli_out, lib_out = tmp_path / "cli.csv", tmp_path / "lib.csv"
+    assert cli.main(["simulate-detect", "--n", "16", "--B", "4", "--delta", "0.3",
+                     "--trials", "5", "--seed", "1", "--out", str(cli_out)]) == 0
+    (p,) = run_simulate_detect(ExperimentConfig(BERN, (16,), 0.3, 5, 1,
+                                                batch_sizes=(4,), out=str(lib_out)))
+    assert p.epsilon == 0.05
+    assert cli_out.read_bytes() == lib_out.read_bytes()
+    for out in (cli_out, lib_out):
+        assert "config.epsilon = 0.05\n" in (tmp_path / f"{out.name}.manifest.txt").read_text()
 
 
 def test_cli_config_key_spellings(tmp_path):

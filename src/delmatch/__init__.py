@@ -14,10 +14,9 @@ from .model import (Distribution, Database, DeletionPattern, DetectionPattern,
                     database_to_csv, database_from_csv, save_experiment,
                     load_experiment)
 from .infotheory import (entropy, binary_entropy, RateParams, achievable_rate,
-                         TypicalityParams, is_typical, supersequence_count_exact,
+                         is_typical, supersequence_count_exact,
                          supersequence_count_bound, min_seed_batch_size,
-                         detection_probability_bound,
-                         detection_probability_bound_clamped)
+                         detection_probability_bound)
 from .matcher import (MatchStatus, MatchOutcome, MatcherConfig, default_epsilon,
                       is_subsequence, match_row, match_all, match_counts,
                       match_experiment, mismatch_rate)

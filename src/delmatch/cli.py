@@ -25,7 +25,6 @@ DEFAULTS = {
     "trials": 100,
     "seed": 0,
     "threads": 1,
-    "eval_rows": 128,
     "cases": 400,
 }
 
@@ -96,8 +95,6 @@ def _add_match_args(p):
     p.add_argument("--delta", type=float, help="column deletion probability")
     p.add_argument("--epsilon", type=float,
                    help="typicality slack (default 0.1 * H(X))")
-    p.add_argument("--eval-rows", type=int,
-                   help="rows evaluated per trial in closed-form mode")
     p.add_argument("--override-guards", action="store_true", default=None,
                    help="materialize beyond the m*n desk-scale guard")
 
@@ -122,12 +119,6 @@ def _get(args, cfgmap, key, conv=None, default=None, required=False):
     return conv(val) if conv and val is not None else val
 
 
-def _print_csv(header, rows):
-    print(header)
-    for r in rows:
-        print(",".join(r))
-
-
 def cmd_rates(args, cfgmap) -> int:
     dist = parse_distribution(_get(args, cfgmap, "dist"))
     deltas = parse_float_grid(str(_get(args, cfgmap, "deltas")))
@@ -137,7 +128,7 @@ def cmd_rates(args, cfgmap) -> int:
     if out:
         print(f"wrote {len(points)} rate points to {out}")
     else:
-        _print_csv(*rates_csv(points))
+        print(rates_csv(points), end="")
     return 0
 
 
@@ -167,7 +158,6 @@ def _sweep_config(args, cfgmap) -> ExperimentConfig:
         detect_epsilon=_get(args, cfgmap, "detect_epsilon", float),
         out=_get(args, cfgmap, "out", _out_path),
         threads=_get(args, cfgmap, "threads", int),
-        eval_rows=_get(args, cfgmap, "eval_rows", int),
         override_guards=_get(args, cfgmap, "override_guards", _parse_bool, default=False),
     )
     if args.command == "simulate-match":
@@ -182,7 +172,12 @@ def _sweep_config(args, cfgmap) -> ExperimentConfig:
 def _parse_bool(v):
     if isinstance(v, bool):
         return v
-    return str(v).strip().lower() in ("1", "true", "yes", "on")
+    word = str(v).strip().lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise ConfigError(f"expected a boolean (1/0, true/false, yes/no, on/off), got {v!r}")
 
 
 def cmd_sweep(args, cfgmap) -> int:
@@ -195,7 +190,7 @@ def cmd_sweep(args, cfgmap) -> int:
             for p in points:
                 print("  " + point_line.format(p))
     else:
-        _print_csv(*to_csv(points))
+        print(to_csv(points), end="")
     return 0
 
 

@@ -37,6 +37,9 @@ from .detector import (Verdict, detect_f, detect_g, detection_trial,
 # (m ~ 2^16 rows at n = 64).  Overridable per config.
 CELL_GUARD = 1 << 22
 
+# Rows the closed-form mode evaluates per trial; precision comes from trials.
+EVAL_ROWS = 128
+
 # Fixed stream ids inside one trial seed.
 STREAM_DATABASE = 0
 STREAM_CHANNEL = 1
@@ -122,7 +125,6 @@ class ExperimentConfig:
     detect_epsilon: float = None
     out: str = None
     threads: int = 1
-    eval_rows: int = 128
     override_guards: bool = False
 
     def __post_init__(self):
@@ -139,10 +141,9 @@ class ExperimentConfig:
             raise ConfigError("batch sizes must be a non-empty list of values >= 0")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        check_range("seed", self.master_seed, hi=2 ** 64, error=ConfigError)
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-        if self.eval_rows < 1:
-            raise ConfigError("eval_rows must be >= 1")
         if self.m is not None and self.m < 1:
             raise ConfigError("m must be >= 1")
         for name in ("rate", "epsilon", "detect_epsilon"):
@@ -177,8 +178,8 @@ def _match_trial(args):
     c1 = sample_database(dist, m, n, derive_seed(trial_seed, STREAM_DATABASE))
     exp = apply_deletion_channel(c1, delta, alpha,
                                  derive_seed(trial_seed, STREAM_CHANNEL))
-    _, rows, _ = match_counts(exp.c1, exp.c2.symbols, exp.detection.detected_indices,
-                              MatcherConfig(epsilon=epsilon), dist)
+    _, rows = match_counts(exp.c1, exp.c2.symbols, exp.detection.detected_indices,
+                           MatcherConfig(epsilon=epsilon), dist)
     return count_mismatches(rows, exp.labeling.perm, np.arange(m)), m
 
 
@@ -189,8 +190,8 @@ def _virtual_match_trial(args):
     rows both contains it and survives typicality, which happens with
     probability F(L, K, q)/q^L per competitor, independent of the row's
     content.  The per-row mismatch indicator is sampled from its exact
-    marginal for eval_rows rows per trial."""
-    dist, n, m, delta, alpha, eval_rows, trial_seed = args
+    marginal for EVAL_ROWS rows per trial."""
+    dist, n, m, delta, alpha, trial_seed = args
     deleted, detected = _channel_pattern(n, delta, alpha,
                                          derive_seed(trial_seed, STREAM_CHANNEL))
     big_k = int(n - deleted.sum())
@@ -203,7 +204,7 @@ def _virtual_match_trial(args):
         collision_prob = 1.0
     else:
         collision_prob = -expm1((m - 1) * log1p(-p_col))
-    evaluated = int(min(m, eval_rows))
+    evaluated = min(m, EVAL_ROWS)
     draws = _rng(trial_seed, STREAM_EVAL).random(evaluated)
     return int((draws < collision_prob).sum()), evaluated
 
@@ -231,8 +232,8 @@ def _pipeline_trial(args):
     remaining = np.delete(np.arange(m), perm[batch.source_rows])
     if not remaining.size:
         return 0, 0, len(detected), deleted_cols
-    _, rows, _ = match_counts(exp.c1, exp.c2.symbols[remaining], detected,
-                              MatcherConfig(epsilon=epsilon), dist)
+    _, rows = match_counts(exp.c1, exp.c2.symbols[remaining], detected,
+                           MatcherConfig(epsilon=epsilon), dist)
     wrong = count_mismatches(rows, perm, remaining)
     return wrong, remaining.size, len(detected), deleted_cols
 
@@ -296,8 +297,7 @@ def _run_sweep(command: str, cfg: ExperimentConfig, grid, specs, point, to_csv) 
                                 *wilson_interval(sums[0], sums[1])))
               for key, sums in zip(grid, totals)]
     if cfg.out:
-        header, rows = to_csv(points)
-        _emit(cfg.out, command, header, rows, _cfg_echo(cfg, command), cfg.master_seed,
+        _emit(cfg.out, command, to_csv(points), _cfg_echo(cfg, command), cfg.master_seed,
               tuple(seed_log), time.time() - started)
     return points
 
@@ -314,24 +314,24 @@ class RatePoint:
     regime_ok: bool
 
 
-def rates_csv(points):
+def rates_csv(points) -> str:
     rows = [(_fmt(p.delta), _fmt(p.alpha), _fmt(p.rate),
              "true" if p.regime_ok else "false") for p in points]
-    return "delta,alpha,rate,regime_ok", rows
+    return csv_text("delta,alpha,rate,regime_ok", rows)
 
 
 def run_rates(dist: Distribution, deltas, alphas, out: str = None) -> list:
     """Achievable-rate table over a (delta, alpha) grid."""
+    started = time.time()
     points = [RatePoint(d, a, achievable_rate(RateParams(dist, d, a)),
                         RateParams(dist, d, a).regime_ok)
               for a in alphas for d in deltas]
     if out:
-        header, rows = rates_csv(points)
-        _emit(out, "rates", header, rows,
+        _emit(out, "rates", rates_csv(points),
               config_echo=[("dist", _dist_echo(dist)),
                            ("deltas", ",".join(_fmt(d) for d in deltas)),
                            ("alphas", ",".join(_fmt(a) for a in alphas))],
-              master_seed=None, trial_seeds=())
+              master_seed=None, trial_seeds=(), elapsed=time.time() - started)
     return points
 
 
@@ -373,7 +373,7 @@ def run_simulate_match(cfg: ExperimentConfig) -> list:
             for n in cfg.n_values for m in [cfg.resolve_m(n)]]
     specs = [(_match_trial, (cfg.dist, n, m, cfg.delta, cfg.alpha, epsilon))
              if mode == "materialized" else
-             (_virtual_match_trial, (cfg.dist, n, m, cfg.delta, cfg.alpha, cfg.eval_rows))
+             (_virtual_match_trial, (cfg.dist, n, m, cfg.delta, cfg.alpha))
              for n, m, mode in grid]
 
     def point(key, sums, estimate):
@@ -384,11 +384,11 @@ def run_simulate_match(cfg: ExperimentConfig) -> list:
     return _run_sweep("simulate-match", cfg, grid, specs, point, match_csv)
 
 
-def match_csv(points):
+def match_csv(points) -> str:
     rows = [(str(p.n), _fmt(p.rate), _fmt(p.delta), _fmt(p.alpha),
              str(p.trials), _fmt(p.mismatch_rate), _fmt(p.ci_half_width))
             for p in points]
-    return "n,R,delta,alpha,trials,mismatch_rate,CI", rows
+    return csv_text("n,R,delta,alpha,trials,mismatch_rate,CI", rows)
 
 
 @dataclass(frozen=True)
@@ -436,10 +436,10 @@ def _detect_only_epsilon(cfg: ExperimentConfig) -> float:
     return 0.05 if cfg.detect_epsilon is None else cfg.detect_epsilon
 
 
-def detect_csv(points):
+def detect_csv(points) -> str:
     rows = [(str(p.n), str(p.B), _fmt(p.empirical_alpha),
              _fmt(p.ci_half_width), _fmt(p.bound)) for p in points]
-    return "n,B,empirical_alpha,CI,theorem2_bound", rows
+    return csv_text("n,B,empirical_alpha,CI,theorem2_bound", rows)
 
 
 @dataclass(frozen=True)
@@ -485,11 +485,11 @@ def run_pipeline(cfg: ExperimentConfig) -> list:
     return _run_sweep("pipeline", cfg, grid, specs, point, pipeline_csv)
 
 
-def pipeline_csv(points):
+def pipeline_csv(points) -> str:
     rows = [(str(p.n), str(p.B), _fmt(p.rate), _fmt(p.delta),
              _fmt(p.detected_fraction), _fmt(p.mismatch_rate),
              _fmt(p.ci_half_width)) for p in points]
-    return "n,B,R,delta,detected_fraction,mismatch_rate,CI", rows
+    return csv_text("n,B,R,delta,detected_fraction,mismatch_rate,CI", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +637,7 @@ def run_oracle_check(master_seed: int = 0, cases: int = 400) -> OracleReport:
     verbatim."""
     if cases < 1:
         raise ConfigError(f"cases must be >= 1, got {cases}")
+    check_range("seed", master_seed, hi=2 ** 64, error=ConfigError)
     suites = [
         ("embedding counts vs enumeration", check_counting(cases, master_seed)),
         ("posteriors: fb = naive = Bayes enumeration", check_posteriors(cases, master_seed)),
@@ -677,15 +678,19 @@ def _cfg_echo(cfg: ExperimentConfig, command: str) -> list:
         return echo + [("epsilon", repr(_detect_only_epsilon(cfg)))]
     echo.append(("epsilon", repr(cfg.matcher_epsilon())))
     echo.append(("detect_epsilon", repr(cfg.detector_epsilon())))
-    echo.append(("eval_rows", str(cfg.eval_rows)))
     echo.append(("override_guards", str(cfg.override_guards).lower()))
     return echo
 
 
-def _emit(out: str, command: str, header: str, rows, config_echo,
-          master_seed, trial_seeds, elapsed: float = 0.0) -> None:
-    csv_text = header + "\n" + "".join(",".join(r) + "\n" for r in rows)
-    data = csv_text.encode()
+def csv_text(header: str, rows) -> str:
+    """The one CSV serialisation: a header line, then one line per row of
+    already formatted fields."""
+    return header + "\n" + "".join(",".join(r) + "\n" for r in rows)
+
+
+def _emit(out: str, command: str, text: str, config_echo,
+          master_seed, trial_seeds, elapsed: float) -> None:
+    data = text.encode()
     digest = hashlib.sha256(data).hexdigest()
     lines = [
         f"artifact = delmatch {__version__}",
@@ -694,10 +699,11 @@ def _emit(out: str, command: str, header: str, rows, config_echo,
         f"elapsed_seconds = {elapsed:.3f}",
         f"csv_path = {out}",
         f"csv_sha256 = {digest}",
-        "seed_rule = trial_seed = SeedSequence([master_seed, point_index, "
-        "trial_index]) -> uint64; streams: 0 database, 1 channel, 2 batch, 3 eval",
     ]
     if master_seed is not None:
+        lines.append("seed_rule = trial_seed = SeedSequence([master_seed, point_index, "
+                     "trial_index]) -> uint64; streams: 0 database, 1 channel, 2 batch, "
+                     "3 eval")
         lines.append(f"master_seed = {master_seed}")
     lines.extend(f"config.{k} = {v}" for k, v in config_echo)
     lines.extend(f"trial_seed.{p}.{t} = {s}" for p, t, s in trial_seeds)

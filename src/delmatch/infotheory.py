@@ -68,35 +68,22 @@ def achievable_rate(params: RateParams) -> float:
     return max(0.0, inner)
 
 
-@dataclass(frozen=True)
-class TypicalityParams:
-    """Slack and expected length for a weak-typicality test."""
-
-    epsilon: float
-    length: int
-
-    def __post_init__(self):
-        check_range("epsilon", self.epsilon)
-        if self.length < 0:
-            raise ValueError("length must be >= 0")
-
-
-def is_typical(sequence, dist: Distribution, params: TypicalityParams) -> bool:
-    """Weak typicality: |-(1/L) log2 p(sequence) - H(X)| <= epsilon.
+def is_typical(sequence, dist: Distribution, epsilon: float) -> bool:
+    """Weak typicality of one sequence of length L:
+    |-(1/L) log2 p(sequence) - H(X)| <= epsilon.
 
     Probabilities accumulate in log space, so long sequences cannot
     underflow.  A zero-probability symbol makes the sequence atypical
     (its -log2 p is +inf) rather than raising.  The empty sequence is
     typical by convention.
     """
+    check_range("epsilon", epsilon)
     seq = np.asarray(sequence)
-    if seq.ndim != 1 or seq.shape[0] != params.length:
-        raise ValueError(f"sequence length {seq.shape} != declared {params.length}")
-    if params.length == 0:
-        return True
-    if seq.size and int(seq.max()) >= dist.alphabet_size:
-        raise ValueError("symbol index exceeds alphabet size")
-    return bool(typicality_mask(seq[None, :], dist, params.epsilon, axis=1)[0])
+    if seq.ndim != 1:
+        raise ValueError(f"sequence must be 1-d, got shape {seq.shape}")
+    if seq.size and (seq.min() < 0 or seq.max() >= dist.alphabet_size):
+        raise ValueError("symbol index outside the alphabet")
+    return bool(typicality_mask(seq[None, :], dist, epsilon, axis=1)[0])
 
 
 def typicality_mask(mat, dist: Distribution, epsilon: float, axis: int) -> np.ndarray:
@@ -178,9 +165,3 @@ def detection_probability_bound(n: int, B: int, delta: float,
     check_range("delta", delta, hi=1.0)
     check_range("epsilon", epsilon)
     return 1.0 - epsilon - n * 2.0 ** (-B * (entropy_bits - epsilon)) * (1.0 - delta)
-
-
-def detection_probability_bound_clamped(n: int, B: int, delta: float,
-                                        entropy_bits: float, epsilon: float) -> float:
-    """detection_probability_bound clipped to [0, 1]."""
-    return min(1.0, max(0.0, detection_probability_bound(n, B, delta, entropy_bits, epsilon)))

@@ -23,7 +23,6 @@ class MatchStatus(Enum):
     MATCHED = "matched"
     NO_CANDIDATE = "no_candidate"        # no row both typical and containing y
     COLLISION = "collision"              # two or more candidate rows
-    THRESHOLD = "threshold"              # K or |I_A| below the configured gate
 
 
 @dataclass(frozen=True)
@@ -38,15 +37,9 @@ class MatchOutcome:
 
 @dataclass(frozen=True)
 class MatcherConfig:
-    """Typicality slack plus the optional proof-style error gates.
-
-    min_retained gates on the observed column count K, min_detected on the
-    size of the detected-deletion set; both default to disabled.
-    """
+    """The matcher's typicality slack."""
 
     epsilon: float
-    min_retained: int = None
-    min_detected: int = None
 
     def __post_init__(self):
         check_range("epsilon", self.epsilon)
@@ -171,10 +164,9 @@ def match_counts(c1: Database, c2_rows, detected, cfg: MatcherConfig,
                  dist: Distribution):
     """The matcher's decisions for every observed row, as arrays.
 
-    Returns (counts, rows, gated): counts[j] is the number of typical c1
-    rows containing observed row j, rows[j] the c1 row where counts[j] is 1
-    and -1 elsewhere.  gated is True when K or the detected count is below
-    a configured gate; every count is then 0.
+    Returns (counts, rows): counts[j] is the number of typical c1 rows
+    containing observed row j, rows[j] the c1 row where counts[j] is 1 and
+    -1 elsewhere.
 
     With no undetected deletion left, containment is equality: one sort
     labels the typical restricted rows and the observed rows together, equal
@@ -191,9 +183,6 @@ def match_counts(c1: Database, c2_rows, detected, cfg: MatcherConfig,
     if observed_cols > width:
         raise ValueError(f"observed rows have {observed_cols} symbols but only "
                          f"{width} undetected columns remain")
-    if ((cfg.min_retained is not None and observed_cols < cfg.min_retained)
-            or (cfg.min_detected is not None and c1.n - width < cfg.min_detected)):
-        return np.zeros(count, dtype=np.int64), np.full(count, -1, dtype=np.int64), True
     restricted = c1.symbols[:, keep]
     candidates = np.flatnonzero(typicality_mask(restricted, dist, cfg.epsilon, axis=1))
     if observed_cols == width:
@@ -208,7 +197,7 @@ def match_counts(c1: Database, c2_rows, detected, cfg: MatcherConfig,
     rows = np.full(count, -1, dtype=np.int64)
     one = counts == 1
     rows[one] = candidates[first[one]]
-    return counts, rows, False
+    return counts, rows
 
 
 def match_all(c1: Database, c2_rows, detected, cfg: MatcherConfig,
@@ -221,9 +210,7 @@ def match_all(c1: Database, c2_rows, detected, cfg: MatcherConfig,
     match_counts'; with no undetected deletion they come from a sort-based
     labelling join of the typical restricted rows with the observed rows.
     """
-    counts, rows, gated = match_counts(c1, c2_rows, detected, cfg, dist)
-    if gated:
-        return [MatchOutcome(MatchStatus.THRESHOLD)] * counts.shape[0], {}
+    counts, rows = match_counts(c1, c2_rows, detected, cfg, dist)
     unmatched = (MatchOutcome(MatchStatus.NO_CANDIDATE), None,
                  MatchOutcome(MatchStatus.COLLISION))
     outcomes = [MatchOutcome(MatchStatus.MATCHED, row) if row >= 0

@@ -115,6 +115,7 @@ class Distribution:
 
     @classmethod
     def uniform(cls, q: int) -> "Distribution":
+        check_range("alphabet size", q, lo=2, hi=MAX_ALPHABET, closed=True)
         return cls((1.0 / q,) * q)
 
     def is_uniform(self) -> bool:

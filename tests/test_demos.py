@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the current package."""
+"""Every demo script, and the benchmark's check selftest, runs to completion
+against the current package."""
 
 import os
 import subprocess
@@ -11,11 +12,24 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_exits_0(demo):
+def _run(script: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
+    return subprocess.run([sys.executable, str(script)], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_exits_0(demo):
+    proc = _run(demo)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_perfbench_selftest_passes():
+    # The benchmark replays sweeps through library names (MatcherConfig,
+    # MatchStatus, match_all, detect_f, ...); a change that breaks one of
+    # them fails here rather than in every benchmark run.
+    proc = _run(ROOT / "perfbench" / "selftest.py")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.rstrip().endswith("selftest: all checks behave")

@@ -2,6 +2,8 @@ import dataclasses
 import errno
 import hashlib
 import math
+import time
+import types
 
 import numpy as np
 import pytest
@@ -45,10 +47,10 @@ def test_parse_grids():
 def test_parse_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment\ndist = bern:0.5\nn = 16\n\ndelta = 0.2\n"
-                    "detect-epsilon = 0.3\neval_rows = 7\n")
+                    "detect-epsilon = 0.3\noverride_guards = on\n")
     assert parse_config_file(str(path)) == {"dist": "bern:0.5", "n": "16",
                                             "delta": "0.2", "detect_epsilon": "0.3",
-                                            "eval_rows": "7"}
+                                            "override_guards": "on"}
     bad = tmp_path / "bad.cfg"
     bad.write_text("just words\n")
     with pytest.raises(ConfigError):
@@ -101,7 +103,10 @@ def test_rates_twenty_fold_gap():
     assert points["1.00"] / points["0.00"] == pytest.approx(20.7, abs=0.1)
 
 
-def test_rates_csv_and_manifest(tmp_path):
+def test_rates_csv_and_manifest(tmp_path, monkeypatch):
+    clock = iter([100.0, 101.25])
+    monkeypatch.setattr(harness, "time", types.SimpleNamespace(
+        time=lambda: next(clock), strftime=time.strftime, gmtime=time.gmtime))
     out = tmp_path / "rates.csv"
     run_rates(BERN, [0.0, 0.4], [0.0, 1.0], str(out))
     lines = out.read_text().splitlines()
@@ -111,6 +116,10 @@ def test_rates_csv_and_manifest(tmp_path):
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert f"csv_sha256 = {digest}" in manifest
     assert "command = rates" in manifest
+    assert "elapsed_seconds = 1.250\n" in manifest
+    # rates draws no random numbers, so it states no seed rule
+    assert not [line for line in manifest.splitlines()
+                if line.startswith(("seed_rule", "master_seed", "trial_seed"))]
 
 
 # -- simulate-match ---------------------------------------------------------------
@@ -162,7 +171,7 @@ def test_virtual_mode_engages_beyond_guard():
     assert 2 ** 18 * 64 > CELL_GUARD
     (p,) = run_simulate_match(cfg)
     assert p.mode == "virtual"
-    assert p.evaluated == 5 * cfg.eval_rows
+    assert p.evaluated == 5 * harness.EVAL_ROWS
 
 
 def test_virtual_trial_matches_materialized_statistically():
@@ -176,7 +185,7 @@ def test_virtual_trial_matches_materialized_statistically():
             w, e = _match_trial((BERN, n, m, delta, alpha, 0.1, seed))
             wrong_mat += w
             total_mat += e
-            w, e = _virtual_match_trial((BERN, n, m, delta, alpha, m, seed))
+            w, e = _virtual_match_trial((BERN, n, m, delta, alpha, seed))
             wrong_virt += w
             total_virt += e
         rate_mat = wrong_mat / total_mat
@@ -416,6 +425,67 @@ def test_cli_rejects_nan_distribution(capsys):
     assert "finite" in captured.err
 
 
+@pytest.mark.parametrize("q", ["0", "1", "257"])
+def test_cli_rejects_uniform_alphabet_out_of_range(capsys, q):
+    assert cli.main(["rates", "--dist", f"uniform:{q}", "--deltas", "0.4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: bad distribution spec 'uniform:{q}': "
+                            f"alphabet size must be in [2, 256], got {q}\n")
+
+
+def _no_sweep(*args):
+    raise AssertionError("trials ran")
+
+
+def test_cli_config_booleans_are_strict(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "_sweep", _no_sweep)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("override_guards = ture\n")
+    assert cli.main(["simulate-detect", "--config", str(cfgfile), "--n", "8",
+                     "--B", "4", "--delta", "0.3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "'ture'" in captured.err
+    words = {"1": True, "TRUE": True, "yes": True, "on": True,
+             "0": False, "false": False, " No ": False, "off": False}
+    assert {w: cli._parse_bool(w) for w in words} == words
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+@pytest.mark.parametrize("command", [
+    ["simulate-match", "--n", "8", "--m", "16", "--delta", "0.2", "--alpha", "1"],
+    ["simulate-detect", "--n", "8", "--B", "4", "--delta", "0.3"],
+    ["pipeline", "--n", "8", "--m", "16", "--delta", "0.2", "--B", "2"],
+    ["oracle-check", "--cases", "2"],
+])
+def test_cli_rejects_seed_outside_64_bits(capsys, monkeypatch, command, seed):
+    # -1 and 2^64 would alias 2^64 - 1 and 0 in the seed derivation
+    monkeypatch.setattr(harness, "_sweep", _no_sweep)
+    monkeypatch.setattr(harness, "check_counting", _no_sweep)
+    assert cli.main(command + ["--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: seed must be in [0, ")
+    assert captured.err.endswith(f"got {seed}\n") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["rates", "--deltas", "0:0.9:4", "--alphas", "0,1"],
+    ["simulate-match", "--n", "8", "--m", "16", "--delta", "0.2", "--alpha", "0.5",
+     "--trials", "3"],
+    ["simulate-detect", "--n", "8", "--B", "4", "--delta", "0.3", "--trials", "3"],
+    ["pipeline", "--n", "8", "--m", "16", "--delta", "0.2", "--B", "0,2",
+     "--trials", "3"],
+])
+def test_cli_stdout_equals_out_file(tmp_path, capsys, args):
+    assert cli.main(args) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.csv"
+    assert cli.main(args + ["--out", str(out)]) == 0
+    assert printed.encode() == out.read_bytes()
+
+
 @pytest.mark.parametrize("bad, message", [
     (["--m", "16", "--epsilon", "nan"], "epsilon must be finite"),
     (["--m", "16", "--epsilon", "-0.5"], "epsilon must be finite"),
@@ -581,12 +651,12 @@ def test_cli_config_key_spellings(tmp_path):
     csvs = []
     for key in ("detect-epsilon", "detect_epsilon"):
         cfgfile.write_text("dist = bern:0.5\nn = 16\nrate = 0.25\ndelta = 0.3\n"
-                           f"B = 4\ntrials = 2\n{key} = 0.2\neval-rows = 7\n")
+                           f"B = 4\ntrials = 2\n{key} = 0.2\noverride-guards = yes\n")
         out = tmp_path / f"{key}.csv"
         assert cli.main(["pipeline", "--config", str(cfgfile), "--out", str(out)]) == 0
         manifest = (tmp_path / f"{key}.csv.manifest.txt").read_text()
         assert "config.detect_epsilon = 0.2\n" in manifest
-        assert "config.eval_rows = 7\n" in manifest
+        assert "config.override_guards = true\n" in manifest
         csvs.append(out.read_bytes())
     assert csvs[0] == csvs[1]
 

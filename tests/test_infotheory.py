@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from delmatch import (Distribution, entropy, binary_entropy, RateParams,
-                      achievable_rate, TypicalityParams, is_typical,
+                      achievable_rate, is_typical,
                       supersequence_count_exact, supersequence_count_bound,
-                      min_seed_batch_size, detection_probability_bound,
-                      detection_probability_bound_clamped)
+                      min_seed_batch_size, detection_probability_bound)
 from delmatch.infotheory import typicality_mask
 
 
@@ -124,40 +123,42 @@ def test_rate_regime_flag():
 def test_uniform_sequences_always_typical():
     dist = Distribution.bernoulli(0.5)
     for seq in ([0, 0, 0], [1, 0, 1], [1, 1, 1, 1, 1, 1]):
-        assert is_typical(seq, dist, TypicalityParams(0.0, len(seq)))
+        assert is_typical(seq, dist, 0.0)
 
 
 def test_exact_empirical_match_is_typical():
     dist = Distribution((0.8, 0.2))
-    assert is_typical([0, 0, 0, 0, 1], dist, TypicalityParams(0.1, 5))
+    assert is_typical([0, 0, 0, 0, 1], dist, 0.1)
 
 
 def test_skewed_sequence_atypical():
     dist = Distribution((0.8, 0.2))
     # score 0.321928 differs from H = 0.721928 by 0.4 > 0.1
-    assert not is_typical([0, 0, 0, 0, 0], dist, TypicalityParams(0.1, 5))
+    assert not is_typical([0, 0, 0, 0, 0], dist, 0.1)
 
 
 def test_zero_probability_symbol_atypical():
     dist = Distribution((0.5, 0.5, 0.0))
-    assert not is_typical([0, 2], dist, TypicalityParams(10.0, 2))
+    assert not is_typical([0, 2], dist, 10.0)
 
 
 def test_typicality_length_checked():
+    # one 1-d sequence of symbol indices inside the alphabet
     dist = Distribution.bernoulli(0.5)
-    with pytest.raises(ValueError):
-        is_typical([0, 1], dist, TypicalityParams(0.1, 3))
+    for bad in ([[0, 1]], [0, 2], [-1, 0]):
+        with pytest.raises(ValueError):
+            is_typical(bad, dist, 0.1)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
 def test_typicality_params_reject_bad_epsilon(bad):
     # a NaN slack would make every sequence atypical
     with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
-        TypicalityParams(bad, 2)
+        is_typical([0, 1], Distribution.bernoulli(0.5), bad)
 
 
 def test_empty_sequence_typical():
-    assert is_typical([], Distribution((0.8, 0.2)), TypicalityParams(0.0, 0))
+    assert is_typical([], Distribution((0.8, 0.2)), 0.0)
 
 
 @pytest.mark.parametrize("q", [3, 6, 7, 200])
@@ -167,7 +168,7 @@ def test_uniform_lines_typical_at_epsilon_zero_along_either_axis(q):
     mat = np.random.default_rng(q).integers(0, q, size=(9, 13))
     assert typicality_mask(mat, dist, 0.0, axis=1).tolist() == [True] * 9
     assert typicality_mask(mat, dist, 0.0, axis=0).tolist() == [True] * 13
-    assert all(is_typical(row, dist, TypicalityParams(0.0, 13)) for row in mat)
+    assert all(is_typical(row, dist, 0.0) for row in mat)
     assert typicality_mask(mat[:0], dist, 0.0, axis=0).tolist() == [True] * 13
 
 
@@ -182,7 +183,7 @@ def test_typicality_matches_direct_inequality():
         score = -sum(log2(dist.probabilities[int(s)]) for s in seq) / length
         if abs(abs(score - h) - eps) < 1e-9:
             continue  # boundary case: float evaluation order may disagree
-        assert is_typical(seq, dist, TypicalityParams(eps, length)) == \
+        assert is_typical(seq, dist, eps) == \
             (abs(score - h) <= eps)
 
 
@@ -302,7 +303,6 @@ def test_detection_bound_rejects_bad_delta(bad):
         detection_probability_bound(8, 4, bad, 1.0, 0.1)
 
 
-def test_detection_bound_clamped():
-    raw = detection_probability_bound(256, 2, 0.25, 1.0, 0.05)
-    assert raw < 0.0
-    assert detection_probability_bound_clamped(256, 2, 0.25, 1.0, 0.05) == 0.0
+def test_detection_bound_can_be_negative():
+    # a trivial bound is reported as-is, not clipped to [0, 1]
+    assert detection_probability_bound(256, 2, 0.25, 1.0, 0.05) < 0.0

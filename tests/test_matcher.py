@@ -66,17 +66,6 @@ def test_match_row_length_guard():
         match_row([0, 1], c1, [0], MatcherConfig(epsilon=0.5), BERN)
 
 
-def test_match_row_thresholds():
-    c1 = _db([[0, 1, 1]])
-    cfg = MatcherConfig(epsilon=0.5, min_retained=3)
-    assert match_row([0, 1], c1, [], cfg, BERN).status is MatchStatus.THRESHOLD
-    cfg = MatcherConfig(epsilon=0.5, min_detected=1)
-    assert match_row([0, 1], c1, [], cfg, BERN).status is MatchStatus.THRESHOLD
-    # satisfied gates fall through to normal matching
-    cfg = MatcherConfig(epsilon=0.5, min_retained=2, min_detected=1)
-    assert match_row([0, 1], c1, [2], cfg, BERN).is_match
-
-
 def test_match_row_order_invariance():
     rng = np.random.default_rng(5)
     rows = rng.integers(0, 2, size=(6, 10)).astype(np.uint8)
@@ -181,10 +170,6 @@ SKEWED = Distribution((0.75, 0.25))
 def _brute_force(c1, y, detected, cfg, dist):
     """Typicality by math.log2 and containment by is_subsequence, row by row."""
     keep = [j for j in range(c1.n) if j not in set(detected)]
-    if cfg.min_retained is not None and len(y) < cfg.min_retained:
-        return MatchOutcome(MatchStatus.THRESHOLD)
-    if cfg.min_detected is not None and c1.n - len(keep) < cfg.min_detected:
-        return MatchOutcome(MatchStatus.THRESHOLD)
     h = sum(-p * math.log2(p) for p in dist.probabilities if p > 0)
     candidates = []
     for i, row in enumerate(c1.symbols.tolist()):
@@ -217,9 +202,7 @@ def _u0_instances(draw):
     observed = [[row[j] for j in keep] for row in rows]  # every true row
     observed += draw(st.lists(st.lists(symbol, min_size=len(keep),
                                        max_size=len(keep)), max_size=3))
-    gate = st.one_of(st.none(), st.integers(0, n + 1))
-    cfg = MatcherConfig(epsilon=draw(st.sampled_from([0.05, 0.3, 1.0])),
-                        min_retained=draw(gate), min_detected=draw(gate))
+    cfg = MatcherConfig(epsilon=draw(st.sampled_from([0.05, 0.3, 1.0])))
     c2_rows = np.array(observed, dtype=np.uint8).reshape(len(observed), len(keep))
     return c1, c2_rows, detected, cfg, dist
 
@@ -269,20 +252,6 @@ def test_hash_join_width_zero():
         MatchStatus.MATCHED, 0)
     two = _db([[1, 0, 1], [0, 0, 1]])
     assert match_row([], two, [0, 1, 2], cfg, BERN).status is MatchStatus.COLLISION
-    gated = MatcherConfig(epsilon=0.0, min_retained=1)
-    assert match_row([], two, [0, 1, 2], gated, BERN).status is MatchStatus.THRESHOLD
-
-
-def test_hash_join_threshold_gates():
-    c1 = _db([[0, 1, 1], [1, 1, 0]])
-    y, detected = [[0, 1], [1, 1]], [2]
-    for cfg in (MatcherConfig(epsilon=1.0, min_retained=3),
-                MatcherConfig(epsilon=1.0, min_detected=2)):
-        outcomes, matched = match_all(c1, y, detected, cfg, BERN)
-        assert outcomes == [MatchOutcome(MatchStatus.THRESHOLD)] * 2
-        assert matched == {}
-    cfg = MatcherConfig(epsilon=1.0, min_retained=2, min_detected=1)
-    assert match_all(c1, y, detected, cfg, BERN)[1] == {0: 0, 1: 1}
 
 
 def test_containment_decides_at_u1():
@@ -319,9 +288,7 @@ def _hidden_instances(draw):
     observed = [row[np.sort(rng.choice(keep, size=k, replace=False))]
                 for row in rows]
     observed += list(rng.integers(0, q, size=(draw(st.integers(0, 3)), k)))
-    gate = st.one_of(st.none(), st.integers(0, n + 1))
-    cfg = MatcherConfig(epsilon=draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])),
-                        min_retained=draw(gate), min_detected=draw(gate))
+    cfg = MatcherConfig(epsilon=draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])))
     c2_rows = np.array(observed, dtype=np.uint8).reshape(len(observed), k)
     return Database(rows, q), c2_rows, detected, cfg, dist
 
@@ -364,22 +331,17 @@ def test_containing_sets_equal_is_subsequence(monkeypatch, m, source_words, obs_
 # -- the array-valued core ---------------------------------------------------------
 
 def _brute_force_candidates(c1, y, detected, cfg, dist):
-    """The typical c1 rows containing y, from _brute_force on each row alone,
-    or None when a gate applies."""
-    if _brute_force(c1, y, detected, cfg, dist).status is MatchStatus.THRESHOLD:
-        return None
+    """The typical c1 rows containing y, from _brute_force on each row alone."""
     return [i for i in range(c1.m)
             if _brute_force(_db(c1.symbols[i:i + 1], c1.q), y, detected, cfg,
                             dist).is_match]
 
 
 def _assert_counts_equal_brute_force(c1, c2_rows, detected, cfg, dist):
-    counts, rows, gated = match_counts(c1, c2_rows, detected, cfg, dist)
+    counts, rows = match_counts(c1, c2_rows, detected, cfg, dist)
     assert counts.shape == rows.shape == (np.asarray(c2_rows).shape[0],)
     for j, y in enumerate(np.asarray(c2_rows, dtype=np.uint8)):
         candidates = _brute_force_candidates(c1, y.tolist(), detected, cfg, dist)
-        assert gated == (candidates is None)
-        candidates = candidates or []
         assert counts[j] == len(candidates)
         assert rows[j] == (candidates[0] if len(candidates) == 1 else -1)
 
@@ -388,7 +350,7 @@ def _assert_counts_equal_brute_force(c1, c2_rows, detected, cfg, dist):
 @given(st.one_of(_u0_instances(), _hidden_instances()))
 def test_match_counts_equal_brute_force(instance):
     # u = 0 (labelling join) and u > 0 (containment kernel), with planted
-    # duplicate rows, width 0 and the THRESHOLD gates
+    # duplicate rows and width 0
     _assert_counts_equal_brute_force(*instance)
 
 
@@ -397,7 +359,7 @@ def test_match_counts_equal_brute_force(instance):
     ([[0, 0, 0], [0, 1, 1], [0, 0, 0]], [[0, 0, 0], [0, 1, 1]], [],
      MatcherConfig(epsilon=0.05)),
     ([[0, 0, 1, 1], [0, 1, 1, 0]], [[0, 1], [1, 1]], [],
-     MatcherConfig(epsilon=0.05, min_retained=0)),
+     MatcherConfig(epsilon=0.05)),
     # width 0: every typical row equals the empty observation
     ([[1, 0, 1], [0, 0, 1]], [[], []], [0, 1, 2], MatcherConfig(epsilon=1.0)),
     ([[1, 0, 1]], [[]], [0, 1, 2], MatcherConfig(epsilon=0.0)),
@@ -405,11 +367,9 @@ def test_match_counts_equal_brute_force(instance):
     ([[0, 0, 0, 1], [0, 0, 0, 1], [1, 1, 1, 1], [1, 1, 1, 1], [0, 1, 0, 0]],
      [[0, 0, 0, 1], [1, 1, 1, 1], [0, 1, 0, 0], [1, 0, 0, 0]], [],
      MatcherConfig(epsilon=0.3)),
-    # both gates, at u = 0 and at u = 1
-    ([[0, 1, 1], [1, 1, 0]], [[0, 1], [1, 1]], [2],
-     MatcherConfig(epsilon=1.0, min_retained=3)),
-    ([[0, 1, 1], [1, 1, 0]], [[0, 1], [1, 1]], [],
-     MatcherConfig(epsilon=1.0, min_detected=1)),
+    # u = 0: a match and an atypical row; u = 1: a match and a collision
+    ([[0, 1, 1], [1, 1, 0]], [[0, 1], [1, 1]], [2], MatcherConfig(epsilon=1.0)),
+    ([[0, 1, 1], [1, 1, 0]], [[0, 1], [1, 1]], [], MatcherConfig(epsilon=1.0)),
 ])
 def test_match_counts_edge_cases(rows, observed, detected, cfg):
     c1 = _db(rows)

@@ -110,13 +110,21 @@ def _out_path(path: str) -> str:
 
 
 def _get(args, cfgmap, key, conv=None, default=None, required=False):
-    """A flag, else the config file's key, else the default."""
-    val = getattr(args, key, None)
-    if val is None:
-        val = cfgmap.get(key, DEFAULTS.get(key, default))
+    """A flag, else the config file's key, else the default.  The key is
+    taken out of cfgmap, so the keys left there were never read."""
+    val = cfgmap.pop(key, DEFAULTS.get(key, default))
+    if getattr(args, key, None) is not None:
+        val = getattr(args, key)
     if val is None and required:
         raise ConfigError(f"missing required option --{key}")
     return conv(val) if conv and val is not None else val
+
+
+def _refuse_unread(args, cfgmap):
+    """A config key the command did not read is misspelt or not its own."""
+    if cfgmap:
+        raise ConfigError(f"unknown config key(s) for {args.command}: "
+                          + ", ".join(sorted(cfgmap)))
 
 
 def cmd_rates(args, cfgmap) -> int:
@@ -124,6 +132,7 @@ def cmd_rates(args, cfgmap) -> int:
     deltas = parse_float_grid(str(_get(args, cfgmap, "deltas")))
     alphas = parse_float_grid(str(_get(args, cfgmap, "alphas")))
     out = _get(args, cfgmap, "out", _out_path)
+    _refuse_unread(args, cfgmap)
     points = run_rates(dist, deltas, alphas, out)
     if out:
         print(f"wrote {len(points)} rate points to {out}")
@@ -152,20 +161,23 @@ def _sweep_config(args, cfgmap) -> ExperimentConfig:
         delta=_get(args, cfgmap, "delta", float, required=True),
         trials=_get(args, cfgmap, "trials", int),
         master_seed=_get(args, cfgmap, "seed", int),
-        rate=_get(args, cfgmap, "rate", float),
-        m=_get(args, cfgmap, "m", int),
         epsilon=_get(args, cfgmap, "epsilon", float),
-        detect_epsilon=_get(args, cfgmap, "detect_epsilon", float),
         out=_get(args, cfgmap, "out", _out_path),
         threads=_get(args, cfgmap, "threads", int),
-        override_guards=_get(args, cfgmap, "override_guards", _parse_bool, default=False),
     )
+    if args.command == "simulate-detect":  # no matcher: --epsilon is the detector's
+        kw["detect_epsilon"] = kw["epsilon"]
+    else:
+        kw.update(rate=_get(args, cfgmap, "rate", float), m=_get(args, cfgmap, "m", int),
+                  override_guards=_get(args, cfgmap, "override_guards", _parse_bool,
+                                       default=False))
     if args.command == "simulate-match":
         kw["alpha"] = _get(args, cfgmap, "alpha", float, required=True)
     else:
         kw["batch_sizes"] = parse_int_list(_get(args, cfgmap, "B", required=True))
-    if args.command == "simulate-detect":  # no matcher: --epsilon is the detector's
-        kw["detect_epsilon"] = kw["epsilon"]
+    if args.command == "pipeline":
+        kw["detect_epsilon"] = _get(args, cfgmap, "detect_epsilon", float)
+    _refuse_unread(args, cfgmap)
     return ExperimentConfig(**kw)
 
 
@@ -198,6 +210,7 @@ def cmd_oracle_check(args, cfgmap) -> int:
     seed = _get(args, cfgmap, "seed", int)
     cases = _get(args, cfgmap, "cases", int)
     out = _get(args, cfgmap, "out", _out_path)
+    _refuse_unread(args, cfgmap)
     report = run_oracle_check(seed, cases)
     lines = [f"{'ok  ' if ok else 'FAIL'} {name}" for name, ok in report.suites]
     lines += [f"counterexample: {msg}" for msg in report.failures]

@@ -41,9 +41,19 @@ class Verdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+def _integer_matrix(d):
+    """d as a 2-d integer matrix; integral floats (an empty list reads as
+    float64) become int64, and any other entry is refused."""
+    d = np.atleast_2d(np.asarray(d))
+    with np.errstate(invalid="ignore"):  # NaN and out-of-range values fail ==
+        ints = d if d.dtype.kind in "biu" else d.astype(np.int64)
+    if ints is not d and not (ints == d).all():
+        raise ValueError(f"symbols must be integers in the int64 range, got {d.dtype}")
+    return ints
+
+
 def _as_batch_matrices(d1, d2):
-    d1 = np.atleast_2d(np.asarray(d1))
-    d2 = np.atleast_2d(np.asarray(d2))
+    d1, d2 = _integer_matrix(d1), _integer_matrix(d2)
     if d1.shape[0] != d2.shape[0]:
         raise ValueError(f"row counts differ: {d1.shape[0]} vs {d2.shape[0]}")
     return d1, d2

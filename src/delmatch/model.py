@@ -45,8 +45,9 @@ def check_range(name: str, value, lo: float = 0.0, hi: float = math.inf,
     fails every comparison, so it is rejected too; hi = inf means "finite
     and >= lo"."""
     if not (lo <= value <= hi if closed else lo <= value < hi):
-        bounds = (f"finite and >= {lo:g}" if hi == math.inf
-                  else f"in [{lo:g}, {hi:g}{']' if closed else ')'}")
+        lo, hi = (format(b, "d" if isinstance(b, int) else "g") for b in (lo, hi))
+        bounds = (f"finite and >= {lo}" if hi == "inf"
+                  else f"in [{lo}, {hi}{']' if closed else ')'}")
         raise error(f"{name} must be {bounds}, got {value}")
 
 
@@ -61,25 +62,46 @@ def _flag_vector(flags) -> np.ndarray:
     flags = np.asarray(flags)
     if flags.ndim != 1:
         raise ValueError("flags must be a 1-d bit vector")
-    if flags.size and not np.isin(flags, (0, 1)).all():
+    if not ((flags == 0) | (flags == 1)).all():
         raise ValueError("flags must be 0/1")
     return _frozen(flags, np.uint8)
 
 
 def _column_ids(d1, d2):
-    """Label columns so that two columns get the same id iff they are equal
-    entrywise over all rows (seed-batch columns, or transposed rows).  Ids
-    come from a sort-based grouping, not hashing, so equality is exact."""
-    n, k = d1.shape[1], d2.shape[1]
-    stacked = np.concatenate([d1, d2], axis=1)
-    if stacked.size == 0:  # no columns, or no rows to tell columns apart
+    """Label the columns of two integer matrices so that two columns get the
+    same id iff they are equal entrywise over all rows (seed-batch columns,
+    or transposed rows).  Ids are lexicographic ranks, from a sort of each
+    column packed into 64-bit words: (value - min) at bit_length(max - min)
+    bits per row, first row highest.  There is no hashing, so equality is
+    exact."""
+    (rows, n), k = d1.shape, d2.shape[1]
+    if rows == 0 or n + k == 0:  # no columns, or no rows to tell columns apart
         return np.zeros(n, dtype=np.int64), np.zeros(k, dtype=np.int64)
-    # Sort the columns lexicographically, first row first, and number each
-    # run of equal neighbours.
-    order = np.lexsort(stacked[::-1])
-    ranked = stacked[:, order]
+    # Each matrix apart: uint64 beside int64 would concatenate to float64.
+    ends = [int(f()) for d in (d1, d2) if d.size for f in (d.min, d.max)]
+    lo, bits = min(ends), max(1, (max(ends) - min(ends)).bit_length())
+    if bits > 64:
+        raise ValueError("symbols must span less than 2^64")
+    words = -(-rows // (64 // bits))
+    per = -(-rows // words)  # rows per word; zero rows pad the last word
+    shifts = np.arange(bits * (per - 1), -1, -bits, dtype=np.uint64)[:, None]
+    keys = np.empty((words, n + k), dtype=np.uint64)
+    for start, d in ((0, d1), (n, d2)):
+        for c in range(0, d.shape[1], 1024):  # column blocks keep temporaries small
+            part = d[:, c:c + 1024]
+            block = np.zeros((words * per, part.shape[1]), dtype=np.uint64)
+            # uint64 arithmetic wraps, so value - lo is exact for int64 and uint64
+            np.subtract(part, np.uint64(lo % 2 ** 64), out=block[:rows],
+                        dtype=np.uint64, casting="unsafe")
+            block = block.reshape(words, per, -1)
+            block <<= shifts
+            keys[:, start + c:start + c + part.shape[1]] = block.sum(axis=1, dtype=np.uint64)
+    # Sort, then number each run of equal neighbours.
+    order = np.argsort(keys[0]) if words == 1 else np.lexsort(keys[::-1])
+    ranked = keys[:, order]
     ids = np.empty(n + k, dtype=np.int64)
-    ids[order] = np.cumsum(np.r_[False, np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)])
+    change = np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)
+    ids[order] = np.cumsum(np.concatenate(([False], change)))
     return ids[:n], ids[n:]
 
 
@@ -297,9 +319,18 @@ class SeedBatch:
 
 
 def _symbols(dist: Distribution, shape, seed: int, *path: int) -> np.ndarray:
-    """A uint8 array of i.i.d. symbols from dist, drawn from stream (seed, *path)."""
-    return _rng(seed, *path).choice(dist.alphabet_size, size=shape,
-                                    p=dist.probabilities).astype(np.uint8)
+    """A uint8 array of i.i.d. symbols from dist, drawn from stream (seed, *path).
+
+    This is numpy's Generator.choice(q, size=shape, p=...) recomputed byte
+    for byte, as a test checks: each symbol is the number of normalised cdf
+    entries at or below its uniform draw, counted by q - 1 comparisons."""
+    cdf = np.cumsum(dist.probabilities)
+    cdf /= cdf[-1]
+    draws = _rng(seed, *path).random(shape)
+    out = np.zeros(shape, dtype=np.uint8)
+    for edge in cdf[:-1]:
+        out += (draws >= edge).view(np.uint8)
+    return out
 
 
 def _channel_pattern(n: int, delta: float, alpha: float, seed: int):

@@ -256,6 +256,51 @@ def test_certain_masks_equal_exact_posteriors(batch):
     assert cret.tolist() == [p == 0 for p in posts]
 
 
+@st.composite
+def _label_inputs(draw):
+    """(d1, d2) whose columns repeat from a small pool, so equal columns are
+    common: uint8, or int64 with negative values and values above 255, up to
+    70 rows, so narrow values need several 64-bit words per column, and up to
+    2200 columns."""
+    dtype, lo, hi = draw(st.sampled_from([(np.uint8, 0, 255),
+                                          (np.int64, -2 ** 63, 2 ** 63 - 1)]))
+    values = np.array(draw(st.lists(st.integers(lo, hi), min_size=1, max_size=4,
+                                    unique=True)), dtype=dtype)
+    rows, pool = draw(st.integers(0, 70)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns = values[rng.integers(0, values.size, (rows, pool))]
+    widths = st.integers(0, 8) | st.integers(500, 1100)  # some span column blocks
+    n, k = draw(widths), draw(widths)
+    stacked = columns[:, rng.integers(0, pool, n + k)]
+    return stacked[:, :n], stacked[:, n:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_label_inputs())
+def test_column_ids_are_lexicographic_ranks(batch):
+    d1, d2 = batch
+    ids1, ids2 = _column_ids(d1, d2)
+    columns = [tuple(c) for c in np.concatenate([d1, d2], axis=1).T.tolist()]
+    rank = {c: i for i, c in enumerate(sorted(set(columns)))}
+    assert ids1.dtype == ids2.dtype == np.int64
+    assert ids1.tolist() + ids2.tolist() == [rank[c] for c in columns]
+
+
+def test_batch_entries_must_be_integers():
+    assert count_embeddings([[1, 2]], [[]]) == 1  # an empty list reads as float
+    assert count_embeddings([[0., 1.]], [[1.]]) == 1  # integral floats are integers
+    # uint64 beside int64 stays exact (concatenated, the pair would be float64,
+    # which cannot tell 2^62 from 2^62 + 1)
+    big = 2 ** 62
+    assert count_embeddings(np.array([[big, big + 1, big]], np.uint64), [[big + 1]]) == 1
+    assert count_embeddings(np.array([[0, 1]], np.uint64), [[-1]]) == 0
+    for bad in ([[0.5, 0.7]], [[np.nan, 0.7]], [[1e300, 0.7]]):
+        with pytest.raises(ValueError, match="integers"):
+            certain_verdict_masks(bad, [[0.7]])
+    with pytest.raises(ValueError, match="span"):
+        count_embeddings(np.array([[2 ** 64 - 1]], np.uint64), [[-1]])
+
+
 @settings(max_examples=300, deadline=None)
 @given(_batches(max_n=20))
 def test_column_ids_group_like_unique(batch):

@@ -442,7 +442,7 @@ def test_cli_config_booleans_are_strict(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(harness, "_sweep", _no_sweep)
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("override_guards = ture\n")
-    assert cli.main(["simulate-detect", "--config", str(cfgfile), "--n", "8",
+    assert cli.main(["pipeline", "--config", str(cfgfile), "--n", "8",
                      "--B", "4", "--delta", "0.3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -659,6 +659,36 @@ def test_cli_config_key_spellings(tmp_path):
         assert "config.override_guards = true\n" in manifest
         csvs.append(out.read_bytes())
     assert csvs[0] == csvs[1]
+
+
+@pytest.mark.parametrize("command, line", [
+    (["simulate-match", "--n", "8", "--m", "16", "--delta", "0.2", "--alpha", "1"],
+     "override-gaurds = yes"),  # misspelt
+    (["simulate-match", "--n", "8", "--m", "16", "--delta", "0.2", "--alpha", "1"],
+     "eval_rows = 7"),  # removed
+    (["pipeline", "--n", "8", "--m", "16", "--delta", "0.2", "--B", "4"],
+     "alpha = 0.5"),  # simulate-match's, not the pipeline's
+    (["simulate-match", "--n", "8", "--m", "16", "--delta", "0.2", "--alpha", "1"],
+     "detect_epsilon = 0.1"),  # no detector
+    (["simulate-detect", "--n", "8", "--B", "4", "--delta", "0.2"],
+     "detect_epsilon = 0.1"),  # simulate-detect's detector slack is epsilon
+    (["simulate-detect", "--n", "8", "--B", "4", "--delta", "0.2"], "m = 100"),
+    (["simulate-detect", "--n", "8", "--B", "4", "--delta", "0.2"],
+     "override_guards = yes"),  # no matcher to guard
+    (["rates"], "trials = 5"),
+    (["oracle-check"], "threads = 2"),
+])
+def test_cli_refuses_unread_config_keys(tmp_path, capsys, monkeypatch, command, line):
+    monkeypatch.setattr(harness, "_sweep", _no_sweep)
+    monkeypatch.setattr(harness, "check_counting", _no_sweep)
+    monkeypatch.setattr(cli, "run_rates", _no_sweep)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{line}\n")
+    assert cli.main(command + ["--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    key = line.split("=")[0].strip().replace("-", "_")
+    assert captured.out == ""
+    assert captured.err == f"error: unknown config key(s) for {command[0]}: {key}\n"
 
 
 def test_cli_check_failure_exit_code(capsys):

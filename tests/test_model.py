@@ -4,14 +4,14 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from delmatch import (Distribution, Database, DeletionPattern, DetectionPattern,
                       Labeling, DeletionExperiment, sample_database,
                       apply_deletion_channel, extract_seed_batch,
                       database_to_csv, database_from_csv, save_experiment,
                       load_experiment)
-from delmatch.model import check_range
+from delmatch.model import MAX_ALPHABET, _symbols, check_range
 
 
 def test_degenerate_alphabet_rejected():
@@ -51,6 +51,53 @@ def test_check_range():
     for bad in (nan, inf, -inf, -1.0):
         with pytest.raises(Refused, match="epsilon must be finite and >= 0, got"):
             check_range("epsilon", bad, error=Refused)
+
+
+def test_check_range_prints_integer_bounds_exactly():
+    with pytest.raises(ValueError) as info:
+        check_range("seed", -1, hi=2 ** 64)
+    assert str(info.value) == "seed must be in [0, 18446744073709551616), got -1"
+    with pytest.raises(ValueError) as info:
+        check_range("alphabet size", 300, lo=2, hi=MAX_ALPHABET, closed=True)
+    assert str(info.value) == "alphabet size must be in [2, 256], got 300"
+
+
+@st.composite
+def _pmfs(draw):
+    """Distributions over q = 2..256 symbols from integer weights, with zero
+    weights at both ends or one dominant symbol in some of them."""
+    q = draw(st.integers(2, MAX_ALPHABET))
+    weights = draw(st.lists(st.integers(0, 1000), min_size=q, max_size=q))
+    kind = draw(st.sampled_from(["any", "zero ends", "dominant"]))
+    if kind == "zero ends" and q > 2:
+        weights[0] = weights[-1] = 0
+    if kind == "dominant" or not any(weights):
+        weights[draw(st.integers(0, q - 1))] = 10 ** 9
+    total = sum(weights)
+    return Distribution(tuple(w / total for w in weights))
+
+
+_SHAPES = st.one_of(
+    st.tuples(st.just(1), st.integers(0, 64)),       # one row
+    st.tuples(st.integers(2, 16), st.integers(1, 64)),  # a seed batch
+    st.tuples(st.integers(17, 600), st.integers(1, 64)),  # a database
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pmfs(), _SHAPES, st.integers(0, 2 ** 64 - 1),
+       st.lists(st.integers(0, 2 ** 32 - 1), max_size=2))
+@example(Distribution.uniform(256), (600, 64), 0, [])  # comparisons at q = 256
+@example(Distribution.uniform(256), (1, 64), 0, [1])   # 255 passes over one row
+@example(Distribution((0.0, 0.5, 0.0, 0.5, 0.0)), (2048, 32), 7, [0])
+def test_symbols_equal_numpy_choice(dist, shape, seed, path):
+    # The symbol draw recomputes Generator.choice; any drift from numpy's own
+    # choice (in the draw or in numpy) changes every sampled database.
+    expected = np.random.default_rng(np.random.SeedSequence([seed, *path])).choice(
+        dist.alphabet_size, size=shape, p=dist.probabilities).astype(np.uint8)
+    got = _symbols(dist, shape, seed, *path)
+    assert got.dtype == np.uint8 and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_distribution_helpers():

@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .model import Distribution, SeedBatch, _column_ids, _rng, _symbols
+from .model import Distribution, SeedBatch, _column_ids, _exact_cast, _rng, _symbols
 from .infotheory import typicality_mask
 
 BRUTE_FORCE_PATTERN_GUARD = 10 ** 6
@@ -45,11 +45,7 @@ def _integer_matrix(d):
     """d as a 2-d integer matrix; integral floats (an empty list reads as
     float64) become int64, and any other entry is refused."""
     d = np.atleast_2d(np.asarray(d))
-    with np.errstate(invalid="ignore"):  # NaN and out-of-range values fail ==
-        ints = d if d.dtype.kind in "biu" else d.astype(np.int64)
-    if ints is not d and not (ints == d).all():
-        raise ValueError(f"symbols must be integers in the int64 range, got {d.dtype}")
-    return ints
+    return d if d.dtype.kind in "biu" else _exact_cast(d, np.int64, "symbols")
 
 
 def _as_batch_matrices(d1, d2):

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .model import (Database, DeletionExperiment, Distribution, Labeling, _column_ids,
-                    check_range)
+                    _exact_cast, check_range)
 from .infotheory import entropy, typicality_mask
 
 
@@ -57,7 +57,10 @@ def is_subsequence(y, x) -> bool:
 
 
 def _keep_mask(n: int, detected) -> np.ndarray:
-    detected = np.asarray(list(detected), dtype=np.int64)
+    detected = np.asarray(list(detected))
+    if detected.dtype == bool:
+        raise ValueError("detected must list column indices, not a boolean mask")
+    detected = _exact_cast(detected, np.int64, "detected column indices")
     if detected.size and (detected.min() < 0 or detected.max() >= n):
         raise ValueError("detected index out of range")
     keep = np.ones(n, dtype=bool)
@@ -67,8 +70,9 @@ def _keep_mask(n: int, detected) -> np.ndarray:
 
 # Fixed tile sizes of the containment kernel: observed rows per block, and
 # 64-bit words of source rows per tile (4096 rows).  They bound the symbol
-# table at width * (q + 1) * 512 bytes and each lag array at
-# 64 * (u + 1) * 512 bytes.
+# table at width * (q + 1) * 512 bytes and the one buffer that holds the
+# lag-major state and step arrays, (u + 1, 64, 64) words each, at
+# 2 * 64 * (u + 1) * 512 bytes.
 _OBS_BLOCK = 64
 _SOURCE_WORDS = 64
 
@@ -93,23 +97,35 @@ def _containing_sets(rows: np.ndarray, ys: np.ndarray):
 
     Yields (lo, start, sets) per tile: bit i of sets[b] (word i // 64, bit
     i % 64) is set iff ys[lo + b] embeds in order into rows[start + i].
+    sets is a view into a buffer that the next yield overwrites.
 
     Greedy embedding is exact for subsequences.  After c columns a row's
     greedy progress is c - lag, and a row whose lag exceeds u = width - K
     can no longer finish, so u + 1 bitsets, one per lag, carry the state of
-    64 source rows per word.  The lag axis is stored reversed (index
-    r = u - lag), so the symbol wanted at column c and index r is
-    ys[c + r - u]; positions outside y hold a symbol no row has.
+    64 source rows per word.  The state and step arrays are lag-major,
+    (u + 1, block, words), so each lag slice is contiguous, and the lag axis
+    is stored reversed (index r = u - lag): the symbol wanted at column c
+    and index r is ys[c + r - u], row c + r of `wanted`, and positions
+    outside y hold a symbol no row has.  Before column c only lags in
+    [max(0, c - K), min(c, u)] are reachable, so column c updates only the
+    indices r in [u - min(c + 1, u), u - max(0, c - K)], which include the
+    lag c + 1 that rows move into.  That lowest index is the one slot read
+    before it is written, and while c < u it wants a padding symbol, so none
+    of its stale bits stays and its movers fall out of the band: the buffer
+    needs no clearing.  The band makes the cost
+    O(m * count * (K + 1) * (u + 1) / 64) word operations.
     """
     m, width = rows.shape
     count, k = ys.shape
-    lags = width - k + 1
+    u = width - k
     absent = int(max(rows.max(initial=0), ys.max(initial=0))) + 1
     # uint16 holds the absent symbol 256 and keeps this copy of ys small
-    padded = np.full((count, width + lags), absent, dtype=np.uint16)
-    padded[:, lags - 1:lags - 1 + k] = ys
-    wanted = np.lib.stride_tricks.sliding_window_view(padded, lags, axis=1)[:, :width]
+    wanted = np.full((width + u + 1, count), absent, dtype=np.uint16)
+    wanted[u:u + k] = ys.T
     tile = 64 * _SOURCE_WORDS
+    # one buffer holds the state and step arrays of every block of every tile
+    buffer = np.empty(2 * (u + 1) * min(_OBS_BLOCK, count) * min(_SOURCE_WORDS, -(-m // 64)),
+                      dtype=np.uint64)
     for start in range(0, m, tile):
         eq = _symbol_sets(rows[start:start + tile], absent + 1)
         size = min(tile, m - start)
@@ -117,18 +133,20 @@ def _containing_sets(rows: np.ndarray, ys: np.ndarray):
         if size % 64:
             full[-1] = np.uint64((1 << (size % 64)) - 1)
         for lo in range(0, count, _OBS_BLOCK):
-            sym = wanted[lo:lo + _OBS_BLOCK]
-            state = np.zeros((sym.shape[0], lags, full.shape[0]), dtype=np.uint64)
-            state[:, -1] = full
-            step = np.empty_like(state)
+            hi = min(lo + _OBS_BLOCK, count)
+            state, step = buffer[:2 * (u + 1) * (hi - lo) * full.size].reshape(
+                2, u + 1, hi - lo, full.size)
+            state[u] = full  # lag 0; stale bits elsewhere are never kept
             for c in range(width):
+                a, b = u - min(c + 1, u), u + 1 - max(0, c - k)
                 # mode="clip" lets take write into out without a buffer
-                np.take(eq[c], sym[:, c], axis=0, out=step, mode="clip")
-                np.bitwise_and(state, step, out=step)           # stay: lag kept
-                np.bitwise_xor(state, step, out=state)          # move: lag + 1
-                np.bitwise_or(step[:, :-1], state[:, 1:], out=step[:, :-1])
+                np.take(eq[c], wanted[c + a:c + b, lo:hi], axis=0, out=step[a:b],
+                        mode="clip")
+                np.bitwise_and(state[a:b], step[a:b], out=step[a:b])    # stay: lag kept
+                np.bitwise_xor(state[a:b], step[a:b], out=state[a:b])   # move: lag + 1
+                np.bitwise_or(step[a:b - 1], state[a + 1:b], out=step[a:b - 1])
                 state, step = step, state
-            yield lo, start, state[:, 0]
+            yield lo, start, state[0]
 
 
 def _containment_counts(rows: np.ndarray, ys: np.ndarray):
@@ -155,7 +173,7 @@ def match_row(y, c1: Database, detected, cfg: MatcherConfig,
     detected is the set of column indices known to be deleted; candidate rows
     are judged on the remaining columns, at typicality length n - |detected|.
     """
-    y = np.asarray(y, dtype=np.uint8).reshape(1, -1)
+    y = np.asarray(y).reshape(1, -1)
     outcomes, _ = match_all(c1, y, detected, cfg, dist)
     return outcomes[0]
 
@@ -171,10 +189,15 @@ def match_counts(c1: Database, c2_rows, detected, cfg: MatcherConfig,
     With no undetected deletion left, containment is equality: one sort
     labels the typical restricted rows and the observed rows together, equal
     rows alike, in O(m * width * log m).  Otherwise the bit-parallel kernel
-    tests all typical rows at once, in O(m^2 * width * (u + 1) / 64) word
-    operations for u undetected deletions.
+    tests all typical rows at once: for u undetected deletions and K observed
+    symbols it advances u + 1 lag bitsets over the band of lags each column
+    can reach, in O(m^2 * (K + 1) * (u + 1) / 64) word operations.
+
+    Observed symbols must fit uint8 and detected indices must be integers;
+    any other value (a float, a boolean mask, 300) is a ValueError, never a
+    cast.
     """
-    c2_rows = np.asarray(c2_rows, dtype=np.uint8)
+    c2_rows = _exact_cast(c2_rows, np.uint8, "observed symbols")
     if c2_rows.ndim == 1:  # one observed row; an empty list is no rows
         c2_rows = c2_rows.reshape(min(1, c2_rows.size), c2_rows.size)
     keep = _keep_mask(c1.n, detected)

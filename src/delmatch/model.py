@@ -51,6 +51,20 @@ def check_range(name: str, value, lo: float = 0.0, hi: float = math.inf,
         raise error(f"{name} must be {bounds}, got {value}")
 
 
+def _exact_cast(values, dtype, what: str) -> np.ndarray:
+    """values as an array of dtype; a cast that would change any value (a
+    non-integral float, NaN, an integer out of dtype's range) is refused."""
+    values = np.asarray(values)
+    if values.dtype == dtype:
+        return values
+    with np.errstate(invalid="ignore"):  # NaN and out-of-range values fail ==
+        cast = values.astype(dtype)
+    if not (cast == values).all():
+        raise ValueError(f"{what} must be integers in the {np.dtype(dtype).name} range, "
+                         f"got {values.dtype}")
+    return cast
+
+
 def _frozen(arr: np.ndarray, dtype) -> np.ndarray:
     out = np.ascontiguousarray(np.asarray(arr, dtype=dtype))
     out.setflags(write=False)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,17 +306,31 @@ def test_containment_kernel_equals_brute_force(instance):
         assert matched.get(j) == (expected.row if expected.is_match else None)
 
 
-@pytest.mark.parametrize("m, source_words, obs_block",
-                         [(0, 64, 64), (65, 64, 64), (130, 1, 3), (4096 + 65, 64, 64)])
-def test_containing_sets_equal_is_subsequence(monkeypatch, m, source_words, obs_block):
-    # every bit of every tile against the greedy scan, also across tiles
+@pytest.mark.parametrize("m, width, k, count, source_words, obs_block", [
+    pytest.param(0, 6, 3, 7, 64, 64, id="0-64-64"),
+    pytest.param(65, 6, 3, 7, 64, 64, id="65-64-64"),
+    # source tiles of 64 rows, blocks of 3
+    pytest.param(130, 6, 3, 7, 1, 3, id="130-1-3"),
+    # the default source-tile boundary
+    pytest.param(4096 + 65, 6, 3, 7, 64, 64, id="4161-64-64"),
+    pytest.param(130, 6, 5, 7, 1, 3, id="u-1"),
+    pytest.param(130, 6, 1, 7, 1, 3, id="u-width-minus-1"),
+    pytest.param(130, 6, 0, 7, 1, 3, id="k-0"),  # every row contains y
+    pytest.param(70, 7, 4, 64 + 9, 64, 64, id="ragged-last-block"),
+    pytest.param(130, 7, 2, 64 + 9, 1, 64, id="ragged-block-across-tiles"),
+])
+def test_containing_sets_equal_is_subsequence(monkeypatch, m, width, k, count,
+                                              source_words, obs_block):
+    # every bit of every tile against the greedy scan, at the band's edges
+    # (u = 1, u = width - 1, K = 0) and across blocks and tiles
     monkeypatch.setattr(matcher, "_SOURCE_WORDS", source_words)
     monkeypatch.setattr(matcher, "_OBS_BLOCK", obs_block)
-    rng = np.random.default_rng(m)
-    rows = rng.integers(0, 3, size=(m, 6)).astype(np.uint8)
-    ys = rng.integers(0, 3, size=(7, 3)).astype(np.uint8)
-    ys[0] = rows[m // 2, [0, 2, 5]] if m else ys[0]
-    seen = np.zeros((7, m), dtype=int)
+    rng = np.random.default_rng(m + 10 * k)
+    rows = rng.integers(0, 3, size=(m, width)).astype(np.uint8)
+    ys = rng.integers(0, 3, size=(count, k)).astype(np.uint8)
+    for j in range(0, count, 2) if m else ():  # plant contained rows
+        ys[j] = rows[rng.integers(m), np.sort(rng.choice(width, size=k, replace=False))]
+    seen = np.zeros((count, m), dtype=int)
     for lo, start, sets in matcher._containing_sets(rows, ys):
         bits = np.unpackbits(sets.view(np.uint8), axis=1, bitorder="little")
         tile = min(64 * source_words, m - start)
@@ -326,6 +341,30 @@ def test_containing_sets_equal_is_subsequence(monkeypatch, m, source_words, obs_
                 assert bits[b, i] == is_subsequence(ys[lo + b].tolist(),
                                                     rows[start + i].tolist())
     assert (seen == 1).all()
+
+
+def test_containment_peak_allocation_within_kernel_budget():
+    # A pipeline-shaped input: q = 4 skewed, 2048 x 32 source rows, 2048
+    # observed rows with u = 11.  tracemalloc sees numpy's buffers.  The
+    # kernel's budget is its lag buffer (state and step, 64 observed rows by
+    # u + 1 lags by 32 words each), the symbol table and the wanted array;
+    # the slack covers the two output arrays and small temporaries.  Larger
+    # blocks or an extra uint16 copy of the observed rows exceed it.
+    rng = np.random.default_rng(11)
+    m, width, u = 2048, 32, 11
+    rows = rng.choice(4, size=(m, width), p=(0.4, 0.3, 0.2, 0.1)).astype(np.uint8)
+    keep = np.sort(rng.choice(width, size=width - u, replace=False))
+    ys = rows[rng.permutation(m)][:, keep]
+    words, symbols = m // 64, 4 + 1
+    budget = (2 * 64 * (u + 1) * words * 8 + width * symbols * words * 8
+              + (width + u + 1) * m * 2)
+    tracemalloc.start()
+    try:
+        matcher._containment_counts(rows, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget + 2 * m * 8 + 64 * 1024, (peak, budget)
 
 
 # -- the array-valued core ---------------------------------------------------------
@@ -421,6 +460,31 @@ def test_mismatch_rate_guards():
         mismatch_rate([], Labeling(np.arange(0)))
     with pytest.raises(ValueError):
         mismatch_rate([MatchOutcome(MatchStatus.NO_CANDIDATE)], Labeling(np.arange(2)))
+
+
+def test_matcher_refuses_inputs_a_cast_would_change():
+    # a float index is not truncated, a boolean mask is not read as the
+    # indices 1 and 0, and an observed symbol is neither wrapped (300 -> 44)
+    # nor truncated (0.9 -> 0)
+    c1 = _db([[0, 1, 1], [1, 0, 0]])
+    cfg = MatcherConfig(epsilon=1.0)
+    for detected in ([1.7], [math.nan]):
+        with pytest.raises(ValueError, match="detected column indices must be integers"):
+            match_counts(c1, [[0, 1]], detected, cfg, BERN)
+    for detected in ([True, False, False], np.array([False, True, False])):
+        with pytest.raises(ValueError, match="not a boolean mask"):
+            match_counts(c1, [[0, 1]], detected, cfg, BERN)
+    for rows in (np.array([[300, 1]]), [[0.9, 1]], [[-1, 1]], [[math.nan, 1]]):
+        with pytest.raises(ValueError, match="observed symbols"):
+            match_counts(c1, rows, [2], cfg, BERN)
+        with pytest.raises(ValueError, match="observed symbols"):
+            match_row(rows[0], c1, [], cfg, BERN)
+    # exact values of other dtypes are still taken as they are
+    expected = match_counts(c1, np.array([[0, 1]], dtype=np.uint8), [2], cfg, BERN)
+    for rows, detected in (([[0, 1]], [2]), ([[0.0, 1.0]], [2.0]),
+                           (np.array([[0, 1]], dtype=np.int64), np.array([2]))):
+        got = match_counts(c1, rows, detected, cfg, BERN)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
 
 def test_matcher_config_validation():

@@ -24,7 +24,8 @@ from .detector import (Verdict, InconsistentBatchError, GuardExceededError,
                        count_embeddings, posterior_deletions,
                        posterior_deletions_naive, detect_f, detect_g,
                        brute_force_embeddings, brute_force_posterior,
-                       certain_verdict_masks, detection_trial, verdicts_to_csv)
+                       certain_verdict_masks, detection_trial, detection_trials,
+                       verdicts_to_csv)
 from .harness import (ExperimentConfig, ConfigError, run_rates,
                       run_simulate_match, run_simulate_detect, run_pipeline,
                       run_oracle_check, parse_distribution, parse_float_grid,

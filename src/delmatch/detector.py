@@ -197,14 +197,11 @@ def brute_force_posterior(d1, d2) -> list:
 def _greedy_embedding(ids1: list, ids2: list) -> list:
     """Leftmost embedding of ids2 into ids1: each symbol at the first
     position after the previous one.  Raises when ids2 does not embed."""
-    positions, start = [], 0
+    index, start = ids1.index, -1
     try:
-        for sym in ids2:
-            start = ids1.index(sym, start) + 1
-            positions.append(start - 1)
+        return [start := index(sym, start + 1) for sym in ids2]
     except ValueError:
         raise InconsistentBatchError("no deletion pattern maps d1 to d2") from None
-    return positions
 
 
 def certain_verdict_masks(d1, d2):
@@ -216,11 +213,16 @@ def certain_verdict_masks(d1, d2):
     Requires at least one embedding to exist; raises otherwise.  Costs two
     O(n) greedy passes and O(n log n) for the searches.
     """
-    d1, d2 = _as_batch_matrices(d1, d2)
-    n, k = d1.shape[1], d2.shape[1]
+    return _certain_masks(*_column_ids(*_as_batch_matrices(d1, d2)))
+
+
+def _certain_masks(ids1, ids2):
+    """certain_verdict_masks on column ids: equal ids are equal columns."""
+    n, k = len(ids1), len(ids2)
     if k > n:
         raise InconsistentBatchError("d2 wider than d1")
-    ids1, ids2 = _column_ids(d1, d2)
+    if n and int(ids1.max()) >= 2 ** 63 // (k + 1):
+        raise ValueError("column ids too large for the int64 keys id * (K+1) + t")
     list1, list2 = ids1.tolist(), ids2.tolist()
     # d2's column t sits in column left[t] of the leftmost embedding and
     # right[t] of the rightmost one; no embedding puts it outside that range.
@@ -235,29 +237,58 @@ def certain_verdict_masks(d1, d2):
              <= np.searchsorted(left, cols, side="left"))
     # Every column with d2[t]'s id in [left[t], right[t]] is used by some
     # embedding.  Those t form the range [#(right < j), #(left <= j)); look
-    # for ids1[j] among them on the keys id * (K+1) + t, sorted.
-    keys = np.sort(ids2 * (k + 1) + np.arange(k))
+    # for ids1[j] among them on the keys id * (K+1) + t, sorted and ended by
+    # a sentinel: j is unused iff the first key at or above the range's
+    # lowest key is past its highest.
+    keys = np.append(np.sort(ids2 * (k + 1) + np.arange(k)), np.iinfo(np.int64).max)
     base = ids1 * (k + 1)
-    first = np.searchsorted(keys, base + np.searchsorted(right, cols, side="left"))
-    past = np.searchsorted(keys, base + np.searchsorted(left, cols, side="right"))
-    return past <= first, ~avoid
+    first = keys[np.searchsorted(keys, base + np.searchsorted(right, cols, side="left"))]
+    return first >= base + np.searchsorted(left, cols, side="right"), ~avoid
 
 
 def detection_trial(dist: Distribution, n: int, B: int, delta: float,
                     epsilon: float, trial_seed: int):
-    """One seeded-batch detection experiment.
+    """One seeded-batch detection experiment: detection_trials with one seed.
 
-    Samples a fresh B x n batch and a deletion pattern, runs the certainty
-    detector, and returns (columns flagged Deleted among truly deleted ones,
-    number of truly deleted columns).
+    Returns (columns flagged Deleted among truly deleted ones, number of
+    truly deleted columns).
     """
-    d1 = _symbols(dist, (B, n), trial_seed, _TRIAL_STREAM_BATCH)
-    deleted = _rng(trial_seed, _TRIAL_STREAM_DELETION).random(n) < delta
-    deleted_total = int(deleted.sum())
-    if deleted_total == 0:
-        return 0, 0
-    flagged, _ = _verdict_masks(d1, d1[:, ~deleted], dist, epsilon)
-    return int((flagged & deleted).sum()), deleted_total
+    return detection_trials(dist, n, B, delta, epsilon, [trial_seed])
+
+
+def detection_trials(dist: Distribution, n: int, B: int, delta: float,
+                     epsilon: float, seeds):
+    """Seeded-batch detection experiments, one per trial seed, summed.
+
+    Trial seed s samples a fresh B x n batch from stream (s, 0) and a
+    deletion pattern from stream (s, 1), and the detector flags the typical
+    columns that are certainly deleted.  Returns (columns flagged Deleted
+    among truly deleted ones, number of truly deleted columns), summed over
+    the seeds.
+
+    The trials run as one instance, with one labelling and one certainty
+    pass: their batches side by side, and each trial's column ids offset so
+    that no column of one trial equals a column of another.  Every
+    embedding of the stacked d2 then maps each trial's retained columns
+    into that trial's own columns, so the stacked embeddings are the
+    product of the trials' own, and every mask entry equals its per-trial
+    value.
+    """
+    count, cols = len(seeds), len(seeds) * n
+    d1 = np.empty((B, cols), dtype=np.uint8)
+    deleted = np.empty(cols, dtype=bool)
+    for t, seed in enumerate(seeds):
+        d1[:, t * n:(t + 1) * n] = _symbols(dist, (B, n), seed, _TRIAL_STREAM_BATCH)
+        deleted[t * n:(t + 1) * n] = _rng(seed, _TRIAL_STREAM_DELETION).random(n) < delta
+    ids1, _ = _column_ids(d1, d1[:, :0])
+    # Ids are ranks below cols, so with trial t's offset t * cols they stay
+    # below cols^2, and the certainty keys id * (K+1) + t below about
+    # cols^3: 2^45 for a sweep chunk's at most 2^15 columns.
+    ids1 += np.repeat(np.arange(count, dtype=np.int64) * cols, n)
+    # A retained column is the same column in d2, so d2 needs no labelling.
+    flagged, _ = _certain_masks(ids1, ids1[~deleted])
+    flagged &= typicality_mask(d1, dist, epsilon, axis=0)
+    return int((flagged & deleted).sum()), int(deleted.sum())
 
 
 def verdicts_to_csv(verdicts, posteriors) -> str:

@@ -4,6 +4,9 @@ Seeding scheme: every trial draws from
     trial_seed = SeedSequence([master_seed, point_index, trial_index])
 and splits further into fixed streams (database, channel, batch, evaluation),
 so results are byte-identical regardless of worker count or scheduling.
+Trials run in chunks of consecutive trials of one grid point, and a chunk
+of detection trials shares one labelling and one certainty pass; sums, and
+so CSVs, are the same for any chunking.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import expm1, log1p, log2, sqrt
 
 import numpy as np
@@ -28,7 +32,7 @@ from .infotheory import (entropy, RateParams, achievable_rate,
                          detection_probability_bound)
 from .matcher import (MatcherConfig, default_epsilon, match_counts, count_mismatches,
                       _containment_counts)
-from .detector import (Verdict, detect_f, detect_g, detection_trial,
+from .detector import (Verdict, detect_f, detect_g, detection_trials,
                        count_embeddings, brute_force_embeddings,
                        posterior_deletions, posterior_deletions_naive,
                        brute_force_posterior, certain_verdict_masks)
@@ -39,6 +43,10 @@ CELL_GUARD = 1 << 22
 
 # Rows the closed-form mode evaluates per trial; precision comes from trials.
 EVAL_ROWS = 128
+
+# Most symbols of per-trial input (B * n for a detection trial, m * n for a
+# matching one) that one chunk of trials holds; a larger trial runs alone.
+CHUNK_CELLS = 2 ** 15
 
 # Fixed stream ids inside one trial seed.
 STREAM_DATABASE = 0
@@ -209,8 +217,8 @@ def _virtual_match_trial(args):
     return int((draws < collision_prob).sum()), evaluated
 
 
-def _detect_trial(args):
-    return detection_trial(*args)
+def _detect_trials(args, seeds):
+    return detection_trials(*args, seeds)
 
 
 def _pipeline_trial(args):
@@ -238,30 +246,50 @@ def _pipeline_trial(args):
     return wrong, remaining.size, len(detected), deleted_cols
 
 
-def _run_task(task):
-    worker, args = task
-    return worker(args)
+def _field_sums(results):
+    return tuple(map(sum, zip(*results)))
+
+
+def _trial_by_trial(trial, args, seeds):
+    """Chunk worker for trials that run one at a time: trial(args + (seed,))
+    for each seed, summed field by field."""
+    return _field_sums(trial(args + (seed,)) for seed in seeds)
+
+
+def _run_chunk(chunk):
+    _, worker, args, seeds = chunk
+    return worker(args, seeds)
 
 
 def _sweep(points, trials: int, master_seed: int, threads: int):
     """Run every trial of every grid point, on one process pool when
     threads > 1.
 
-    points[pidx] = (worker, args); trial t of point pidx runs
-    worker(args + (trial_seed,)).  Returns each point's trial results summed
-    field by field, and the (point, trial, seed) log for the manifest.
+    points[pidx] = (worker, args, cells): trial t of point pidx has seed
+    derive_seed(master_seed, pidx, t) and `cells` symbols of input.  A
+    point's trials run in chunks of consecutive seeds, at most CHUNK_CELLS
+    cells and ceil(trials / threads) trials each but never less than one
+    trial, and worker(args, seeds) returns a chunk's results summed field
+    by field.  The serial path and the pool run the same chunks.  Returns
+    each point's sums and the (point, trial, seed) log for the manifest.
     """
     seed_log = [(pidx, t, derive_seed(master_seed, pidx, t))
                 for pidx in range(len(points)) for t in range(trials)]
-    tasks = [(points[pidx][0], points[pidx][1] + (seed,)) for pidx, _, seed in seed_log]
-    if threads <= 1 or len(tasks) <= 1:
-        results = [_run_task(t) for t in tasks]
+    chunks = []
+    for pidx, (worker, args, cells) in enumerate(points):
+        seeds = [seed for _, _, seed in seed_log[pidx * trials:(pidx + 1) * trials]]
+        size = max(1, min(CHUNK_CELLS // cells, -(-trials // threads)))
+        chunks += [(pidx, worker, args, seeds[i:i + size]) for i in range(0, trials, size)]
+    if threads <= 1 or len(chunks) <= 1:
+        results = list(map(_run_chunk, chunks))
     else:
         with ProcessPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(_run_task, tasks,
-                                  chunksize=max(1, len(tasks) // (threads * 8))))
-    return ([tuple(map(sum, zip(*results[i:i + trials])))
-             for i in range(0, len(results), trials)], seed_log)
+            results = list(ex.map(_run_chunk, chunks,
+                                  chunksize=max(1, len(chunks) // (threads * 8))))
+    per_point = [[] for _ in points]
+    for (pidx, *_), result in zip(chunks, results):
+        per_point[pidx].append(result)
+    return [_field_sums(r) for r in per_point], seed_log
 
 
 def wilson_interval(successes: int, total: int, z: float = 1.96):
@@ -287,7 +315,7 @@ def _run_sweep(command: str, cfg: ExperimentConfig, grid, specs, point, to_csv) 
     """The loop every Monte Carlo command shares: run the trials of each grid
     point, pool them into a rate with a Wilson interval, emit when cfg.out.
 
-    specs[i] is grid[i]'s (worker, args) for _sweep.  Workers return
+    specs[i] is grid[i]'s (worker, args, cells) for _sweep.  Workers return
     (successes, total, *more); point(grid[i], sums, estimate) builds the
     result from those summed over trials, estimate = (rate, ci_low, ci_high).
     """
@@ -371,9 +399,11 @@ def run_simulate_match(cfg: ExperimentConfig) -> list:
     epsilon = cfg.matcher_epsilon()
     grid = [(n, m, _choose_match_mode(cfg, m, n))
             for n in cfg.n_values for m in [cfg.resolve_m(n)]]
-    specs = [(_match_trial, (cfg.dist, n, m, cfg.delta, cfg.alpha, epsilon))
+    specs = [(partial(_trial_by_trial, _match_trial),
+              (cfg.dist, n, m, cfg.delta, cfg.alpha, epsilon), m * n)
              if mode == "materialized" else
-             (_virtual_match_trial, (cfg.dist, n, m, cfg.delta, cfg.alpha))
+             (partial(_trial_by_trial, _virtual_match_trial),
+              (cfg.dist, n, m, cfg.delta, cfg.alpha), m * n)
              for n, m, mode in grid]
 
     def point(key, sums, estimate):
@@ -418,7 +448,8 @@ def run_simulate_detect(cfg: ExperimentConfig) -> list:
     epsilon = _detect_only_epsilon(cfg)
     h = entropy(cfg.dist)
     grid = [(n, b) for n in cfg.n_values for b in cfg.batch_sizes]
-    specs = [(_detect_trial, (cfg.dist, n, b, cfg.delta, epsilon)) for n, b in grid]
+    specs = [(_detect_trials, (cfg.dist, n, b, cfg.delta, epsilon), b * n)
+             for n, b in grid]
 
     def point(key, sums, estimate):
         (n, b), (_, deleted) = key, sums
@@ -475,7 +506,8 @@ def run_pipeline(cfg: ExperimentConfig) -> list:
         if b >= m:
             raise ConfigError(f"batch size {b} must be < m = {m}")
         _choose_match_mode(cfg, m, n)  # no closed form here: raises beyond the guard
-        specs.append((_pipeline_trial, (cfg.dist, n, m, cfg.delta, b, epsilon, detect_eps)))
+        specs.append((partial(_trial_by_trial, _pipeline_trial),
+                      (cfg.dist, n, m, cfg.delta, b, epsilon, detect_eps), m * n))
 
     def point(key, sums, estimate):
         n, b = key

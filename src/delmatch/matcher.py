@@ -147,6 +147,7 @@ def _containing_sets(rows: np.ndarray, ys: np.ndarray):
                 np.bitwise_or(step[a:b - 1], state[a + 1:b], out=step[a:b - 1])
                 state, step = step, state
             yield lo, start, state[0]
+        del eq  # release this tile's table before the next one is built
 
 
 def _containment_counts(rows: np.ndarray, ys: np.ndarray):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from delmatch import (Distribution, SeedBatch, sample_database,
                       apply_deletion_channel, extract_seed_batch,
@@ -13,8 +13,8 @@ from delmatch import (Distribution, SeedBatch, sample_database,
                       certain_verdict_masks, detection_trial, wilson_interval,
                       verdicts_to_csv, InconsistentBatchError,
                       GuardExceededError, detection_probability_bound,
-                      ExperimentConfig, run_simulate_detect)
-from delmatch.detector import _column_ids
+                      ExperimentConfig, run_simulate_detect, derive_seed)
+from delmatch.detector import _certain_masks, _column_ids, _verdict_masks, detection_trials
 from delmatch.harness import _random_instance
 
 A, B_, C = 0, 1, 2  # symbol aliases for readable single-row fixtures
@@ -366,6 +366,68 @@ def test_detection_trial_counts():
     dist = Distribution.bernoulli(0.5)
     hits, deleted = detection_trial(dist, 32, 10, 0.5, 0.05, 99)
     assert 0 <= hits <= deleted <= 32
+
+
+_DETECT_DISTS = {
+    "bern": (0.5, 0.5),
+    "skewed4": (0.55, 0.25, 0.15, 0.05),
+    "uniform256": (1 / 256,) * 256,
+    "zero_symbol": (0.5, 0.0, 0.3, 0.2),
+}
+
+
+def _per_trial_detection(probs, n, b, delta, epsilon, seeds):
+    """Each trial rebuilt from the seed rule (stream 0: the B x n batch by
+    numpy's choice, stream 1: the deletion draws) and detected on its own."""
+    dist, hits, deleted_total = Distribution(probs), 0, 0
+    for seed in seeds:
+        d1 = np.random.default_rng(np.random.SeedSequence([seed, 0])).choice(
+            len(probs), size=(b, n), p=probs).astype(np.uint8)
+        deleted = np.random.default_rng(np.random.SeedSequence([seed, 1])).random(n) < delta
+        flagged, _ = _verdict_masks(d1, d1[:, ~deleted], dist, epsilon)
+        hits += int((flagged & deleted).sum())
+        deleted_total += int(deleted.sum())
+    return hits, deleted_total
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(_DETECT_DISTS)), st.integers(1, 80), st.integers(1, 20),
+       st.sampled_from([0.0, 0.05, 0.5, 0.95]), st.sampled_from([0.0, 0.05, 0.5]),
+       st.integers(1, 40), st.integers(0, 2 ** 64 - 1))
+@example("bern", 6, 3, 0.0, 0.05, 25, 1)        # no trial deletes a column
+@example("skewed4", 3, 4, 0.05, 0.05, 40, 2)    # a few trials delete, most do not
+@example("zero_symbol", 1, 20, 0.5, 0.5, 40, 3)  # one column per trial
+@example("uniform256", 80, 1, 0.95, 0.0, 2, 4)
+def test_chunked_detection_equals_per_trial_detection(dist, n, b, delta, epsilon,
+                                                      count, master):
+    probs = _DETECT_DISTS[dist]
+    seeds = [derive_seed(master, 0, t) for t in range(count)]
+    assert (detection_trials(Distribution(probs), n, b, delta, epsilon, seeds)
+            == _per_trial_detection(probs, n, b, delta, epsilon, seeds))
+
+
+@pytest.mark.parametrize("n, trials", [(64, 512), (4, 2 ** 13)])
+def test_chunked_detection_at_the_cell_bound(n, trials):
+    # One chunk of 2^15 one-row columns, the most a sweep chunk holds.  At
+    # n = 4 the offset ids reach about 2^13 * 2^15 and the certainty keys
+    # about 2^42 (2^45 at n = 1).  The reference for the long chunk is the
+    # sum over chunks of 128 trials, which the property above checks per trial.
+    seeds = [derive_seed(8, 1, t) for t in range(trials)]
+    got = detection_trials(Distribution.bernoulli(0.5), n, 1, 0.5, 0.05, seeds)
+    if trials <= 512:
+        want = _per_trial_detection((0.5, 0.5), n, 1, 0.5, 0.05, seeds)
+    else:
+        parts = [detection_trials(Distribution.bernoulli(0.5), n, 1, 0.5, 0.05,
+                                  seeds[i:i + 128]) for i in range(0, trials, 128)]
+        want = tuple(map(sum, zip(*parts)))
+    assert got == want and got[1] > 0
+
+
+def test_certainty_keys_refuse_int64_overflow():
+    with pytest.raises(ValueError, match="int64"):
+        _certain_masks(np.array([2 ** 62, 0]), np.array([0]))
+    del_mask, ret_mask = _certain_masks(np.array([2 ** 62 - 1, 0]), np.array([0]))
+    assert del_mask.tolist() == [True, False] and ret_mask.tolist() == [False, True]
 
 
 def _detect_points(n, batch_sizes, delta, trials, epsilon, seed):

@@ -3,6 +3,7 @@ import errno
 import hashlib
 import math
 import time
+import tracemalloc
 import types
 
 import numpy as np
@@ -17,7 +18,7 @@ from delmatch import (Distribution, ExperimentConfig, ConfigError, entropy,
                       sample_database, apply_deletion_channel,
                       extract_seed_batch, detect_f)
 from delmatch import harness
-from delmatch.detector import Verdict
+from delmatch.detector import Verdict, detection_trials
 from delmatch.harness import (_match_trial, _pipeline_trial, _virtual_match_trial,
                               check_counting, CELL_GUARD)
 from delmatch.model import derive_seed
@@ -281,6 +282,57 @@ def test_sweep_runs_every_point_on_one_pool(monkeypatch):
     assert [p.mode for p in match] == ["materialized", "virtual"]
     assert match == run_simulate_match(mixed)
     assert detect == run_simulate_detect(_detect_cfg((16, 24), (4, 8), 0.5, 0.05, 10, 3))
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate-detect", "--dist", "0.7,0.2,0.1", "--n", "1,9,40", "--B", "2,5",
+     "--delta", "0.3", "--trials", "13"],
+    ["simulate-match", "--dist", "bern:0.5", "--n", "8,120", "--rate", "0.5",
+     "--delta", "0.3", "--alpha", "0.5", "--trials", "7"],
+    ["pipeline", "--dist", "0.7,0.2,0.1", "--n", "12", "--m", "40", "--delta", "0.3",
+     "--B", "0,3", "--trials", "7"],
+])
+def test_chunking_cannot_change_output(tmp_path, monkeypatch, command):
+    # one trial per chunk, the default bound, and a whole point per chunk
+    # (at 3 workers, a third of a point), each at 1 and 3 workers
+    outputs = set()
+    for cells in (1, harness.CHUNK_CELLS, 2 ** 40):
+        monkeypatch.setattr(harness, "CHUNK_CELLS", cells)
+        for threads in (1, 3):
+            out = tmp_path / f"{cells}-{threads}.csv"
+            assert cli.main(command + ["--seed", "6", "--threads", str(threads),
+                                       "--out", str(out)]) == 0
+            manifest = (tmp_path / f"{out.name}.manifest.txt").read_text()
+            seeds = [line for line in manifest.splitlines() if line.startswith("trial_seed.")]
+            outputs.add((out.read_bytes(), tuple(seeds)))
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("n, b", [(1024, 8), (1024, 16), (64, 16)])
+def test_detection_chunk_peak_allocation_within_budget(monkeypatch, n, b):
+    # The largest chunk a one-worker sweep hands detection_trials, with a
+    # budget for the 2^15-cell bound's C columns: the stacked d1 (C * B
+    # bytes), one trial's float draws, four int64 arrays of C entries, the
+    # greedy scans' Python lists (about 4 x 36 bytes per column) and 64 KiB.
+    # A chunk twice the bound, or a whole 100-trial point, exceeds it.
+    chunks = []
+
+    def record(*args):
+        chunks.append(args[-1])
+        return 0, 1
+    monkeypatch.setattr(harness, "detection_trials", record)
+    run_simulate_detect(_detect_cfg((n,), (b,), 0.3, 0.05, 100, 5))
+    seeds = max(chunks, key=len)
+    cols = min(2 ** 15 // (b * n), 100) * n
+    budget = cols * b + b * n * 8 + 4 * cols * 8 + 4 * 36 * cols + 64 * 1024
+    detection_trials(BERN, n, b, 0.3, 0.05, seeds[:1])  # first-call allocations
+    tracemalloc.start()
+    try:
+        detection_trials(BERN, n, b, 0.3, 0.05, seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget, (len(seeds), peak, budget)
 
 
 def test_simulate_detect_requires_deletions():
@@ -557,9 +609,9 @@ def test_emit_failed_write_leaves_previous_output(tmp_path, monkeypatch):
 
 
 def test_cli_unwritable_out_fails_before_any_trial(tmp_path, capsys, monkeypatch):
-    def no_trial(args):
+    def no_trial(args, seeds):
         raise AssertionError("a trial ran")
-    monkeypatch.setattr(harness, "_detect_trial", no_trial)
+    monkeypatch.setattr(harness, "_detect_trials", no_trial)
     detect = ["simulate-detect", "--dist", "bern:0.5", "--n", "8", "--B", "4",
               "--delta", "0.3", "--trials", "5", "--out"]
     for out in (tmp_path / "missing" / "x.csv", tmp_path):

@@ -343,28 +343,47 @@ def test_containing_sets_equal_is_subsequence(monkeypatch, m, width, k, count,
     assert (seen == 1).all()
 
 
+def _kernel_peak(rows, ys):
+    tracemalloc.start()
+    try:
+        matcher._containment_counts(rows, ys)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _kernel_budget(m, width, u, count, symbols):
+    """The lag buffer (state and step, up to 64 observed rows by u + 1 lags
+    by the tile's words each), one tile's symbol table, the wanted array
+    and the two output arrays."""
+    words = min(64, m // 64)
+    return (2 * min(64, count) * (u + 1) * words * 8 + width * symbols * words * 8
+            + (width + u + 1) * count * 2 + 2 * count * 8)
+
+
 def test_containment_peak_allocation_within_kernel_budget():
-    # A pipeline-shaped input: q = 4 skewed, 2048 x 32 source rows, 2048
-    # observed rows with u = 11.  tracemalloc sees numpy's buffers.  The
-    # kernel's budget is its lag buffer (state and step, 64 observed rows by
-    # u + 1 lags by 32 words each), the symbol table and the wanted array;
-    # the slack covers the two output arrays and small temporaries.  Larger
-    # blocks or an extra uint16 copy of the observed rows exceed it.
+    # tracemalloc sees numpy's buffers.  A pipeline-shaped input: q = 4
+    # skewed, 2048 x 32 source rows, 2048 observed rows with u = 11; 64 KiB
+    # of slack covers small temporaries.  Larger blocks or an extra uint16
+    # copy of the observed rows exceed it.
     rng = np.random.default_rng(11)
     m, width, u = 2048, 32, 11
     rows = rng.choice(4, size=(m, width), p=(0.4, 0.3, 0.2, 0.1)).astype(np.uint8)
     keep = np.sort(rng.choice(width, size=width - u, replace=False))
     ys = rows[rng.permutation(m)][:, keep]
-    words, symbols = m // 64, 4 + 1
-    budget = (2 * 64 * (u + 1) * words * 8 + width * symbols * words * 8
-              + (width + u + 1) * m * 2)
-    tracemalloc.start()
-    try:
-        matcher._containment_counts(rows, ys)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= budget + 2 * m * 8 + 64 * 1024, (peak, budget)
+    peak, budget = _kernel_peak(rows, ys), _kernel_budget(m, width, u, m, 4 + 1)
+    assert peak <= budget + 64 * 1024, (peak, budget)
+    # Two 4096-row tiles at q = 256 (a 4 MiB symbol table each), 256
+    # observed rows with u = 2.  The budget holds one table, so a table kept
+    # alive while the next tile's is built exceeds it.  The slack adds the
+    # fancy-index temporaries of filling a table 64 rows at a time, about
+    # three (64, width) int64 arrays.
+    m, width, u, count = 8192, 32, 2, 256
+    rows = rng.integers(0, 256, size=(m, width)).astype(np.uint8)
+    keep = np.sort(rng.choice(width, size=width - u, replace=False))
+    ys = rows[rng.permutation(m)[:count]][:, keep]
+    peak, budget = _kernel_peak(rows, ys), _kernel_budget(m, width, u, count, 256 + 1)
+    assert peak <= budget + 64 * 1024 + 3 * 64 * width * 8, (peak, budget)
 
 
 # -- the array-valued core ---------------------------------------------------------

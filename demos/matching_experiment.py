@@ -15,8 +15,8 @@ Equivalent CLI:  delmatch simulate-match --dist bern:0.5 --n 32 --rate 0.15 \
 import numpy as np
 
 from delmatch import (Distribution, ExperimentConfig, MatcherConfig,
-                      sample_database, apply_deletion_channel, match_experiment,
-                      mismatch_rate, default_epsilon, run_simulate_match)
+                      sample_database, apply_deletion_channel, match_counts,
+                      count_mismatches, default_epsilon, run_simulate_match)
 
 dist = Distribution.bernoulli(0.5)
 
@@ -28,13 +28,14 @@ print(f"m = {m} rows, n = {n} columns; {n - exp.retained_count} deleted, "
       f"{exp.detection.detected_count} of those detected")
 
 cfg = MatcherConfig(epsilon=default_epsilon(dist))
-outcomes, matched = match_experiment(exp, cfg, dist)
-rate = mismatch_rate(outcomes, exp.labeling)
-statuses = {}
-for o in outcomes:
-    statuses[o.status.value] = statuses.get(o.status.value, 0) + 1
-print("outcome counts:", statuses)
-print(f"mismatch rate: {rate:.4f}")
+counts, rows = match_counts(exp.c1, exp.c2.symbols, exp.detection.detected_indices,
+                            cfg, dist)
+# counts[j] typical rows contain observed row j; rows[j] is the unique one, or -1
+no_candidate, matched, collision = np.bincount(np.minimum(counts, 2), minlength=3)
+print(f"outcome counts: {matched} matched, {collision} collision, "
+      f"{no_candidate} no candidate")
+wrong = count_mismatches(rows, exp.labeling.perm, np.arange(m))
+print(f"mismatch rate: {wrong / m:.4f}")
 print()
 
 # --- mismatch rate vs. column count -----------------------------------------

@@ -18,8 +18,7 @@ from .infotheory import (entropy, binary_entropy, RateParams, achievable_rate,
                          supersequence_count_bound, min_seed_batch_size,
                          detection_probability_bound)
 from .matcher import (MatchStatus, MatchOutcome, MatcherConfig, default_epsilon,
-                      is_subsequence, match_row, match_all, match_counts,
-                      match_experiment, mismatch_rate)
+                      is_subsequence, match_all, match_counts, count_mismatches)
 from .detector import (Verdict, InconsistentBatchError, GuardExceededError,
                        count_embeddings, posterior_deletions,
                        posterior_deletions_naive, detect_f, detect_g,

@@ -121,15 +121,17 @@ def detect_f(batch: SeedBatch, dist: Distribution, epsilon: float) -> list:
     Inconclusive otherwise.  certain_verdict_masks decides the two exact
     posterior values without computing any posterior.
     """
-    deleted, retained = _verdict_masks(batch.d1, batch.d2, dist, epsilon)
+    deleted, retained = _verdict_masks(*_column_ids(batch.d1, batch.d2), batch.d1,
+                                       dist, epsilon)
     return [Verdict.DELETED if dele else
             Verdict.RETAINED if ret else Verdict.INCONCLUSIVE
             for dele, ret in zip(deleted.tolist(), retained.tolist())]
 
 
-def _verdict_masks(d1, d2, dist: Distribution, epsilon: float):
-    """(Deleted, Retained) masks of detect_f: certain and typical."""
-    certainly_deleted, certainly_retained = certain_verdict_masks(d1, d2)
+def _verdict_masks(ids1, ids2, d1, dist: Distribution, epsilon: float):
+    """(Deleted, Retained) masks of detect_f from the column ids of d1 and d2:
+    certain and typical."""
+    certainly_deleted, certainly_retained = _certain_masks(ids1, ids2)
     typical = typicality_mask(d1, dist, epsilon, axis=0)
     return certainly_deleted & typical, certainly_retained & typical
 
@@ -246,13 +248,14 @@ def _certain_masks(ids1, ids2):
     return first >= base + np.searchsorted(left, cols, side="right"), ~avoid
 
 
+def trial_deletions(seed: int, n: int, delta: float) -> np.ndarray:
+    """The deletion flags of detection trial `seed`: stream (seed, 1)."""
+    return _rng(seed, _TRIAL_STREAM_DELETION).random(n) < delta
+
+
 def detection_trial(dist: Distribution, n: int, B: int, delta: float,
                     epsilon: float, trial_seed: int):
-    """One seeded-batch detection experiment: detection_trials with one seed.
-
-    Returns (columns flagged Deleted among truly deleted ones, number of
-    truly deleted columns).
-    """
+    """One seeded-batch detection experiment: detection_trials with one seed."""
     return detection_trials(dist, n, B, delta, epsilon, [trial_seed])
 
 
@@ -279,15 +282,14 @@ def detection_trials(dist: Distribution, n: int, B: int, delta: float,
     deleted = np.empty(cols, dtype=bool)
     for t, seed in enumerate(seeds):
         d1[:, t * n:(t + 1) * n] = _symbols(dist, (B, n), seed, _TRIAL_STREAM_BATCH)
-        deleted[t * n:(t + 1) * n] = _rng(seed, _TRIAL_STREAM_DELETION).random(n) < delta
+        deleted[t * n:(t + 1) * n] = trial_deletions(seed, n, delta)
     ids1, _ = _column_ids(d1, d1[:, :0])
     # Ids are ranks below cols, so with trial t's offset t * cols they stay
     # below cols^2, and the certainty keys id * (K+1) + t below about
     # cols^3: 2^45 for a sweep chunk's at most 2^15 columns.
     ids1 += np.repeat(np.arange(count, dtype=np.int64) * cols, n)
     # A retained column is the same column in d2, so d2 needs no labelling.
-    flagged, _ = _certain_masks(ids1, ids1[~deleted])
-    flagged &= typicality_mask(d1, dist, epsilon, axis=0)
+    flagged, _ = _verdict_masks(ids1, ids1[~deleted], d1, dist, epsilon)
     return int((flagged & deleted).sum()), int(deleted.sum())
 
 

@@ -35,7 +35,7 @@ from .matcher import (MatcherConfig, default_epsilon, match_counts, count_mismat
 from .detector import (Verdict, detect_f, detect_g, detection_trials,
                        count_embeddings, brute_force_embeddings,
                        posterior_deletions, posterior_deletions_naive,
-                       brute_force_posterior, certain_verdict_masks)
+                       brute_force_posterior, certain_verdict_masks, trial_deletions)
 
 # Desk-scale guard: largest m*n a matching sweep will materialize
 # (m ~ 2^16 rows at n = 64).  Overridable per config.
@@ -451,13 +451,16 @@ def run_simulate_detect(cfg: ExperimentConfig) -> list:
     specs = [(_detect_trials, (cfg.dist, n, b, cfg.delta, epsilon), b * n)
              for n, b in grid]
 
-    def point(key, sums, estimate):
-        (n, b), (_, deleted) = key, sums
-        if not deleted:
+    # Refuse an all-retained point before any trial; any() stops at its first deletion.
+    for pidx, (n, b) in enumerate(grid):
+        if not any(trial_deletions(derive_seed(cfg.master_seed, pidx, t), n, cfg.delta).any()
+                   for t in range(cfg.trials)):
             raise RuntimeError(f"no columns were deleted in any trial at (n={n}, "
                                f"B={b}); estimate undefined (delta too small?)")
-        return DetectPoint(n, b, cfg.delta, epsilon, cfg.trials, *sums, *estimate,
-                           detection_probability_bound(n, b, cfg.delta, h, epsilon))
+
+    def point(key, sums, estimate):
+        return DetectPoint(*key, cfg.delta, epsilon, cfg.trials, *sums, *estimate,
+                           detection_probability_bound(*key, cfg.delta, h, epsilon))
 
     return _run_sweep("simulate-detect", cfg, grid, specs, point, detect_csv)
 

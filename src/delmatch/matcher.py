@@ -14,8 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import (Database, DeletionExperiment, Distribution, Labeling, _column_ids,
-                    _exact_cast, check_range)
+from .model import Database, Distribution, _column_ids, _exact_cast, check_range
 from .infotheory import entropy, typicality_mask
 
 
@@ -167,25 +166,14 @@ def _containment_counts(rows: np.ndarray, ys: np.ndarray):
     return counts, first
 
 
-def match_row(y, c1: Database, detected, cfg: MatcherConfig,
-              dist: Distribution) -> MatchOutcome:
-    """Match one observed row y against every row of c1.
-
-    detected is the set of column indices known to be deleted; candidate rows
-    are judged on the remaining columns, at typicality length n - |detected|.
-    """
-    y = np.asarray(y).reshape(1, -1)
-    outcomes, _ = match_all(c1, y, detected, cfg, dist)
-    return outcomes[0]
-
-
 def match_counts(c1: Database, c2_rows, detected, cfg: MatcherConfig,
                  dist: Distribution):
     """The matcher's decisions for every observed row, as arrays.
 
     Returns (counts, rows): counts[j] is the number of typical c1 rows
     containing observed row j, rows[j] the c1 row where counts[j] is 1 and
-    -1 elsewhere.
+    -1 elsewhere.  Row j's status is min(counts[j], 2): 0 is no candidate,
+    1 is matched, 2 is a collision.  count_mismatches scores rows.
 
     With no undetected deletion left, containment is equality: one sort
     labels the typical restricted rows and the observed rows together, equal
@@ -226,13 +214,12 @@ def match_counts(c1: Database, c2_rows, detected, cfg: MatcherConfig,
 
 def match_all(c1: Database, c2_rows, detected, cfg: MatcherConfig,
               dist: Distribution):
-    """Match every observed row independently.
+    """match_counts' decisions as one MatchOutcome per observed row; it
+    remains only as the benchmark's per-row adapter.
 
     Returns (outcomes, matched) where outcomes[j] is the MatchOutcome for
     observed row j and matched maps observed row index -> c1 row index for
-    the MATCHED outcomes (not necessarily injective).  The decisions are
-    match_counts'; with no undetected deletion they come from a sort-based
-    labelling join of the typical restricted rows with the observed rows.
+    the MATCHED outcomes (not necessarily injective).
     """
     counts, rows = match_counts(c1, c2_rows, detected, cfg, dist)
     unmatched = (MatchOutcome(MatchStatus.NO_CANDIDATE), None,
@@ -244,31 +231,14 @@ def match_all(c1: Database, c2_rows, detected, cfg: MatcherConfig,
     return outcomes, dict(zip(hits.tolist(), rows[hits].tolist()))
 
 
-def match_experiment(exp: DeletionExperiment, cfg: MatcherConfig,
-                     dist: Distribution):
-    """match_all over a whole experiment, using its detected-deletion set."""
-    return match_all(exp.c1, exp.c2.symbols, exp.detection.detected_indices,
-                     cfg, dist)
-
-
-def mismatch_rate(outcomes, true_labeling: Labeling) -> float:
-    """Fraction of observed rows not matched to their true source row.
-
-    Errors of any kind and wrong matches both count as mismatches.
-    """
-    if len(outcomes) == 0:
-        raise ValueError("no outcomes to score")
-    if len(outcomes) != true_labeling.m:
-        raise ValueError("outcome count does not match labeling size")
-    rows = [o.row if o.is_match else -1 for o in outcomes]
-    return count_mismatches(rows, true_labeling.perm,
-                            np.arange(len(outcomes))) / len(outcomes)
-
-
 def count_mismatches(rows, perm, observed) -> int:
     """Observed rows not matched to their true source row.  rows[j] is the
     c1 row matched to the j-th observed row, or -1 (match_counts' rows);
-    observed[j] is that row's c2 index."""
+    observed[j] is that row's c2 index, and perm maps c1 rows to c2 rows."""
     rows, observed = np.asarray(rows, dtype=np.int64), np.asarray(observed)
+    if rows.shape != observed.shape:
+        raise ValueError(f"{rows.size} matched rows for {observed.size} observed rows")
+    if rows.size and (rows.min() < -1 or rows.max() >= len(perm)):
+        raise ValueError(f"matched rows must lie in [-1, {len(perm)})")
     hits = rows >= 0
     return observed.shape[0] - int(np.count_nonzero(perm[rows[hits]] == observed[hits]))

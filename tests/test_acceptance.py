@@ -204,11 +204,11 @@ def test_c09_pipeline_reduction(tmp_path):
 
     pipe_row = dict(zip(*[ln.split(",") for ln in
                           pipe_csv.read_text().splitlines()]))
-    match_row = dict(zip(*[ln.split(",") for ln in
-                           match_csv.read_text().splitlines()]))
+    sim_row = dict(zip(*[ln.split(",") for ln in
+                         match_csv.read_text().splitlines()]))
     # shared result fields must agree byte for byte
     for col in ("n", "delta", "mismatch_rate", "CI"):
-        assert pipe_row[col] == match_row[col], col
+        assert pipe_row[col] == sim_row[col], col
     assert pipe_row["detected_fraction"] == "0.000000"
 
     # and the pipeline output itself is reproducible byte for byte
@@ -218,7 +218,7 @@ def test_c09_pipeline_reduction(tmp_path):
     elapsed = time.time() - started
     assert elapsed < 60.0
     _report(9, "pipeline reduction at B=0",
-            f"mismatch_rate {match_row['mismatch_rate']} identical, {elapsed:.1f}s")
+            f"mismatch_rate {sim_row['mismatch_rate']} identical, {elapsed:.1f}s")
 
 
 def test_c10_byte_identical_output(tmp_path):

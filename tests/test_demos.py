@@ -1,7 +1,8 @@
-"""Every demo script, and the benchmark's check selftest, runs to completion
-against the current package."""
+"""Every demo script, the README's library quick start and the benchmark's
+check selftest run to completion against the current package."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,16 @@ def _run(script: Path) -> subprocess.CompletedProcess:
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_0(demo):
     proc = _run(demo)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library quick start\n+```python\n(.*?)```", readme, re.S)
+    assert block, "README has no python block under 'Library quick start'"
+    script = tmp_path / "quick_start.py"
+    script.write_text(block.group(1))
+    proc = _run(script)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -14,7 +14,8 @@ from delmatch import (Distribution, SeedBatch, sample_database,
                       verdicts_to_csv, InconsistentBatchError,
                       GuardExceededError, detection_probability_bound,
                       ExperimentConfig, run_simulate_detect, derive_seed)
-from delmatch.detector import _certain_masks, _column_ids, _verdict_masks, detection_trials
+from delmatch import harness
+from delmatch.detector import _certain_masks, _column_ids, detection_trials
 from delmatch.harness import _random_instance
 
 A, B_, C = 0, 1, 2  # symbol aliases for readable single-row fixtures
@@ -378,13 +379,15 @@ _DETECT_DISTS = {
 
 def _per_trial_detection(probs, n, b, delta, epsilon, seeds):
     """Each trial rebuilt from the seed rule (stream 0: the B x n batch by
-    numpy's choice, stream 1: the deletion draws) and detected on its own."""
+    numpy's choice, stream 1: the deletion draws) and detected on its own by
+    the public detect_f."""
     dist, hits, deleted_total = Distribution(probs), 0, 0
     for seed in seeds:
         d1 = np.random.default_rng(np.random.SeedSequence([seed, 0])).choice(
             len(probs), size=(b, n), p=probs).astype(np.uint8)
         deleted = np.random.default_rng(np.random.SeedSequence([seed, 1])).random(n) < delta
-        flagged, _ = _verdict_masks(d1, d1[:, ~deleted], dist, epsilon)
+        verdicts = detect_f(SeedBatch(d1, d1[:, ~deleted]), dist, epsilon)
+        flagged = np.array([v is Verdict.DELETED for v in verdicts])
         hits += int((flagged & deleted).sum())
         deleted_total += int(deleted.sum())
     return hits, deleted_total
@@ -454,6 +457,23 @@ def test_empirical_detection_heavy_deletion_edge():
 def test_empirical_detection_requires_deletions():
     with pytest.raises(RuntimeError):
         _detect_points(8, (3,), 0.0, 5, 0.1, 11)
+
+
+def test_all_retained_point_refused_before_any_trial(monkeypatch):
+    # At seed 4, point (4096, 64) deletes columns but none of the 300 trials
+    # of point (1, 64) does; the sweep is refused before either runs a trial.
+    calls = []
+
+    def counting(args, seeds):
+        calls.append(len(seeds))
+        return detection_trials(*args, seeds)
+
+    monkeypatch.setattr(harness, "_detect_trials", counting)
+    with pytest.raises(RuntimeError, match=r"no columns were deleted in any trial "
+                                           r"at \(n=1, B=64\)"):
+        run_simulate_detect(ExperimentConfig(
+            Distribution.bernoulli(0.5), (4096, 1), 0.002, 300, 4, batch_sizes=(64,)))
+    assert calls == []
 
 
 def test_detection_probability_improves_with_batch():

@@ -14,7 +14,7 @@ from delmatch import (Distribution, ExperimentConfig, ConfigError, entropy,
                       run_rates, run_simulate_match, run_simulate_detect,
                       run_pipeline, run_oracle_check, parse_distribution,
                       parse_float_grid, parse_int_list, parse_config_file,
-                      MatcherConfig, match_all, match_experiment, mismatch_rate,
+                      MatcherConfig, match_all, match_counts,
                       sample_database, apply_deletion_channel,
                       extract_seed_batch, detect_f)
 from delmatch import harness
@@ -202,14 +202,17 @@ SKEWED = Distribution((0.75, 0.25))
        st.sampled_from([0.0, 0.3, 0.6]), st.sampled_from([0.0, 0.5, 1.0]),
        st.integers(0, 2 ** 64 - 1))
 def test_match_trial_counts_like_mismatch_rate(dist, m, n, delta, alpha, seed):
-    # the trial's array count against mismatch_rate over match_all's outcomes
+    # the trial's count against match_counts' rows, scored row by row
     wrong, evaluated = _match_trial((dist, n, m, delta, alpha, 0.1, seed))
     c1 = sample_database(dist, m, n, derive_seed(seed, harness.STREAM_DATABASE))
     exp = apply_deletion_channel(c1, delta, alpha,
                                  derive_seed(seed, harness.STREAM_CHANNEL))
-    outcomes, _ = match_experiment(exp, MatcherConfig(epsilon=0.1), dist)
+    _, rows = match_counts(exp.c1, exp.c2.symbols, exp.detection.detected_indices,
+                           MatcherConfig(epsilon=0.1), dist)
+    perm = exp.labeling.perm
     assert evaluated == m
-    assert wrong / evaluated == mismatch_rate(outcomes, exp.labeling)
+    assert wrong == sum(not (row >= 0 and perm[row] == j)
+                        for j, row in enumerate(rows.tolist()))
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delmatch import (Distribution, Database, MatcherConfig, MatchStatus,
-                      MatchOutcome, is_subsequence, match_row, match_all,
-                      match_experiment, mismatch_rate, default_epsilon,
-                      match_counts, sample_database, apply_deletion_channel,
-                      derive_seed, entropy)
+                      MatchOutcome, is_subsequence, match_all, default_epsilon,
+                      match_counts, count_mismatches, sample_database,
+                      apply_deletion_channel, derive_seed, entropy)
 from delmatch import matcher
-from delmatch.matcher import count_mismatches
 
 
 def _db(rows, q=2):
@@ -19,6 +17,27 @@ def _db(rows, q=2):
 
 
 BERN = Distribution.bernoulli(0.5)
+
+# A row's status is min(counts, 2) of match_counts.
+NO_CANDIDATE, MATCHED, COLLISION = 0, 1, 2
+_STATUS = {MatchStatus.NO_CANDIDATE: NO_CANDIDATE, MatchStatus.MATCHED: MATCHED,
+           MatchStatus.COLLISION: COLLISION}
+
+
+def _one(y, c1, detected, cfg, dist):
+    """(status, row) of match_counts for the one observed row y."""
+    counts, rows = match_counts(c1, np.asarray(y).reshape(1, -1), detected, cfg, dist)
+    return min(int(counts[0]), 2), int(rows[0])
+
+
+def _pair(outcome):
+    """(status, row) of a MatchOutcome, in _one's form."""
+    return _STATUS[outcome.status], outcome.row if outcome.is_match else -1
+
+
+def _experiment_counts(exp, cfg, dist):
+    """match_counts over every c2 row of exp, with its detected deletions."""
+    return match_counts(exp.c1, exp.c2.symbols, exp.detection.detected_indices, cfg, dist)
 
 
 # -- subsequence containment -------------------------------------------------
@@ -31,40 +50,36 @@ def test_is_subsequence_basic():
     assert not is_subsequence([0], [])
 
 
-# -- match_row -----------------------------------------------------------------
+# -- one observed row -----------------------------------------------------------
 
 def test_match_row_full_length_equality():
     c1 = _db([[0, 1], [1, 0]])
-    out = match_row([0, 1], c1, [], MatcherConfig(epsilon=0.0), BERN)
-    assert out == MatchOutcome(MatchStatus.MATCHED, 0)
+    assert _one([0, 1], c1, [], MatcherConfig(epsilon=0.0), BERN) == (MATCHED, 0)
 
 
 def test_match_row_collision():
     c1 = _db([[0, 0, 1], [0, 1, 1]])
-    out = match_row([0, 1], c1, [], MatcherConfig(epsilon=0.5), BERN)
-    assert out.status is MatchStatus.COLLISION
+    assert _one([0, 1], c1, [], MatcherConfig(epsilon=0.5), BERN) == (COLLISION, -1)
 
 
 def test_match_row_with_detected_column():
     c1 = _db([[0, 0, 1]])
-    out = match_row([0, 1], c1, [1], MatcherConfig(epsilon=0.5), BERN)
-    assert out == MatchOutcome(MatchStatus.MATCHED, 0)
+    assert _one([0, 1], c1, [1], MatcherConfig(epsilon=0.5), BERN) == (MATCHED, 0)
 
 
 def test_match_row_no_candidate_from_typicality():
     # the only containing row is atypical under a skewed distribution
     dist = Distribution((0.9, 0.1))
     c1 = _db([[1, 1, 1, 1]])
-    out = match_row([1, 1], c1, [], MatcherConfig(epsilon=0.2), dist)
-    assert out.status is MatchStatus.NO_CANDIDATE
+    assert _one([1, 1], c1, [], MatcherConfig(epsilon=0.2), dist) == (NO_CANDIDATE, -1)
 
 
 def test_match_row_length_guard():
     c1 = _db([[0, 1]])
     with pytest.raises(ValueError):
-        match_row([0, 1, 1], c1, [], MatcherConfig(epsilon=0.5), BERN)
+        _one([0, 1, 1], c1, [], MatcherConfig(epsilon=0.5), BERN)
     with pytest.raises(ValueError):
-        match_row([0, 1], c1, [0], MatcherConfig(epsilon=0.5), BERN)
+        _one([0, 1], c1, [0], MatcherConfig(epsilon=0.5), BERN)
 
 
 def test_match_row_order_invariance():
@@ -72,25 +87,25 @@ def test_match_row_order_invariance():
     rows = rng.integers(0, 2, size=(6, 10)).astype(np.uint8)
     c1 = Database(rows, 2)
     y = rows[3, [0, 2, 4, 5, 6, 8]]
-    out = match_row(y, c1, [], MatcherConfig(epsilon=0.3), BERN)
+    status, row = _one(y, c1, [], MatcherConfig(epsilon=0.3), BERN)
     perm = rng.permutation(6)
     shuffled = Database(rows[perm], 2)
-    out2 = match_row(y, shuffled, [], MatcherConfig(epsilon=0.3), BERN)
-    assert out.status == out2.status
-    if out.is_match:
-        assert perm[out2.row] == out.row
+    status2, row2 = _one(y, shuffled, [], MatcherConfig(epsilon=0.3), BERN)
+    assert status == status2
+    if status == MATCHED:
+        assert perm[row2] == row
 
 
-# -- match_all ------------------------------------------------------------------
+# -- whole experiments -----------------------------------------------------------
 
 def test_match_all_no_deletion_distinct_rows():
     rows = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
     c1 = Database(rows, 2)
     exp = apply_deletion_channel(c1, 0.0, 0.0, 42)
-    outcomes, matched = match_experiment(exp, MatcherConfig(epsilon=1.0), BERN)
-    assert all(o.is_match for o in outcomes)
-    assert mismatch_rate(outcomes, exp.labeling) == 0.0
-    for j, i in matched.items():
+    counts, matched = _experiment_counts(exp, MatcherConfig(epsilon=1.0), BERN)
+    assert (counts == 1).all()
+    assert count_mismatches(matched, exp.labeling.perm, np.arange(4)) == 0
+    for j, i in enumerate(matched.tolist()):
         assert exp.labeling.perm[i] == j
 
 
@@ -98,13 +113,13 @@ def test_match_all_duplicate_rows_collide():
     rows = np.array([[0, 1], [0, 1], [1, 0]], dtype=np.uint8)
     c1 = Database(rows, 2)
     exp = apply_deletion_channel(c1, 0.0, 0.0, 43)
-    outcomes, _ = match_experiment(exp, MatcherConfig(epsilon=1.0), BERN)
+    counts, matched = _experiment_counts(exp, MatcherConfig(epsilon=1.0), BERN)
     dup_targets = {int(exp.labeling.perm[0]), int(exp.labeling.perm[1])}
-    for j, o in enumerate(outcomes):
+    for j, (count, row) in enumerate(zip(counts.tolist(), matched.tolist())):
         if j in dup_targets:
-            assert o.status is MatchStatus.COLLISION
+            assert min(count, 2) == COLLISION and row == -1
         else:
-            assert o.is_match
+            assert count == MATCHED and row >= 0
 
 
 def test_match_all_monte_carlo_low_rate():
@@ -114,10 +129,12 @@ def test_match_all_monte_carlo_low_rate():
     for trial in range(200):
         c1 = sample_database(BERN, 4, 24, derive_seed(9000, trial, 0))
         exp = apply_deletion_channel(c1, 0.2, 1.0, derive_seed(9000, trial, 1))
-        outcomes, _ = match_experiment(exp, MatcherConfig(epsilon=eps), BERN)
-        for j, o in enumerate(outcomes):
-            correct += o.is_match and int(exp.labeling.perm[o.row]) == j
-            total += 1
+        _, matched = _experiment_counts(exp, MatcherConfig(epsilon=eps), BERN)
+        right = sum(row >= 0 and int(exp.labeling.perm[row]) == j
+                    for j, row in enumerate(matched.tolist()))
+        assert count_mismatches(matched, exp.labeling.perm, np.arange(4)) == 4 - right
+        correct += right
+        total += 4
     assert correct / total >= 0.95
 
 
@@ -131,13 +148,13 @@ def test_true_row_always_containment_candidate():
         exp = apply_deletion_channel(c1, 0.3, 0.5, derive_seed(7000, trial, 1))
         keep = np.ones(c1.n, dtype=bool)
         keep[exp.detection.detected_indices] = False
-        outcomes, _ = match_experiment(exp, MatcherConfig(epsilon=eps), dist)
+        counts, _ = _experiment_counts(exp, MatcherConfig(epsilon=eps), dist)
         inv = exp.labeling.inverse
         nl2 = dist.neg_log2()
-        for j, o in enumerate(outcomes):
+        for j, count in enumerate(counts.tolist()):
             true_row = c1.symbols[inv[j]][keep]
             assert is_subsequence(exp.c2.symbols[j], true_row)
-            if o.status is MatchStatus.NO_CANDIDATE:
+            if count == NO_CANDIDATE:
                 saw_no_candidate = True
                 score = float(nl2[true_row].mean())
                 assert abs(score - entropy(dist)) > eps
@@ -154,13 +171,13 @@ def test_enlarging_detected_set_never_creates_collision():
             extra = [int(j) for j in exp.deletion.deleted_indices
                      if j not in detected]
             cfg = MatcherConfig(epsilon=0.2)
-            outcomes, _ = match_experiment(exp, cfg, dist)
-            bigger, _ = match_all(exp.c1, exp.c2.symbols, detected + extra,
-                                  cfg, dist)
+            _, matched = _experiment_counts(exp, cfg, dist)
+            bigger, _ = match_counts(exp.c1, exp.c2.symbols, detected + extra,
+                                     cfg, dist)
             inv = exp.labeling.inverse
-            for j, o in enumerate(outcomes):
-                if o.is_match and o.row == int(inv[j]):
-                    assert bigger[j].status is not MatchStatus.COLLISION
+            for j, row in enumerate(matched.tolist()):
+                if row == int(inv[j]):
+                    assert min(int(bigger[j]), 2) != COLLISION
 
 
 # -- exact-equality path (no undetected deletion) ------------------------------
@@ -217,7 +234,7 @@ def test_hash_join_equals_brute_force_at_u0(instance):
     for j, y in enumerate(c2_rows):
         expected = _brute_force(c1, y.tolist(), detected, cfg, dist)
         assert outcomes[j] == expected
-        assert match_row(y, c1, detected, cfg, dist) == expected
+        assert _one(y, c1, detected, cfg, dist) == _pair(expected)
         assert matched.get(j) == (expected.row if expected.is_match else None)
 
 
@@ -249,10 +266,9 @@ def test_hash_join_width_zero():
     one = _db([[1, 0, 1]])
     assert match_all(one, np.zeros((2, 0)), [0, 1, 2], cfg, BERN)[0] == [
         MatchOutcome(MatchStatus.MATCHED, 0)] * 2
-    assert match_row([], one, [0, 1, 2], cfg, BERN) == MatchOutcome(
-        MatchStatus.MATCHED, 0)
+    assert _one([], one, [0, 1, 2], cfg, BERN) == (MATCHED, 0)
     two = _db([[1, 0, 1], [0, 0, 1]])
-    assert match_row([], two, [0, 1, 2], cfg, BERN).status is MatchStatus.COLLISION
+    assert _one([], two, [0, 1, 2], cfg, BERN) == (COLLISION, -1)
 
 
 def test_containment_decides_at_u1():
@@ -261,11 +277,11 @@ def test_containment_decides_at_u1():
     # that plain equality would have missed
     cfg = MatcherConfig(epsilon=0.3)
     c1 = _db([[0, 0, 1, 0], [1, 0, 1, 0]])
-    outcome = match_row([0, 1, 0], c1, [], cfg, SKEWED)
-    assert outcome == MatchOutcome(MatchStatus.MATCHED, 0)
-    assert outcome == _brute_force(c1, [0, 1, 0], [], cfg, SKEWED)
+    outcome = _one([0, 1, 0], c1, [], cfg, SKEWED)
+    assert outcome == (MATCHED, 0)
+    assert outcome == _pair(_brute_force(c1, [0, 1, 0], [], cfg, SKEWED))
     loose = MatcherConfig(epsilon=1.0)
-    assert match_row([0, 1, 0], c1, [], loose, SKEWED).status is MatchStatus.COLLISION
+    assert _one([0, 1, 0], c1, [], loose, SKEWED) == (COLLISION, -1)
 
 
 # -- bit-parallel containment (undetected deletions remain) --------------------
@@ -461,24 +477,26 @@ def test_count_mismatches_on_a_subset():
 
 
 def test_mismatch_rate_trivials():
-    from delmatch import Labeling
-    lab = Labeling(np.arange(4))
-    all_right = [MatchOutcome(MatchStatus.MATCHED, j) for j in range(4)]
-    assert mismatch_rate(all_right, lab) == 0.0
-    none = [MatchOutcome(MatchStatus.NO_CANDIDATE)] * 4
-    assert mismatch_rate(none, lab) == 1.0
-    three = all_right[:3] + [MatchOutcome(MatchStatus.COLLISION)]
-    assert mismatch_rate(three, lab) == 0.25
-    wrong_target = all_right[:3] + [MatchOutcome(MatchStatus.MATCHED, 0)]
-    assert mismatch_rate(wrong_target, lab) == 0.25
+    # count_mismatches over every row of an identity labelling
+    perm = observed = np.arange(4)
+    all_right = [0, 1, 2, 3]
+    assert count_mismatches(all_right, perm, observed) == 0
+    assert count_mismatches([-1] * 4, perm, observed) == 4   # no candidate anywhere
+    assert count_mismatches(all_right[:3] + [-1], perm, observed) == 1  # one collision
+    assert count_mismatches(all_right[:3] + [0], perm, observed) == 1   # a wrong target
 
 
 def test_mismatch_rate_guards():
-    from delmatch import Labeling
-    with pytest.raises(ValueError):
-        mismatch_rate([], Labeling(np.arange(0)))
-    with pytest.raises(ValueError):
-        mismatch_rate([MatchOutcome(MatchStatus.NO_CANDIDATE)], Labeling(np.arange(2)))
+    # count_mismatches refuses rows and observed of different lengths and a
+    # row outside [-1, len(perm)); no observed row is no mismatch
+    perm = np.arange(2)
+    for rows, observed in (([], [0]), ([-1], [0, 1]), ([0, 1], [0])):
+        with pytest.raises(ValueError, match="observed rows"):
+            count_mismatches(rows, perm, observed)
+    for rows in ([2, 0], [0, -2]):
+        with pytest.raises(ValueError, match=r"\[-1, 2\)"):
+            count_mismatches(rows, perm, [0, 1])
+    assert count_mismatches([], perm, []) == 0
 
 
 def test_matcher_refuses_inputs_a_cast_would_change():
@@ -497,7 +515,7 @@ def test_matcher_refuses_inputs_a_cast_would_change():
         with pytest.raises(ValueError, match="observed symbols"):
             match_counts(c1, rows, [2], cfg, BERN)
         with pytest.raises(ValueError, match="observed symbols"):
-            match_row(rows[0], c1, [], cfg, BERN)
+            match_counts(c1, rows[0], [], cfg, BERN)  # one observed row
     # exact values of other dtypes are still taken as they are
     expected = match_counts(c1, np.array([[0, 1]], dtype=np.uint8), [2], cfg, BERN)
     for rows, detected in (([[0, 1]], [2]), ([[0.0, 1.0]], [2.0]),

@@ -38,7 +38,7 @@ from .detector import (Verdict, detect_f, detect_g, detection_trials,
                        brute_force_posterior, certain_verdict_masks, trial_deletions)
 
 # Desk-scale guard: largest m*n a matching sweep will materialize
-# (m ~ 2^16 rows at n = 64).  Overridable per config.
+# (m ~ 2^16 rows at n = 64).  Fixed; override_guards lifts it.
 CELL_GUARD = 1 << 22
 
 # Rows the closed-form mode evaluates per trial; precision comes from trials.
@@ -541,10 +541,10 @@ class OracleReport:
         return not self.failures
 
 
-def _random_instance(rng, n_max=12, b_max=3, consistent=True):
+def _random_instance(rng, n_max=12, consistent=True):
     q = int(rng.choice([2, 3]))
     n = int(rng.integers(1, n_max + 1))
-    b = int(rng.integers(0, b_max + 1))
+    b = int(rng.integers(0, 4))
     d1 = rng.integers(0, q, size=(b, n)).astype(np.uint8)
     if consistent:
         deleted = rng.random(n) < rng.uniform(0.0, 0.9)
@@ -555,15 +555,14 @@ def _random_instance(rng, n_max=12, b_max=3, consistent=True):
     return d1, d2
 
 
-def check_counting(cases: int, seed: int, count_fn=count_embeddings) -> list:
+def check_counting(cases: int, seed: int) -> list:
     """count_embeddings == brute force on random small (consistent and
-    arbitrary) instances; count_fn is injectable so a broken DP is provably
-    caught."""
+    arbitrary) instances."""
     failures = []
     rng = _rng(seed, 1)
     for i in range(cases):
         d1, d2 = _random_instance(rng, consistent=bool(i % 2))
-        got, want = count_fn(d1, d2), brute_force_embeddings(d1, d2)
+        got, want = count_embeddings(d1, d2), brute_force_embeddings(d1, d2)
         if got != want:
             failures.append(f"counting case {i}: got {got}, brute force {want}, "
                             f"d1={d1.tolist()}, d2={d2.tolist()}")
@@ -595,7 +594,7 @@ def check_posteriors(cases: int, seed: int) -> list:
     return failures
 
 
-def check_supersequence(seed: int, n_exact=9, n_bound=20) -> list:
+def check_supersequence(seed: int, n_exact=9) -> list:
     failures = []
     rng = _rng(seed, 3)
     for q in (2, 3):
@@ -608,7 +607,7 @@ def check_supersequence(seed: int, n_exact=9, n_bound=20) -> list:
                 if got != want:
                     failures.append(f"F({n},{k},{q}) = {got}, brute force {want} "
                                     f"for fixed {fixed.tolist()}")
-        for n in range(1, n_bound + 1):
+        for n in range(1, 21):
             for k in range(1, n + 1):
                 if k * q < n:
                     continue
@@ -641,7 +640,7 @@ def check_g_subset_f(cases: int, seed: int) -> list:
         if int(d1.max(initial=0)) >= dist.alphabet_size:
             dist = Distribution.uniform(3)
         batch = model.SeedBatch(d1, d2)
-        eps = float(rng.uniform(0.0, 0.5))
+        eps = float(rng.uniform(0.0, 0.6))
         f_verdicts = detect_f(batch, dist, eps)
         g_verdicts = detect_g(batch, dist, eps)
         for j, (g, f) in enumerate(zip(g_verdicts, f_verdicts)):
@@ -712,7 +711,8 @@ def _cfg_echo(cfg: ExperimentConfig, command: str) -> list:
     if command == "simulate-detect":  # no matcher: its one slack is the detector's
         return echo + [("epsilon", repr(_detect_only_epsilon(cfg)))]
     echo.append(("epsilon", repr(cfg.matcher_epsilon())))
-    echo.append(("detect_epsilon", repr(cfg.detector_epsilon())))
+    if command == "pipeline":  # simulate-match has no detector
+        echo.append(("detect_epsilon", repr(cfg.detector_epsilon())))
     echo.append(("override_guards", str(cfg.override_guards).lower()))
     return echo
 

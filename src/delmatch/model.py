@@ -65,8 +65,11 @@ def _exact_cast(values, dtype, what: str) -> np.ndarray:
     return cast
 
 
-def _frozen(arr: np.ndarray, dtype) -> np.ndarray:
-    out = np.ascontiguousarray(np.asarray(arr, dtype=dtype))
+def _frozen(arr, dtype, what: str) -> np.ndarray:
+    """A private, read-only, C-ordered copy of arr as dtype, cast exactly
+    (see _exact_cast), so the caller's array stays writable and later writes
+    to it do not reach the record."""
+    out = np.array(_exact_cast(arr, dtype, what), order="C")
     out.setflags(write=False)
     return out
 
@@ -78,7 +81,7 @@ def _flag_vector(flags) -> np.ndarray:
         raise ValueError("flags must be a 1-d bit vector")
     if not ((flags == 0) | (flags == 1)).all():
         raise ValueError("flags must be 0/1")
-    return _frozen(flags, np.uint8)
+    return _frozen(flags, np.uint8, "flags")
 
 
 def _column_ids(d1, d2):
@@ -174,14 +177,14 @@ class Database:
     q: int
 
     def __post_init__(self):
-        arr = np.asarray(self.symbols)
+        arr = _frozen(self.symbols, np.uint8, "database symbols")
         if arr.ndim != 2:
             raise ValueError("database must be a 2-d matrix")
         if not 2 <= self.q <= MAX_ALPHABET:
             raise ValueError("alphabet size out of range")
         if arr.size and int(arr.max()) >= self.q:
             raise ValueError("symbol index exceeds alphabet size")
-        object.__setattr__(self, "symbols", _frozen(arr, np.uint8))
+        object.__setattr__(self, "symbols", arr)
 
     @property
     def m(self) -> int:
@@ -244,10 +247,10 @@ class Labeling:
     perm: np.ndarray
 
     def __post_init__(self):
-        perm = np.asarray(self.perm)
+        perm = _frozen(self.perm, np.int64, "perm")
         if perm.ndim != 1 or not np.array_equal(np.sort(perm), np.arange(perm.size)):
             raise ValueError("perm must be a permutation of 0..m-1")
-        object.__setattr__(self, "perm", _frozen(perm, np.int64))
+        object.__setattr__(self, "perm", perm)
 
     @property
     def m(self) -> int:
@@ -308,8 +311,8 @@ class SeedBatch:
     source_rows: np.ndarray = None
 
     def __post_init__(self):
-        d1 = _frozen(np.atleast_2d(self.d1), np.uint8)
-        d2 = _frozen(np.atleast_2d(self.d2), np.uint8)
+        d1 = _frozen(np.atleast_2d(self.d1), np.uint8, "seed batch symbols")
+        d2 = _frozen(np.atleast_2d(self.d2), np.uint8, "seed batch symbols")
         if d1.shape[0] != d2.shape[0]:
             raise ValueError("d1/d2 row counts differ")
         if d2.shape[1] > d1.shape[1]:
@@ -317,7 +320,8 @@ class SeedBatch:
         object.__setattr__(self, "d1", d1)
         object.__setattr__(self, "d2", d2)
         if self.source_rows is not None:
-            object.__setattr__(self, "source_rows", _frozen(self.source_rows, np.int64))
+            rows = _frozen(self.source_rows, np.int64, "source_rows")
+            object.__setattr__(self, "source_rows", rows)
 
     @property
     def batch_size(self) -> int:
@@ -470,14 +474,20 @@ def load_experiment(directory) -> DeletionExperiment:
                 continue
             key, _, value = line.partition("=")
             kv[key.strip()] = value.strip()
-    perm = np.array([int(x) for x in kv["permutation"].split(",")], dtype=np.int64)
-    deletion = np.frombuffer(kv["deletion_flags"].encode(), dtype=np.uint8) - ord("0")
-    detection = np.frombuffer(kv["detection_flags"].encode(), dtype=np.uint8) - ord("0")
+
+    def field(key):
+        if key not in kv:
+            raise ValueError(f"experiment.txt has no {key} line")
+        return kv[key]
+
+    perm = np.array([int(x) for x in field("permutation").split(",")], dtype=np.int64)
+    deletion = np.frombuffer(field("deletion_flags").encode(), dtype=np.uint8) - ord("0")
+    detection = np.frombuffer(field("detection_flags").encode(), dtype=np.uint8) - ord("0")
     return DeletionExperiment(
         c1=c1,
         c2=c2,
         labeling=Labeling(perm),
-        deletion=DeletionPattern(deletion, float(kv["delta"])),
-        detection=DetectionPattern(detection, float(kv["alpha"])),
-        master_seed=int(kv["master_seed"]),
+        deletion=DeletionPattern(deletion, float(field("delta"))),
+        detection=DetectionPattern(detection, float(field("alpha"))),
+        master_seed=int(field("master_seed")),
     )

@@ -3,23 +3,16 @@ PASS/FAIL line (run with -s to see them).  Tolerances are fixed here, not
 calibrated at runtime."""
 
 import time
-from fractions import Fraction
 from itertools import product
-from math import comb, log2
+from math import log2
 
-import numpy as np
 import pytest
 from scipy.stats import fisher_exact
 
-from delmatch import (Distribution, SeedBatch, RateParams, achievable_rate,
-                      entropy, binary_entropy, supersequence_count_exact,
-                      supersequence_count_bound, count_embeddings,
-                      brute_force_embeddings, posterior_deletions,
-                      brute_force_posterior, detect_f, detect_g, Verdict,
-                      ExperimentConfig)
-from delmatch.harness import (run_simulate_match, run_simulate_detect,
-                              _all_sequences, _count_containing, _random_instance)
-from delmatch.model import _rng
+from delmatch import (Distribution, RateParams, achievable_rate, entropy,
+                      binary_entropy, ExperimentConfig)
+from delmatch.harness import (run_simulate_match, run_simulate_detect, check_counting,
+                              check_posteriors, check_supersequence, check_g_subset_f)
 from delmatch import cli
 
 BERN = Distribution.bernoulli(0.5)
@@ -74,11 +67,8 @@ def test_c02_figure_curve_reproduction():
 
 def test_c03_counting_oracle_equivalence():
     started = time.time()
-    rng = _rng(MASTER_SEED, 3)
     cases = 1000
-    for i in range(cases):
-        d1, d2 = _random_instance(rng, consistent=bool(i % 2))
-        assert count_embeddings(d1, d2) == brute_force_embeddings(d1, d2)
+    assert check_counting(cases, MASTER_SEED) == []
     elapsed = time.time() - started
     assert elapsed < 60.0
     _report(3, "counting oracle equivalence", f"{cases} instances, {elapsed:.1f}s")
@@ -86,13 +76,8 @@ def test_c03_counting_oracle_equivalence():
 
 def test_c04_posterior_oracle_equivalence():
     started = time.time()
-    rng = _rng(MASTER_SEED, 4)
     cases = 1000
-    for _ in range(cases):
-        d1, d2 = _random_instance(rng, consistent=True)
-        post = posterior_deletions(SeedBatch(d1, d2))
-        assert post == brute_force_posterior(d1, d2)
-        assert sum(post) == Fraction(d1.shape[1] - d2.shape[1])
+    assert check_posteriors(cases, MASTER_SEED) == []
     elapsed = time.time() - started
     assert elapsed < 60.0
     _report(4, "posterior oracle equivalence", f"{cases} instances, {elapsed:.1f}s")
@@ -100,29 +85,11 @@ def test_c04_posterior_oracle_equivalence():
 
 def test_c05_supersequence_count_and_bound():
     started = time.time()
-    rng = _rng(MASTER_SEED, 5)
-    checked = 0
-    for q in (2, 3):
-        for n in range(1, 13):
-            seqs = _all_sequences(n, q)
-            for k in range(0, n + 1):
-                fixed = rng.integers(0, q, size=k)
-                assert supersequence_count_exact(n, k, q) == \
-                    _count_containing(seqs, fixed)
-                checked += 1
-    bound_checked = 0
-    for q in (2, 3):
-        for n in range(1, 21):
-            for k in range(1, n + 1):
-                if k * q < n:
-                    continue
-                exact = supersequence_count_exact(n, k, q)
-                assert log2(exact) <= supersequence_count_bound(n, k, q) + 1e-12
-                bound_checked += 1
+    assert check_supersequence(MASTER_SEED, n_exact=12) == []
     elapsed = time.time() - started
     assert elapsed < 30.0
     _report(5, "supersequence count and bound",
-            f"{checked} exact cases, {bound_checked} bound cases, {elapsed:.1f}s")
+            f"exact F(n, k, q) for n <= 12, bound for n <= 20, {elapsed:.1f}s")
 
 
 def test_c06_detection_bound_never_violated():
@@ -145,26 +112,11 @@ def test_c06_detection_bound_never_violated():
 
 def test_c07_g_implies_f():
     started = time.time()
-    rng = _rng(MASTER_SEED, 7)
-    dists = [BERN, Distribution.bernoulli(0.3), Distribution.uniform(3)]
     cases = 1000
-    g_deleted = 0
-    for i in range(cases):
-        d1, d2 = _random_instance(rng, n_max=10, consistent=True)
-        dist = dists[i % len(dists)]
-        if int(d1.max(initial=0)) >= dist.alphabet_size:
-            dist = Distribution.uniform(3)
-        batch = SeedBatch(d1, d2)
-        eps = float(rng.uniform(0.0, 0.6))
-        f_v = detect_f(batch, dist, eps)
-        for j, g in enumerate(detect_g(batch, dist, eps)):
-            if g is Verdict.DELETED:
-                g_deleted += 1
-                assert f_v[j] is Verdict.DELETED
+    assert check_g_subset_f(cases, MASTER_SEED) == []
     elapsed = time.time() - started
     assert elapsed < 60.0
-    _report(7, "g-Deleted implies f-Deleted",
-            f"{cases} batches, {g_deleted} g-verdicts checked, {elapsed:.1f}s")
+    _report(7, "g-Deleted implies f-Deleted", f"{cases} batches, {elapsed:.1f}s")
 
 
 def test_c08_matching_trend_and_failure_regime():
@@ -248,3 +200,33 @@ def test_c10_byte_identical_output(tmp_path):
     assert elapsed < 300.0
     _report(10, "byte-identical output across workers and reruns",
             f"{len(commands)} commands, {elapsed:.0f}s")
+
+
+def test_c11_rate_threshold_between_no_and_partial_detection():
+    # R = 0.36 lies above the no-detection rate R*(0.2, 0) and below the
+    # partial-detection rate R*(0.2, 0.5): as n grows, mismatch must rise
+    # to 1 without side information and fall towards 0 with it.
+    started = time.time()
+    rate, n_values = 0.36, (100, 400, 1000)
+    assert achievable_rate(RateParams(BERN, 0.2, 0.0)) < rate \
+        < achievable_rate(RateParams(BERN, 0.2, 0.5))
+    assert max(n_values) * rate <= 512  # m = 2^(nR) stays within the closed form
+    trends = {}
+    for alpha, rising in ((0.0, True), (0.5, False)):
+        points = run_simulate_match(ExperimentConfig(
+            BERN, n_values, 0.2, trials=200, master_seed=MASTER_SEED, rate=rate,
+            alpha=alpha))
+        assert all(p.mode == "virtual" for p in points)
+        for a, b in zip(points, points[1:]):
+            table = [[a.mismatches, a.evaluated - a.mismatches],
+                     [b.mismatches, b.evaluated - b.mismatches]]
+            res = fisher_exact(table, alternative="less" if rising else "greater")
+            assert res.pvalue < 0.01, (alpha, a.n, b.n)
+        trends[alpha] = [p.mismatch_rate for p in points]
+    assert trends[0.0][-1] >= 0.9
+    assert trends[0.5][-1] <= 0.05
+    elapsed = time.time() - started
+    assert elapsed < 60.0
+    _report(11, "rate threshold between no and partial detection",
+            "; ".join(f"alpha={a}: " + " -> ".join(f"{r:.3f}" for r in rates)
+                       for a, rates in trends.items()) + f", {elapsed:.1f}s")

@@ -20,7 +20,7 @@ from delmatch import (Distribution, ExperimentConfig, ConfigError, entropy,
 from delmatch import harness
 from delmatch.detector import Verdict, detection_trials
 from delmatch.harness import (_match_trial, _pipeline_trial, _virtual_match_trial,
-                              check_counting, CELL_GUARD)
+                              CELL_GUARD)
 from delmatch.model import derive_seed
 from delmatch import cli
 
@@ -442,14 +442,22 @@ def test_oracle_check_passes():
     assert len(report.suites) == 5
 
 
-def test_oracle_check_catches_mutant():
-    from delmatch import count_embeddings
-
-    def off_by_one(d1, d2):
-        return count_embeddings(d1, d2) + 1
-
-    failures = check_counting(40, 1, count_fn=off_by_one)
-    assert failures  # a broken DP must produce counterexamples
+@pytest.mark.parametrize("suite, target, mutant", [
+    (lambda: harness.check_counting(40, 1), "count_embeddings",
+     lambda real: lambda d1, d2: real(d1, d2) + 1),
+    (lambda: harness.check_posteriors(40, 1), "posterior_deletions",
+     lambda real: lambda batch: [p / 2 for p in real(batch)]),
+    (lambda: harness.check_supersequence(1), "supersequence_count_exact",
+     lambda real: lambda n, k, q: real(n, k, q) + 1),
+    (lambda: harness.check_g_subset_f(40, 1), "detect_g",
+     lambda real: lambda batch, dist, eps: [Verdict.DELETED] * batch.n),
+    (lambda: harness.check_fast_kernel(40, 1), "certain_verdict_masks",
+     lambda real: lambda d1, d2: real(d1, d2)[::-1]),  # deleted and retained swapped
+], ids=["counting", "posteriors", "supersequence", "g_subset_f", "fast_kernel"])
+def test_oracle_suite_catches_mutant(monkeypatch, suite, target, mutant):
+    # a suite that passed a broken implementation would leave oracle-check at "ok"
+    monkeypatch.setattr(harness, target, mutant(getattr(harness, target)))
+    assert suite()
 
 
 # -- CLI ----------------------------------------------------------------------------
@@ -686,6 +694,26 @@ def test_cli_detect_manifest_echoes_its_own_keys(tmp_path):
                   if line.startswith("config."))
     assert config == {"dist": "0.5,0.5", "n": "16,32", "B": "8", "delta": "0.5",
                       "epsilon": "0.05", "trials": "3"}
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate-match", "--n", "16", "--rate", "0.2", "--delta", "0.2", "--alpha", "0.5"],
+    ["simulate-detect", "--n", "16,32", "--B", "8", "--delta", "0.5", "--epsilon", "0.1"],
+    ["pipeline", "--n", "16", "--m", "40", "--delta", "0.3", "--B", "0,4",
+     "--detect-epsilon", "0.2"],
+], ids=lambda args: args[0])
+def test_manifest_config_echo_replays_to_same_csv(tmp_path, args):
+    # a manifest's config.* lines are a config file for the command that wrote it
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    assert cli.main(args + ["--dist", "bern:0.3", "--trials", "6", "--seed", "11",
+                            "--out", str(first)]) == 0
+    manifest = (tmp_path / "first.csv.manifest.txt").read_text().splitlines()
+    cfgfile = tmp_path / "replay.cfg"
+    cfgfile.write_text("".join(line[len("config."):] + "\n" for line in manifest
+                               if line.startswith("config.")))
+    assert cli.main([args[0], "--config", str(cfgfile), "--seed", "11",
+                     "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
 
 
 def test_detect_slack_default_same_in_cli_and_library(tmp_path):

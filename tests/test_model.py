@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from delmatch import (Distribution, Database, DeletionPattern, DetectionPattern,
-                      Labeling, DeletionExperiment, sample_database,
+                      Labeling, DeletionExperiment, SeedBatch, sample_database,
                       apply_deletion_channel, extract_seed_batch,
                       database_to_csv, database_from_csv, save_experiment,
                       load_experiment)
@@ -308,6 +308,17 @@ def _assert_round_trip(exp, directory):
             assert a.read() == b.read()
 
 
+def test_load_experiment_names_a_missing_key(tmp_path):
+    exp = apply_deletion_channel(sample_database(Distribution.bernoulli(0.5), 4, 5, 1),
+                                 0.4, 0.5, 2)
+    save_experiment(exp, tmp_path)
+    manifest = tmp_path / "experiment.txt"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(ln for ln in lines if not ln.startswith("permutation")))
+    with pytest.raises(ValueError, match="^experiment.txt has no permutation line$"):
+        load_experiment(tmp_path)
+
+
 def test_experiment_save_load_bit_exact(tmp_path):
     d = Distribution.bernoulli(0.3)
     c1 = sample_database(d, 6, 14, 123)
@@ -358,3 +369,34 @@ def test_types_are_immutable():
     pat = DeletionPattern(np.array([1, 0, 1]), 0.5)
     with pytest.raises(ValueError):
         pat.flags[0] = 0
+
+
+@pytest.mark.parametrize("make, values", [
+    (lambda a: Database(a, 2), [[-1, 0]]),          # wraps to 255, a symbol >= q
+    (lambda a: Database(a, 2), [[1.5, 0]]),         # truncates to 1
+    (lambda a: SeedBatch(a, [[300]]), [[300, 1]]),  # wraps to 44
+    (lambda a: SeedBatch(a, [[1]]), [[0.5, 1]]),    # truncates to 0
+], ids=["Database-negative", "Database-fraction", "SeedBatch-300", "SeedBatch-fraction"])
+def test_records_refuse_a_cast_that_changes_a_symbol(make, values):
+    with pytest.raises(ValueError, match="integers in the uint8 range"):
+        make(np.array(values))
+
+
+@pytest.mark.parametrize("make, field, values, dtype", [
+    (lambda a: Database(a, 2), "symbols", [[0, 1], [1, 0]], np.uint8),
+    (lambda a: SeedBatch(a, a), "d1", [[0, 1], [1, 0]], np.uint8),
+    (lambda a: SeedBatch(a, a), "d2", [[0, 1], [1, 0]], np.uint8),
+    (lambda a: SeedBatch([[0], [1]], [[0], [1]], source_rows=a), "source_rows", [1, 0],
+     np.int64),
+    (Labeling, "perm", [1, 0], np.int64),
+    (lambda a: DeletionPattern(a, 0.5), "flags", [1, 0], np.uint8),
+    (lambda a: DetectionPattern(a, 0.5), "flags", [1, 0], np.uint8),
+], ids=["Database", "SeedBatch.d1", "SeedBatch.d2", "SeedBatch.source_rows", "Labeling",
+        "DeletionPattern", "DetectionPattern"])
+def test_records_keep_a_private_copy(make, field, values, dtype):
+    base = np.array(values, dtype=dtype)  # already the record's dtype: no cast copies it
+    record = make(base[:])
+    assert base.flags.writeable  # the caller's array is not frozen
+    base[...] = 7  # and its later writes do not reach the record
+    assert getattr(record, field).tolist() == values
+    assert not getattr(record, field).flags.writeable

@@ -630,7 +630,10 @@ def _count_containing(seqs: np.ndarray, fixed: np.ndarray) -> int:
 
 
 def check_g_subset_f(cases: int, seed: int) -> list:
+    """Every g-Deleted column is f-Deleted; a run with no g-Deleted verdict
+    checked nothing and fails."""
     failures = []
+    checked = 0
     rng = _rng(seed, 4)
     dists = [Distribution.bernoulli(0.5), Distribution.bernoulli(0.3),
              Distribution.uniform(3)]
@@ -644,9 +647,12 @@ def check_g_subset_f(cases: int, seed: int) -> list:
         f_verdicts = detect_f(batch, dist, eps)
         g_verdicts = detect_g(batch, dist, eps)
         for j, (g, f) in enumerate(zip(g_verdicts, f_verdicts)):
+            checked += g is Verdict.DELETED
             if g is Verdict.DELETED and f is not Verdict.DELETED:
                 failures.append(f"g=f case {i} col {j}: g Deleted but f {f.value}, "
                                 f"d1={d1.tolist()}, d2={d2.tolist()}")
+    if not checked:
+        failures.append(f"g=f: no g-Deleted verdict in {cases} cases, so none was checked")
     return failures
 
 

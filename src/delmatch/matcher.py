@@ -69,8 +69,9 @@ def _keep_mask(n: int, detected) -> np.ndarray:
 
 # Fixed tile sizes of the containment kernel: observed rows per block, and
 # 64-bit words of source rows per tile (4096 rows).  They bound the symbol
-# table at width * (q + 1) * 512 bytes and the one buffer that holds the
-# lag-major state and step arrays, (u + 1, 64, 64) words each, at
+# table at width * (q + 1) * 512 bytes, its packing temporaries at 8 columns
+# of one tile, and the one buffer that holds the lag-major state and step
+# arrays of cumulative lag sets, (u + 1, 64, 64) words each, at
 # 2 * 64 * (u + 1) * 512 bytes.
 _OBS_BLOCK = 64
 _SOURCE_WORDS = 64
@@ -79,15 +80,17 @@ _SOURCE_WORDS = 64
 def _symbol_sets(rows: np.ndarray, symbols: int) -> np.ndarray:
     """eq[c, s]: packed bitset of the rows with rows[i, c] == s.
 
-    Row i is bit i % 64 of word i // 64.  Rows sharing a bit position lie in
-    distinct words, so one fancy-indexed OR per bit position sets them all.
+    Row i is bit i % 64 of word i // 64 (byte i // 8 of the little-endian
+    words).  The table is packed one symbol at a time from at most 8
+    transposed columns; the bits past row m stay zero.
     """
     m, width = rows.shape
     eq = np.zeros((width, symbols, -(-m // 64)), dtype=np.uint64)
-    cols = np.arange(width)
-    for bit in range(min(64, m)):
-        part = rows[bit::64]
-        eq[cols, part, np.arange(part.shape[0])[:, None]] |= np.uint64(1 << bit)
+    packed = eq.view(np.uint8)[:, :, :-(-m // 8)]
+    for c in range(0, width, 8):
+        part = np.ascontiguousarray(rows[:, c:c + 8].T)
+        for s in range(symbols):
+            packed[c:c + 8, s] = np.packbits(part == s, axis=1, bitorder="little")
     return eq
 
 
@@ -100,19 +103,23 @@ def _containing_sets(rows: np.ndarray, ys: np.ndarray):
 
     Greedy embedding is exact for subsequences.  After c columns a row's
     greedy progress is c - lag, and a row whose lag exceeds u = width - K
-    can no longer finish, so u + 1 bitsets, one per lag, carry the state of
-    64 source rows per word.  The state and step arrays are lag-major,
-    (u + 1, block, words), so each lag slice is contiguous, and the lag axis
-    is stored reversed (index r = u - lag): the symbol wanted at column c
-    and index r is ys[c + r - u], row c + r of `wanted`, and positions
-    outside y hold a symbol no row has.  Before column c only lags in
-    [max(0, c - K), min(c, u)] are reachable, so column c updates only the
-    indices r in [u - min(c + 1, u), u - max(0, c - K)], which include the
-    lag c + 1 that rows move into.  That lowest index is the one slot read
-    before it is written, and while c < u it wants a padding symbol, so none
-    of its stale bits stays and its movers fall out of the band: the buffer
-    needs no clearing.  The band makes the cost
-    O(m * count * (K + 1) * (u + 1) / 64) word operations.
+    can no longer finish.  The state is u + 1 cumulative lag sets, 64 source
+    rows per word: T[l] holds the rows whose lag is at most l, so a column
+    keeps a row's lag where its symbol is the one wanted (E[l]) and raises
+    it by one elsewhere, and T'[l] = T[l - 1] | (T[l] & E[l]), with T[-1]
+    empty.  After the last column T[u] is the answer, as no lag is below u.
+    The state and step arrays are lag-major, (u + 1, block, words), so each
+    lag slice is contiguous, and the lag axis is stored reversed (index
+    r = u - l): the symbol wanted at column c and index r is ys[c + r - u],
+    row c + r of `wanted`, and positions outside y hold a symbol no row has.
+    Before column c every lag is at most c and at least c - K, so T[l] is
+    every row for l >= c and empty for l < c - K.  Column c therefore
+    computes only the lags l in [max(0, c + 1 - K), min(c, u)] in three
+    array passes (take E, AND, OR with the next index), and while c < u it
+    writes T'[c + 1] as every row.  Those are exactly the rows that column
+    c + 1 reads, and column 0 reads only T[0], every row, so no row is read
+    before it is written and the buffer needs no clearing.  The band makes
+    the cost O(m * count * (K + 1) * (u + 1) / 64) word operations.
     """
     m, width = rows.shape
     count, k = ys.shape
@@ -121,6 +128,8 @@ def _containing_sets(rows: np.ndarray, ys: np.ndarray):
     # uint16 holds the absent symbol 256 and keeps this copy of ys small
     wanted = np.full((width + u + 1, count), absent, dtype=np.uint16)
     wanted[u:u + k] = ys.T
+    # column c computes the indices [a, b): lags max(0, c + 1 - K) to min(c, u)
+    bands = [(c, u - min(c, u), u + 1 - max(0, c + 1 - k)) for c in range(width)]
     tile = 64 * _SOURCE_WORDS
     # one buffer holds the state and step arrays of every block of every tile
     buffer = np.empty(2 * (u + 1) * min(_OBS_BLOCK, count) * min(_SOURCE_WORDS, -(-m // 64)),
@@ -133,17 +142,18 @@ def _containing_sets(rows: np.ndarray, ys: np.ndarray):
             full[-1] = np.uint64((1 << (size % 64)) - 1)
         for lo in range(0, count, _OBS_BLOCK):
             hi = min(lo + _OBS_BLOCK, count)
+            block = wanted[:, lo:hi]
             state, step = buffer[:2 * (u + 1) * (hi - lo) * full.size].reshape(
                 2, u + 1, hi - lo, full.size)
-            state[u] = full  # lag 0; stale bits elsewhere are never kept
-            for c in range(width):
-                a, b = u - min(c + 1, u), u + 1 - max(0, c - k)
+            state[u] = full  # T[0]: every row starts at lag 0
+            for c, a, b in bands:
                 # mode="clip" lets take write into out without a buffer
-                np.take(eq[c], wanted[c + a:c + b, lo:hi], axis=0, out=step[a:b],
-                        mode="clip")
-                np.bitwise_and(state[a:b], step[a:b], out=step[a:b])    # stay: lag kept
-                np.bitwise_xor(state[a:b], step[a:b], out=state[a:b])   # move: lag + 1
-                np.bitwise_or(step[a:b - 1], state[a + 1:b], out=step[a:b - 1])
+                np.take(eq[c], block[c + a:c + b], axis=0, out=step[a:b], mode="clip")
+                np.bitwise_and(step[a:b], state[a:b], out=step[a:b])  # lag l kept
+                top = min(b, u)  # T[-1], past index u, is empty
+                np.bitwise_or(step[a:top], state[a + 1:top + 1], out=step[a:top])  # T[l - 1]
+                if a:  # c < u: every row's lag is at most c + 1
+                    step[a - 1] = full
                 state, step = step, state
             yield lo, start, state[0]
         del eq  # release this tile's table before the next one is built
@@ -179,8 +189,9 @@ def match_counts(c1: Database, c2_rows, detected, cfg: MatcherConfig,
     labels the typical restricted rows and the observed rows together, equal
     rows alike, in O(m * width * log m).  Otherwise the bit-parallel kernel
     tests all typical rows at once: for u undetected deletions and K observed
-    symbols it advances u + 1 lag bitsets over the band of lags each column
-    can reach, in O(m^2 * (K + 1) * (u + 1) / 64) word operations.
+    symbols it advances u + 1 cumulative lag bitsets, three array passes
+    over the band of lags each column can change, in
+    O(m^2 * (K + 1) * (u + 1) / 64) word operations.
 
     Observed symbols must fit uint8 and detected indices must be integers;
     any other value (a float, a boolean mask, 300) is a ValueError, never a

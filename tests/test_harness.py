@@ -451,9 +451,13 @@ def test_oracle_check_passes():
      lambda real: lambda n, k, q: real(n, k, q) + 1),
     (lambda: harness.check_g_subset_f(40, 1), "detect_g",
      lambda real: lambda batch, dist, eps: [Verdict.DELETED] * batch.n),
+    # a detect_g that never says Deleted gives the suite nothing to check
+    (lambda: harness.check_g_subset_f(40, 1), "detect_g",
+     lambda real: lambda batch, dist, eps: [Verdict.INCONCLUSIVE] * batch.n),
     (lambda: harness.check_fast_kernel(40, 1), "certain_verdict_masks",
      lambda real: lambda d1, d2: real(d1, d2)[::-1]),  # deleted and retained swapped
-], ids=["counting", "posteriors", "supersequence", "g_subset_f", "fast_kernel"])
+], ids=["counting", "posteriors", "supersequence", "g_subset_f", "g_subset_f_never_deleted",
+        "fast_kernel"])
 def test_oracle_suite_catches_mutant(monkeypatch, suite, target, mutant):
     # a suite that passed a broken implementation would leave oracle-check at "ok"
     monkeypatch.setattr(harness, target, mutant(getattr(harness, target)))

@@ -322,6 +322,21 @@ def test_containment_kernel_equals_brute_force(instance):
         assert matched.get(j) == (expected.row if expected.is_match else None)
 
 
+@pytest.mark.parametrize("m", [0, 1, 63, 65, 4096 + 65])
+@pytest.mark.parametrize("q", [4, 256])
+def test_symbol_sets_equal_column_masks(m, q):
+    # every bit of eq[c, s], the padding bits of the last word included,
+    # against rows[:, c] == s; the extra symbol q marks no row
+    rng = np.random.default_rng(m + q)
+    rows = rng.integers(0, q, size=(m, 11)).astype(np.uint8)
+    eq = matcher._symbol_sets(rows, q + 1)
+    assert eq.shape == (11, q + 1, -(-m // 64)) and eq.dtype == np.uint64
+    bits = np.unpackbits(eq.view(np.uint8), axis=2, bitorder="little")
+    assert not bits[:, :, m:].any()
+    want = rows.T[:, None, :] == np.arange(q + 1)[None, :, None]
+    assert np.array_equal(bits[:, :, :m], want)
+
+
 @pytest.mark.parametrize("m, width, k, count, source_words, obs_block", [
     pytest.param(0, 6, 3, 7, 64, 64, id="0-64-64"),
     pytest.param(65, 6, 3, 7, 64, 64, id="65-64-64"),
@@ -391,9 +406,10 @@ def test_containment_peak_allocation_within_kernel_budget():
     assert peak <= budget + 64 * 1024, (peak, budget)
     # Two 4096-row tiles at q = 256 (a 4 MiB symbol table each), 256
     # observed rows with u = 2.  The budget holds one table, so a table kept
-    # alive while the next tile's is built exceeds it.  The slack adds the
-    # fancy-index temporaries of filling a table 64 rows at a time, about
-    # three (64, width) int64 arrays.
+    # alive while the next tile's is built exceeds it.  The slack adds
+    # three (64, width) int64 arrays, the temporaries of an earlier table
+    # fill; with the 64 KiB it covers packing 8 columns of a tile at a time
+    # (a copy, its boolean mask and the packed bytes, about 68 KiB).
     m, width, u, count = 8192, 32, 2, 256
     rows = rng.integers(0, 256, size=(m, width)).astype(np.uint8)
     keep = np.sort(rng.choice(width, size=width - u, replace=False))
@@ -426,6 +442,18 @@ def test_match_counts_equal_brute_force(instance):
     # u = 0 (labelling join) and u > 0 (containment kernel), with planted
     # duplicate rows and width 0
     _assert_counts_equal_brute_force(*instance)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hidden_instances(), st.sampled_from([1, 3]), st.sampled_from([1, 64]))
+def test_match_counts_equal_brute_force_in_small_tiles(instance, obs_block, source_words):
+    # blocks of 1 or 3 observed rows (a ragged last one at 3) reuse the
+    # buffer across blocks in every draw with more than three observed rows,
+    # and 64-row source tiles make m = 65 cross tiles; 64 words is the default
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matcher, "_OBS_BLOCK", obs_block)
+        patch.setattr(matcher, "_SOURCE_WORDS", source_words)
+        _assert_counts_equal_brute_force(*instance)
 
 
 @pytest.mark.parametrize("rows, observed, detected, cfg", [

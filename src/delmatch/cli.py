@@ -110,14 +110,20 @@ def _out_path(path: str) -> str:
 
 
 def _get(args, cfgmap, key, conv=None, default=None, required=False):
-    """A flag, else the config file's key, else the default.  The key is
-    taken out of cfgmap, so the keys left there were never read."""
+    """A flag, else the config file's key, else the default, passed through
+    conv; a conv error names the option.  The key is taken out of cfgmap,
+    so the keys left there were never read."""
     val = cfgmap.pop(key, DEFAULTS.get(key, default))
     if getattr(args, key, None) is not None:
         val = getattr(args, key)
     if val is None and required:
         raise ConfigError(f"missing required option --{key}")
-    return conv(val) if conv and val is not None else val
+    if conv is None or val is None:
+        return val
+    try:
+        return conv(val)
+    except ValueError as exc:  # ConfigError included
+        raise ConfigError(f"--{key.replace('_', '-')}: {exc}") from exc
 
 
 def _refuse_unread(args, cfgmap):
@@ -129,8 +135,8 @@ def _refuse_unread(args, cfgmap):
 
 def cmd_rates(args, cfgmap) -> int:
     dist = parse_distribution(_get(args, cfgmap, "dist"))
-    deltas = parse_float_grid(str(_get(args, cfgmap, "deltas")))
-    alphas = parse_float_grid(str(_get(args, cfgmap, "alphas")))
+    deltas = _get(args, cfgmap, "deltas", parse_float_grid)
+    alphas = _get(args, cfgmap, "alphas", parse_float_grid)
     out = _get(args, cfgmap, "out", _out_path)
     _refuse_unread(args, cfgmap)
     points = run_rates(dist, deltas, alphas, out)
@@ -157,7 +163,7 @@ SWEEPS = {
 def _sweep_config(args, cfgmap) -> ExperimentConfig:
     kw = dict(
         dist=parse_distribution(_get(args, cfgmap, "dist")),
-        n_values=parse_int_list(_get(args, cfgmap, "n", required=True)),
+        n_values=_get(args, cfgmap, "n", parse_int_list, required=True),
         delta=_get(args, cfgmap, "delta", float, required=True),
         trials=_get(args, cfgmap, "trials", int),
         master_seed=_get(args, cfgmap, "seed", int),
@@ -174,7 +180,7 @@ def _sweep_config(args, cfgmap) -> ExperimentConfig:
     if args.command == "simulate-match":
         kw["alpha"] = _get(args, cfgmap, "alpha", float, required=True)
     else:
-        kw["batch_sizes"] = parse_int_list(_get(args, cfgmap, "B", required=True))
+        kw["batch_sizes"] = _get(args, cfgmap, "B", parse_int_list, required=True)
     if args.command == "pipeline":
         kw["detect_epsilon"] = _get(args, cfgmap, "detect_epsilon", float)
     _refuse_unread(args, cfgmap)

@@ -84,8 +84,7 @@ def posterior_deletions(batch: SeedBatch) -> list:
     """Exact posterior deletion probability of every column given the batch.
 
     Entry j is S(d1 with column j removed, d2) / S(d1, d2) as a Fraction.
-    One forward and one backward prefix DP cover all n removals; the result
-    is identical to recounting n+1 times (see posterior_deletions_naive).
+    One forward and one backward prefix DP cover all n removals.
     """
     n, k = batch.n, batch.retained_count
     ids1, ids2 = (ids.tolist() for ids in _column_ids(batch.d1, batch.d2))
@@ -101,16 +100,6 @@ def posterior_deletions(batch: SeedBatch) -> list:
         s_j = sum(fore[t][j] * back[k - t][n - 1 - j] for t in range(k + 1))
         out.append(Fraction(s_j, total))
     return out
-
-
-def posterior_deletions_naive(d1, d2) -> list:
-    """Reference implementation: re-count with each column removed in turn."""
-    d1, d2 = _as_batch_matrices(d1, d2)
-    total = count_embeddings(d1, d2)
-    if total == 0:
-        raise InconsistentBatchError("no deletion pattern maps d1 to d2")
-    return [Fraction(count_embeddings(np.delete(d1, j, axis=1), d2), total)
-            for j in range(d1.shape[1])]
 
 
 def detect_f(batch: SeedBatch, dist: Distribution, epsilon: float) -> list:

@@ -33,12 +33,12 @@ from .infotheory import (entropy, RateParams, achievable_rate,
 from .matcher import (MatcherConfig, default_epsilon, match_counts, count_mismatches,
                       _containment_counts)
 from .detector import (Verdict, detect_f, detect_g, detection_trials,
-                       count_embeddings, brute_force_embeddings,
-                       posterior_deletions, posterior_deletions_naive,
+                       count_embeddings, brute_force_embeddings, posterior_deletions,
                        brute_force_posterior, certain_verdict_masks, trial_deletions)
 
-# Desk-scale guard: largest m*n a matching sweep will materialize
-# (m ~ 2^16 rows at n = 64).  Fixed; override_guards lifts it.
+# Desk-scale guard: largest m*n a matching sweep will materialize (m ~ 2^16
+# rows at n = 64), and largest B*n of a simulate-detect trial.  Fixed;
+# override_guards lifts it for the matching sweeps only.
 CELL_GUARD = 1 << 22
 
 # Rows the closed-form mode evaluates per trial; precision comes from trials.
@@ -451,8 +451,12 @@ def run_simulate_detect(cfg: ExperimentConfig) -> list:
     specs = [(_detect_trials, (cfg.dist, n, b, cfg.delta, epsilon), b * n)
              for n, b in grid]
 
-    # Refuse an all-retained point before any trial; any() stops at its first deletion.
+    # Refuse an oversized or all-retained point before any trial; any() stops
+    # at its first deletion.
     for pidx, (n, b) in enumerate(grid):
+        if b * n > CELL_GUARD:
+            raise ConfigError(f"B*n = {b * n} exceeds the detection guard {CELL_GUARD}; "
+                              f"reduce B to <= {CELL_GUARD // n} at n = {n}")
         if not any(trial_deletions(derive_seed(cfg.master_seed, pidx, t), n, cfg.delta).any()
                    for t in range(cfg.trials)):
             raise RuntimeError(f"no columns were deleted in any trial at (n={n}, "
@@ -577,11 +581,10 @@ def check_posteriors(cases: int, seed: int) -> list:
         n, k = d1.shape[1], d2.shape[1]
         batch = model.SeedBatch(d1, d2)
         fast = posterior_deletions(batch)
-        naive = posterior_deletions_naive(d1, d2)
         brute = brute_force_posterior(d1, d2)
-        if fast != naive or fast != brute:
-            failures.append(f"posterior case {i}: fb={fast}, naive={naive}, "
-                            f"brute={brute}, d1={d1.tolist()}, d2={d2.tolist()}")
+        if fast != brute:
+            failures.append(f"posterior case {i}: fb={fast}, brute={brute}, "
+                            f"d1={d1.tolist()}, d2={d2.tolist()}")
             continue
         if sum(fast) != n - k:
             failures.append(f"posterior case {i}: sum {sum(fast)} != n-K = {n - k}")
@@ -680,7 +683,7 @@ def run_oracle_check(master_seed: int = 0, cases: int = 400) -> OracleReport:
     check_range("seed", master_seed, hi=2 ** 64, error=ConfigError)
     suites = [
         ("embedding counts vs enumeration", check_counting(cases, master_seed)),
-        ("posteriors: fb = naive = Bayes enumeration", check_posteriors(cases, master_seed)),
+        ("posteriors: fb = Bayes enumeration", check_posteriors(cases, master_seed)),
         ("supersequence count and bound", check_supersequence(master_seed)),
         ("g-Deleted subset of f-Deleted", check_g_subset_f(cases, master_seed)),
         ("boolean kernel vs exact posteriors", check_fast_kernel(cases, master_seed)),

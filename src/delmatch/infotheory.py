@@ -68,32 +68,16 @@ def achievable_rate(params: RateParams) -> float:
     return max(0.0, inner)
 
 
-def is_typical(sequence, dist: Distribution, epsilon: float) -> bool:
-    """Weak typicality of one sequence of length L:
-    |-(1/L) log2 p(sequence) - H(X)| <= epsilon.
-
-    Probabilities accumulate in log space, so long sequences cannot
-    underflow.  A zero-probability symbol makes the sequence atypical
-    (its -log2 p is +inf) rather than raising.  The empty sequence is
-    typical by convention.
-    """
-    check_range("epsilon", epsilon)
-    seq = np.asarray(sequence)
-    if seq.ndim != 1:
-        raise ValueError(f"sequence must be 1-d, got shape {seq.shape}")
-    if seq.size and (seq.min() < 0 or seq.max() >= dist.alphabet_size):
-        raise ValueError("symbol index outside the alphabet")
-    return bool(typicality_mask(seq[None, :], dist, epsilon, axis=1)[0])
-
-
 def typicality_mask(mat, dist: Distribution, epsilon: float, axis: int) -> np.ndarray:
     """Weak typicality of every line of a symbol matrix along axis (1: each
     row, 0: each column): |-(1/L) log2 p(line) - H(X)| <= epsilon.
 
     Lines of length 0 are typical.  The mean and H round differently, so a
     few ulps of slack, 1e-12 * max(1, H), keep exactly typical lines
-    typical at epsilon = 0.
+    typical at epsilon = 0.  epsilon must be finite and >= 0: a NaN slack
+    would make every line atypical.
     """
+    check_range("epsilon", epsilon)
     mat = np.asarray(mat)
     if mat.shape[axis] == 0:
         return np.ones(mat.shape[1 - axis], dtype=bool)

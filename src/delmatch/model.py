@@ -9,7 +9,6 @@ Indices are 0-based throughout.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,10 +214,6 @@ class DeletionPattern:
         """K, the number of columns surviving deletion."""
         return int(self.n - self.flags.sum())
 
-    @property
-    def deleted_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.flags)
-
 
 @dataclass(frozen=True, eq=False)
 class DetectionPattern:
@@ -255,12 +250,6 @@ class Labeling:
     @property
     def m(self) -> int:
         return self.perm.shape[0]
-
-    @property
-    def inverse(self) -> np.ndarray:
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(self.m)
-        return inv
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,92 +391,3 @@ def extract_seed_batch(exp: DeletionExperiment, batch_size: int,
     d2 = exp.c2.symbols[exp.labeling.perm[idx]]
     return SeedBatch(d1, d2, source_rows=idx)
 
-
-# ---------------------------------------------------------------------------
-# Serialization: CSV databases plus a key-value manifest, enough to reload an
-# experiment bit-exactly.
-
-def database_to_csv(db: Database) -> str:
-    """First line 'm,n,q', then one comma-separated row of symbol indices per user."""
-    lines = [f"{db.m},{db.n},{db.q}"]
-    for row in db.symbols:
-        lines.append(",".join(str(int(s)) for s in row))
-    return "\n".join(lines) + "\n"
-
-
-def database_from_csv(text: str) -> Database:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    m, n, q = (int(x) for x in lines[0].split(","))
-    # A row of no symbols is written as an empty line, and those are skipped.
-    if len(lines) - 1 != (m if n else 0):
-        raise ValueError(f"expected {m} rows of {n} symbols, found "
-                         f"{len(lines) - 1} non-empty lines")
-    if not 2 <= q <= MAX_ALPHABET:
-        raise ValueError(f"alphabet size {q} outside 2..{MAX_ALPHABET}")
-    if m and n:
-        values = [[int(x) for x in ln.split(",")] for ln in lines[1:]]
-        bad = next((v for row in values for v in row if not 0 <= v < q), None)
-        if bad is not None:
-            raise ValueError(f"symbol {bad} outside the alphabet 0..{q - 1}")
-        rows = np.array(values, dtype=np.uint8)
-    else:
-        rows = np.zeros((m, n), dtype=np.uint8)
-    if rows.shape != (m, n):
-        raise ValueError("row length inconsistent with header")
-    return Database(rows, q)
-
-
-def _flags_to_str(flags: np.ndarray) -> str:
-    return "".join(str(int(b)) for b in flags)
-
-
-def save_experiment(exp: DeletionExperiment, directory) -> None:
-    """Write c1.csv, c2.csv and experiment.txt under directory."""
-    os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "c1.csv"), "w") as f:
-        f.write(database_to_csv(exp.c1))
-    with open(os.path.join(directory, "c2.csv"), "w") as f:
-        f.write(database_to_csv(exp.c2))
-    manifest = [
-        f"master_seed = {exp.master_seed}",
-        f"delta = {exp.deletion.delta!r}",
-        f"alpha = {exp.detection.alpha!r}",
-        "permutation = " + ",".join(str(int(i)) for i in exp.labeling.perm),
-        "deletion_flags = " + _flags_to_str(exp.deletion.flags),
-        "detection_flags = " + _flags_to_str(exp.detection.flags),
-    ]
-    with open(os.path.join(directory, "experiment.txt"), "w") as f:
-        f.write("\n".join(manifest) + "\n")
-
-
-def load_experiment(directory) -> DeletionExperiment:
-    """Reload an experiment saved by save_experiment; invariants are re-verified."""
-    with open(os.path.join(directory, "c1.csv")) as f:
-        c1 = database_from_csv(f.read())
-    with open(os.path.join(directory, "c2.csv")) as f:
-        c2 = database_from_csv(f.read())
-    kv = {}
-    with open(os.path.join(directory, "experiment.txt")) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
-
-    def field(key):
-        if key not in kv:
-            raise ValueError(f"experiment.txt has no {key} line")
-        return kv[key]
-
-    perm = np.array([int(x) for x in field("permutation").split(",")], dtype=np.int64)
-    deletion = np.frombuffer(field("deletion_flags").encode(), dtype=np.uint8) - ord("0")
-    detection = np.frombuffer(field("detection_flags").encode(), dtype=np.uint8) - ord("0")
-    return DeletionExperiment(
-        c1=c1,
-        c2=c2,
-        labeling=Labeling(perm),
-        deletion=DeletionPattern(deletion, float(field("delta"))),
-        detection=DetectionPattern(detection, float(field("alpha"))),
-        master_seed=int(field("master_seed")),
-    )

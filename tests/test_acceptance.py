@@ -9,8 +9,8 @@ from math import log2
 import pytest
 from scipy.stats import fisher_exact
 
-from delmatch import (Distribution, RateParams, achievable_rate, entropy,
-                      binary_entropy, ExperimentConfig)
+from delmatch import Distribution, RateParams, achievable_rate, entropy, ExperimentConfig
+from delmatch.infotheory import binary_entropy
 from delmatch.harness import (run_simulate_match, run_simulate_detect, check_counting,
                               check_posteriors, check_supersequence, check_g_subset_f)
 from delmatch import cli

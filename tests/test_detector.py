@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from delmatch import (Distribution, SeedBatch, sample_database,
-                      apply_deletion_channel, extract_seed_batch,
-                      count_embeddings, brute_force_embeddings,
-                      posterior_deletions, brute_force_posterior, detect_f,
-                      detect_g, Verdict, certain_verdict_masks, detection_trial,
-                      wilson_interval, verdicts_to_csv, InconsistentBatchError,
-                      GuardExceededError, detection_probability_bound,
-                      ExperimentConfig, run_simulate_detect, derive_seed)
 from delmatch import harness
-from delmatch.detector import _certain_masks, _column_ids, detection_trials
-from delmatch.harness import _random_instance
+from delmatch.detector import (Verdict, InconsistentBatchError, GuardExceededError,
+                               count_embeddings, brute_force_embeddings,
+                               posterior_deletions, brute_force_posterior, detect_f,
+                               detect_g, certain_verdict_masks, detection_trial,
+                               detection_trials, verdicts_to_csv, _certain_masks,
+                               _column_ids)
+from delmatch.harness import (ExperimentConfig, run_simulate_detect, wilson_interval,
+                              _random_instance)
+from delmatch.infotheory import detection_probability_bound, typicality_mask
+from delmatch.model import (Distribution, SeedBatch, sample_database,
+                            apply_deletion_channel, extract_seed_batch, derive_seed)
 
 A, B_, C = 0, 1, 2  # symbol aliases for readable single-row fixtures
 
@@ -128,6 +129,18 @@ def test_detect_g_example():
 def test_detect_g_no_deletion_no_verdict():
     batch = SeedBatch(_rows("abab"), _rows("abab"))
     assert Verdict.DELETED not in detect_g(batch, Distribution.bernoulli(0.5), 0.1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_bad_epsilon_refused_by_every_typicality_test(bad):
+    # a NaN slack would make every column atypical, so every verdict
+    # Inconclusive instead of an error
+    batch = SeedBatch(_rows("aba"), _rows("a"))
+    dist = Distribution.bernoulli(0.5)
+    for check in (lambda: detect_f(batch, dist, bad), lambda: detect_g(batch, dist, bad),
+                  lambda: typicality_mask(batch.d1, dist, bad, axis=0)):
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+            check()
 
 
 def test_verdicts_deterministic():

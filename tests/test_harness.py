@@ -10,18 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delmatch import (Distribution, ExperimentConfig, ConfigError, entropy,
-                      run_rates, run_simulate_match, run_simulate_detect,
-                      run_pipeline, run_oracle_check, parse_distribution,
-                      parse_float_grid, parse_int_list, parse_config_file,
-                      MatcherConfig, match_all, match_counts,
-                      sample_database, apply_deletion_channel,
-                      extract_seed_batch, detect_f)
 from delmatch import harness
-from delmatch.detector import Verdict, detection_trials
-from delmatch.harness import (_match_trial, _pipeline_trial, _virtual_match_trial,
-                              CELL_GUARD)
-from delmatch.model import derive_seed
+from delmatch.detector import Verdict, detect_f, detection_trials
+from delmatch.harness import (ExperimentConfig, ConfigError, run_rates, run_simulate_match,
+                              run_simulate_detect, run_pipeline, run_oracle_check,
+                              parse_distribution, parse_float_grid, parse_int_list,
+                              parse_config_file, _match_trial, _pipeline_trial,
+                              _virtual_match_trial, CELL_GUARD)
+from delmatch.infotheory import entropy
+from delmatch.matcher import MatcherConfig, match_all, match_counts
+from delmatch.model import (Distribution, sample_database, apply_deletion_channel,
+                            extract_seed_batch, derive_seed)
 from delmatch import cli
 
 BERN = Distribution.bernoulli(0.5)
@@ -485,6 +484,22 @@ def test_cli_usage_errors(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("args, message", [
+    (["simulate-detect", "--n", "", "--B", "4", "--delta", "0.3"],
+     "--n: invalid literal for int() with base 10: ''"),
+    (["simulate-detect", "--n", "8", "--B", "x", "--delta", "0.3"],
+     "--B: invalid literal for int() with base 10: 'x'"),
+    (["rates", "--deltas", "0.1,x"], "--deltas: could not convert string to float: 'x'"),
+    (["rates", "--alphas", "0:1"], "--alphas: bad grid spec '0:1'"),
+], ids=["n", "B", "deltas", "alphas"])
+def test_cli_list_parse_errors_name_their_option(capsys, monkeypatch, args, message):
+    monkeypatch.setattr(harness, "_sweep", _no_sweep)
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_cli_rejects_nan_distribution(capsys):
     assert cli.main(["rates", "--dist", "bern:nan", "--deltas", "0.4"]) == 2
     captured = capsys.readouterr()
@@ -684,6 +699,24 @@ def test_cli_detect_grid_errors_come_before_any_trial(capsys, monkeypatch, grid)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_detect_refuses_batch_cells_beyond_the_guard(capsys, monkeypatch):
+    # one trial of B = 10^8 at n = 8 would draw a 6.4 GB float64 batch
+    monkeypatch.setattr(harness, "_sweep", _no_sweep)
+    started = time.perf_counter()
+    assert cli.main(["simulate-detect", "--dist", "bern:0.5", "--n", "8", "--B",
+                     "100000000", "--delta", "0.3", "--trials", "1"]) == 2
+    assert time.perf_counter() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: B*n = 800000000 exceeds the detection guard "
+                            f"{CELL_GUARD}; reduce B to <= {CELL_GUARD // 8} at n = 8\n")
+    # B*n at the guard itself is planned
+    cfg = ExperimentConfig(dist=Distribution.bernoulli(0.5), n_values=(8,), delta=0.5,
+                           trials=1, master_seed=0, batch_sizes=(CELL_GUARD // 8,))
+    with pytest.raises(AssertionError, match="trials ran"):
+        run_simulate_detect(cfg)
 
 
 def test_cli_detect_manifest_echoes_its_own_keys(tmp_path):

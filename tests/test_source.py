@@ -1,6 +1,7 @@
 """Rules over the package source as a whole."""
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "delmatch"
@@ -14,3 +15,27 @@ def test_no_assert_statements_in_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _names_from_delmatch(source: str, filename: str) -> set:
+    """Every name imported by `from delmatch import ...` in source."""
+    return {alias.name for node in ast.walk(ast.parse(source, filename))
+            if isinstance(node, ast.ImportFrom) and node.module == "delmatch"
+            for alias in node.names}
+
+
+def test_package_exports_exactly_the_names_its_users_import():
+    # a name stays in the package namespace only while a demo, the README
+    # quick start or perfbench imports it from there
+    root = PACKAGE.parents[1]
+    used = set()
+    for path in sorted(root.glob("demos/*.py")) + sorted(root.glob("perfbench/*.py")):
+        used |= _names_from_delmatch(path.read_text(), str(path))
+    readme = (root / "README.md").read_text()
+    block = re.search(r"## Library quick start\n+```python\n(.*?)```", readme, re.S)
+    assert block, "README has no python block under 'Library quick start'"
+    used |= _names_from_delmatch(block.group(1), "README.md")
+    init = PACKAGE / "__init__.py"
+    exported = {alias.name for node in ast.parse(init.read_text(), str(init)).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert (sorted(exported - used), sorted(used - exported)) == ([], [])

@@ -75,14 +75,21 @@ def typicality_mask(mat, dist: Distribution, epsilon: float, axis: int) -> np.nd
     Lines of length 0 are typical.  The mean and H round differently, so a
     few ulps of slack, 1e-12 * max(1, H), keep exactly typical lines
     typical at epsilon = 0.  epsilon must be finite and >= 0: a NaN slack
-    would make every line atypical.
+    would make every line atypical.  Symbols are indices into the
+    distribution's alphabet: one >= q is a ValueError naming the first.
     """
     check_range("epsilon", epsilon)
     mat = np.asarray(mat)
     if mat.shape[axis] == 0:
         return np.ones(mat.shape[1 - axis], dtype=bool)
     h = entropy(dist)
-    scores = dist.neg_log2()[mat].mean(axis=axis)
+    try:
+        costs = dist.neg_log2()[mat]
+    except IndexError:
+        q = dist.alphabet_size
+        raise ValueError(f"symbol {mat[mat >= q][0]} is outside the distribution's "
+                         f"alphabet [0, {q})") from None
+    scores = costs.mean(axis=axis)
     return np.abs(scores - h) <= epsilon + 1e-12 * max(1.0, h)
 
 

@@ -67,13 +67,12 @@ def _keep_mask(n: int, detected) -> np.ndarray:
     return keep
 
 
-# Fixed tile sizes of the containment kernel: observed rows per block, and
-# 64-bit words of source rows per tile (4096 rows).  They bound the symbol
-# table at width * (q + 1) * 512 bytes, its packing temporaries at 8 columns
-# of one tile, and the one buffer that holds the lag-major state and step
-# arrays of cumulative lag sets, (u + 1, 64, 64) words each, at
-# 2 * 64 * (u + 1) * 512 bytes.
-_OBS_BLOCK = 64
+# Tile sizes of the containment kernel: 64-bit words of source rows per tile
+# (4096 rows), which bound the symbol table at width * (q + 1) * 512 bytes and
+# its packing temporaries at 8 columns of one tile; and the bytes of the one
+# buffer that holds the lag-major state and step arrays, which set how many
+# observed rows a block holds (see _containing_sets).
+_STATE_BYTES = 1 << 20
 _SOURCE_WORDS = 64
 
 
@@ -120,6 +119,13 @@ def _containing_sets(rows: np.ndarray, ys: np.ndarray):
     c + 1 reads, and column 0 reads only T[0], every row, so no row is read
     before it is written and the buffer needs no clearing.  The band makes
     the cost O(m * count * (K + 1) * (u + 1) / 64) word operations.
+
+    Each (block, column) costs three numpy calls whatever the block's size,
+    and at the pipeline's shapes their fixed cost is a large share of the
+    kernel's time (over 40% with 64-row blocks).  So a block holds as many
+    observed rows as its state and step arrays fit in _STATE_BYTES: 170
+    rows at u = 11 and 32 words, 13 blocks of 2048 observed rows where
+    64-row blocks made 32.
     """
     m, width = rows.shape
     count, k = ys.shape
@@ -131,17 +137,18 @@ def _containing_sets(rows: np.ndarray, ys: np.ndarray):
     # column c computes the indices [a, b): lags max(0, c + 1 - K) to min(c, u)
     bands = [(c, u - min(c, u), u + 1 - max(0, c + 1 - k)) for c in range(width)]
     tile = 64 * _SOURCE_WORDS
+    words = max(1, min(_SOURCE_WORDS, -(-m // 64)))
+    block_rows = max(1, min(count, _STATE_BYTES // (16 * (u + 1) * words)))
     # one buffer holds the state and step arrays of every block of every tile
-    buffer = np.empty(2 * (u + 1) * min(_OBS_BLOCK, count) * min(_SOURCE_WORDS, -(-m // 64)),
-                      dtype=np.uint64)
+    buffer = np.empty(2 * (u + 1) * block_rows * words, dtype=np.uint64)
     for start in range(0, m, tile):
         eq = _symbol_sets(rows[start:start + tile], absent + 1)
         size = min(tile, m - start)
         full = np.full(-(-size // 64), ~np.uint64(0))
         if size % 64:
             full[-1] = np.uint64((1 << (size % 64)) - 1)
-        for lo in range(0, count, _OBS_BLOCK):
-            hi = min(lo + _OBS_BLOCK, count)
+        for lo in range(0, count, block_rows):
+            hi = min(lo + block_rows, count)
             block = wanted[:, lo:hi]
             state, step = buffer[:2 * (u + 1) * (hi - lo) * full.size].reshape(
                 2, u + 1, hi - lo, full.size)
@@ -191,7 +198,10 @@ def match_counts(c1: Database, c2_rows, detected, cfg: MatcherConfig,
     tests all typical rows at once: for u undetected deletions and K observed
     symbols it advances u + 1 cumulative lag bitsets, three array passes
     over the band of lags each column can change, in
-    O(m^2 * (K + 1) * (u + 1) / 64) word operations.
+    O(m^2 * (K + 1) * (u + 1) / 64) word operations.  It runs on blocks of
+    observed rows sized by a 1 MiB state budget, not a fixed row count,
+    because at pipeline sizes the fixed cost of its numpy calls, one per
+    block, column and pass, is a large share of its time.
 
     Observed symbols must fit uint8 and detected indices must be integers;
     any other value (a float, a boolean mask, 300) is a ValueError, never a

@@ -143,6 +143,17 @@ def test_bad_epsilon_refused_by_every_typicality_test(bad):
             check()
 
 
+def test_symbols_outside_the_alphabet_named():
+    # neg_log2 of bern(0.5) has two entries: the first symbol >= 2 in d1, in
+    # row order, is named instead of an IndexError
+    dist = Distribution.bernoulli(0.5)
+    for batch, bad in ((SeedBatch([[2, 0]], [[2]]), 2),
+                       (SeedBatch([[0, 3], [2, 1]], [[3], [1]]), 3)):
+        for detect in (detect_f, detect_g):
+            with pytest.raises(ValueError, match=f"symbol {bad} is outside"):
+                detect(batch, dist, 0.1)
+
+
 def test_verdicts_deterministic():
     batch = SeedBatch(_rows("abba"), _rows("ab"))
     dist = Distribution.bernoulli(0.5)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delmatch import matcher
-from delmatch.infotheory import entropy
+from delmatch.infotheory import entropy, typicality_mask
 from delmatch.matcher import (MatcherConfig, MatchStatus, MatchOutcome, is_subsequence,
                               match_all, default_epsilon, match_counts, count_mismatches)
 from delmatch.model import (Distribution, Database, sample_database, apply_deletion_channel,
@@ -347,6 +347,15 @@ def test_symbol_sets_equal_column_masks(m, q):
     assert np.array_equal(bits[:, :, :m], want)
 
 
+def _set_tiles(patch, m, u, source_words, obs_block):
+    """Patch the kernel's tile sizes: source tiles of source_words words and
+    a state budget that holds obs_block observed rows of m source rows at u
+    undetected deletions."""
+    words = max(1, min(source_words, -(-m // 64)))
+    patch.setattr(matcher, "_SOURCE_WORDS", source_words)
+    patch.setattr(matcher, "_STATE_BYTES", 16 * (u + 1) * words * obs_block)
+
+
 @pytest.mark.parametrize("m, width, k, count, source_words, obs_block", [
     pytest.param(0, 6, 3, 7, 64, 64, id="0-64-64"),
     pytest.param(65, 6, 3, 7, 64, 64, id="65-64-64"),
@@ -364,8 +373,7 @@ def test_containing_sets_equal_is_subsequence(monkeypatch, m, width, k, count,
                                               source_words, obs_block):
     # every bit of every tile against the greedy scan, at the band's edges
     # (u = 1, u = width - 1, K = 0) and across blocks and tiles
-    monkeypatch.setattr(matcher, "_SOURCE_WORDS", source_words)
-    monkeypatch.setattr(matcher, "_OBS_BLOCK", obs_block)
+    _set_tiles(monkeypatch, m, width - k, source_words, obs_block)
     rng = np.random.default_rng(m + 10 * k)
     rows = rng.integers(0, 3, size=(m, width)).astype(np.uint8)
     ys = rng.integers(0, 3, size=(count, k)).astype(np.uint8)
@@ -394,24 +402,41 @@ def _kernel_peak(rows, ys):
 
 
 def _kernel_budget(m, width, u, count, symbols):
-    """The lag buffer (state and step, up to 64 observed rows by u + 1 lags
-    by the tile's words each), one tile's symbol table, the wanted array
-    and the two output arrays."""
+    """The lag buffer (state and step arrays of every observed row by u + 1
+    lags by the tile's words, at most the state budget), one tile's symbol
+    table, the wanted array and the two output arrays."""
     words = min(64, m // 64)
-    return (2 * min(64, count) * (u + 1) * words * 8 + width * symbols * words * 8
+    return (min(matcher._STATE_BYTES, 2 * count * (u + 1) * words * 8)
+            + width * symbols * words * 8
             + (width + u + 1) * count * 2 + 2 * count * 8)
 
 
-def test_containment_peak_allocation_within_kernel_budget():
-    # tracemalloc sees numpy's buffers.  A pipeline-shaped input: q = 4
-    # skewed, 2048 x 32 source rows, 2048 observed rows with u = 11; 64 KiB
-    # of slack covers small temporaries.  Larger blocks or an extra uint16
-    # copy of the observed rows exceed it.
-    rng = np.random.default_rng(11)
+def _pipeline_shaped(rng):
+    """q = 4 skewed, 2048 x 32 source rows, and 2048 observed rows with
+    u = 11: the source rows shuffled, 21 columns kept."""
     m, width, u = 2048, 32, 11
     rows = rng.choice(4, size=(m, width), p=(0.4, 0.3, 0.2, 0.1)).astype(np.uint8)
     keep = np.sort(rng.choice(width, size=width - u, replace=False))
-    ys = rows[rng.permutation(m)][:, keep]
+    return rows, rows[rng.permutation(m)][:, keep]
+
+
+def test_containing_sets_blocks_fill_the_state_budget():
+    # a block holds as many observed rows as its state and step arrays fit
+    # in the budget, 170 at u = 11 and 32 words: 13 blocks, not 64-row ones
+    rows, ys = _pipeline_shaped(np.random.default_rng(11))
+    block = matcher._STATE_BYTES // (16 * (11 + 1) * 32)
+    sizes = [sets.shape[0] for _, _, sets in matcher._containing_sets(rows, ys)]
+    assert len(sizes) <= math.ceil(2048 / block), len(sizes)
+    assert sum(sizes) == 2048 and max(sizes) <= block
+
+
+def test_containment_peak_allocation_within_kernel_budget():
+    # tracemalloc sees numpy's buffers.  A pipeline-shaped input; 64 KiB of
+    # slack covers small temporaries.  A lag buffer past the state budget or
+    # an extra uint16 copy of the observed rows exceeds it.
+    rng = np.random.default_rng(11)
+    m, width, u = 2048, 32, 11
+    rows, ys = _pipeline_shaped(rng)
     peak, budget = _kernel_peak(rows, ys), _kernel_budget(m, width, u, m, 4 + 1)
     assert peak <= budget + 64 * 1024, (peak, budget)
     # Two 4096-row tiles at q = 256 (a 4 MiB symbol table each), 256
@@ -455,10 +480,14 @@ def test_match_counts_equal_brute_force_in_small_tiles(instance, obs_block, sour
     # buffer across blocks in every draw with more than three observed rows,
     # and 64-row source tiles make m = 65 cross tiles; 64 words is the default.
     # Wide rows with K near the width hold long observed prefixes, so state
-    # that leaks from one block into the next shows.
+    # that leaks from one block into the next shows.  The kernel sees the
+    # typical rows only, so they set the words of the state budget.
+    c1, c2_rows, detected, cfg, dist = instance
+    restricted = np.delete(c1.symbols, detected, axis=1)
+    typical = int(typicality_mask(restricted, dist, cfg.epsilon, axis=1).sum())
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(matcher, "_OBS_BLOCK", obs_block)
-        patch.setattr(matcher, "_SOURCE_WORDS", source_words)
+        _set_tiles(patch, typical, restricted.shape[1] - c2_rows.shape[1], source_words,
+                   obs_block)
         _assert_counts_equal_brute_force(*instance)
 
 
@@ -556,6 +585,15 @@ def test_matcher_refuses_inputs_a_cast_would_change():
                            (np.array([[0, 1]], dtype=np.int64), np.array([2]))):
         got = match_counts(c1, rows, detected, cfg, BERN)
         assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+
+def test_source_symbol_outside_the_alphabet_named():
+    # symbol 2 under bern(0.5) has no probability to index: a ValueError
+    # naming it, whether the kernel (u = 1) or the sort join (u = 0) follows
+    c1 = _db([[0, 1, 2], [0, 0, 1]], q=3)
+    for observed in ([[0, 1]], [[0, 1, 1]]):
+        with pytest.raises(ValueError, match="symbol 2 is outside"):
+            match_counts(c1, observed, [], MatcherConfig(epsilon=1.0), BERN)
 
 
 def test_matcher_config_validation():

@@ -117,10 +117,10 @@ def detect_f(batch: SeedBatch, dist: Distribution, epsilon: float) -> list:
             for dele, ret in zip(deleted.tolist(), retained.tolist())]
 
 
-def _verdict_masks(ids1, ids2, d1, dist: Distribution, epsilon: float):
+def _verdict_masks(ids1, ids2, d1, dist: Distribution, epsilon: float, retained=None):
     """(Deleted, Retained) masks of detect_f from the column ids of d1 and d2:
-    certain and typical."""
-    certainly_deleted, certainly_retained = _certain_masks(ids1, ids2)
+    certain and typical.  retained is _certain_masks' known embedding."""
+    certainly_deleted, certainly_retained = _certain_masks(ids1, ids2, retained)
     typical = typicality_mask(d1, dist, epsilon, axis=0)
     return certainly_deleted & typical, certainly_retained & typical
 
@@ -185,14 +185,34 @@ def brute_force_posterior(d1, d2) -> list:
 # at once, with no counting.  Equivalence with the exact posteriors is a
 # tested guarantee.
 
-def _greedy_embedding(ids1: list, ids2: list) -> list:
-    """Leftmost embedding of ids2 into ids1: each symbol at the first
-    position after the previous one.  Raises when ids2 does not embed."""
-    index, start = ids1.index, -1
+def _greedy_scan(ids1: list, ids2, places, starts):
+    """The leftmost embedding of ids2 into ids1, written over places.
+
+    places holds a valid embedding, or -1 in every entry for none; ids2
+    and places are lists or integer arrays.  From each start t, in
+    increasing order, the scan re-places symbols at the first position
+    after the previous one, and stops at the first symbol it puts back
+    where places already had it: from there on the two agree until the
+    next start.  A start inside an earlier re-placement is skipped, so each
+    position is re-placed at most once; a -1 entry is never met again, so
+    starts = [0] over -1s is the plain greedy scan.  Raises when ids2 does
+    not embed.
+    """
+    index, done = ids1.index, -1
     try:
-        return [start := index(sym, start + 1) for sym in ids2]
+        for start in starts:
+            if start <= done:
+                continue
+            pos = places[start - 1] if start else -1
+            # done ends at the symbol that rejoined places, or at the last one
+            for done in range(start, len(ids2)):
+                pos = index(ids2[done], pos + 1)
+                if pos == places[done]:
+                    break
+                places[done] = pos
     except ValueError:
         raise InconsistentBatchError("no deletion pattern maps d1 to d2") from None
+    return places
 
 
 def certain_verdict_masks(d1, d2):
@@ -201,40 +221,76 @@ def certain_verdict_masks(d1, d2):
     certainly_deleted[j]  <=> no embedding of d2 uses column j      (P_j = 1)
     certainly_retained[j] <=> no embedding of d2 avoids column j    (P_j = 0)
 
-    Requires at least one embedding to exist; raises otherwise.  Costs two
-    O(n) greedy passes and O(n log n) for the searches.
+    Requires at least one embedding to exist; raises otherwise.  Costs a
+    labelling sort of the columns, two greedy scans over d1's columns
+    (leftmost and rightmost), and O(n) array passes.
     """
     return _certain_masks(*_column_ids(*_as_batch_matrices(d1, d2)))
 
 
-def _certain_masks(ids1, ids2):
-    """certain_verdict_masks on column ids: equal ids are equal columns."""
+def _certain_masks(ids1, ids2, retained=None):
+    """certain_verdict_masks on column ids: equal ids are equal columns.
+
+    retained, when given, marks a known embedding: d2's columns are d1's
+    retained columns, in order.  The greedy embeddings then differ from it
+    only where a symbol also occurs in the gap of deleted columns on its
+    left (leftmost) or right (rightmost), and only those are re-placed.
+    """
     n, k = len(ids1), len(ids2)
     if k > n:
         raise InconsistentBatchError("d2 wider than d1")
     if n and int(ids1.max()) >= 2 ** 63 // (k + 1):
         raise ValueError("column ids too large for the int64 keys id * (K+1) + t")
-    list1, list2 = ids1.tolist(), ids2.tolist()
+    list1 = ids1.tolist()
+    if retained is None:
+        seq2, fore, back = ids2.tolist(), [-1] * k, [-1] * k
+        starts_fore = starts_back = [0]
+    else:
+        retained = np.asarray(retained, dtype=bool)
+        emb = np.flatnonzero(retained)
+        if retained.shape != (n,) or not np.array_equal(ids1[emb], ids2):
+            raise ValueError("the retained columns of d1 are not d2")
+        # Few symbols move, so the scans read and write arrays in place.
+        seq2, fore, back = ids2, emb, n - 1 - emb[::-1]
+        # A deleted column after g retained ones lies between d2's columns
+        # g - 1 and g.  The leftmost embedding leaves emb first at column g
+        # when the ids match (the first occurrence after emb[g - 1] is then
+        # in the gap), the rightmost at column g - 1.  Ids are >= 0, so -1
+        # pads both ends.
+        gap = np.cumsum(retained)[~retained]
+        sym = ids1[~retained]
+        padded = np.concatenate(([-1], ids2, [-1]))
+        starts_fore = gap[sym == padded[gap + 1]].tolist()
+        starts_back = (k - gap[sym == padded[gap]])[::-1].tolist()
     # d2's column t sits in column left[t] of the leftmost embedding and
     # right[t] of the rightmost one; no embedding puts it outside that range.
-    left = np.array(_greedy_embedding(list1, list2), dtype=np.int64)
-    right = n - 1 - np.array(_greedy_embedding(list1[::-1], list2[::-1])[::-1],
-                             dtype=np.int64)
-    cols = np.arange(n)
+    left = np.asarray(_greedy_scan(list1, seq2, fore, starts_fore), dtype=np.int64)
+    right = n - 1 - np.asarray(_greedy_scan(list1[::-1], seq2[::-1], back, starts_back),
+                               dtype=np.int64)[::-1]
+    on_left = np.bincount(left, minlength=n)
+    on_right = np.bincount(right, minlength=n)
+    left_upto, right_upto = np.cumsum(on_left), np.cumsum(on_right)
     # Some embedding avoids j iff, for some split t, d2[:t] fits left of j
     # and d2[t:] right of it: left[t-1] < j < right[t], with left[-1] = -1
-    # and right[K] = n.  Both arrays increase, so count such t by search.
-    avoid = (np.searchsorted(right, cols, side="right")
-             <= np.searchsorted(left, cols, side="left"))
+    # and right[K] = n.  Both arrays increase, so such t exist iff
+    # #(right <= j) <= #(left < j).
+    avoid = right_upto <= left_upto - on_left
     # Every column with d2[t]'s id in [left[t], right[t]] is used by some
-    # embedding.  Those t form the range [#(right < j), #(left <= j)); look
-    # for ids1[j] among them on the keys id * (K+1) + t, sorted and ended by
-    # a sentinel: j is unused iff the first key at or above the range's
-    # lowest key is past its highest.
-    keys = np.append(np.sort(ids2 * (k + 1) + np.arange(k)), np.iinfo(np.int64).max)
-    base = ids1 * (k + 1)
-    first = keys[np.searchsorted(keys, base + np.searchsorted(right, cols, side="left"))]
-    return first >= base + np.searchsorted(left, cols, side="right"), ~avoid
+    # embedding, so the columns of an embedding are used.  The other
+    # columns' t form the range [#(right < j), #(left <= j)), and only t
+    # with left[t] < right[t] can fall in one.  Look for ids1[j] among
+    # those t on the keys id * (K+1) + t, sorted and ended by a sentinel:
+    # j is unused iff the first key at or above the range's lowest key is
+    # past its highest.
+    known = on_left.astype(bool) if retained is None else retained
+    lo, hi = right_upto - on_right, left_upto
+    search = np.flatnonzero(~known & (lo < hi))
+    spread = np.flatnonzero(left != right)
+    keys = np.append(np.sort(ids2[spread] * (k + 1) + spread), np.iinfo(np.int64).max)
+    base = ids1[search] * (k + 1)
+    deleted = ~known
+    deleted[search] = keys[np.searchsorted(keys, base + lo[search])] >= base + hi[search]
+    return deleted, ~avoid
 
 
 def trial_deletions(seed: int, n: int, delta: float) -> np.ndarray:
@@ -277,8 +333,9 @@ def detection_trials(dist: Distribution, n: int, B: int, delta: float,
     # below cols^2, and the certainty keys id * (K+1) + t below about
     # cols^3: 2^45 for a sweep chunk's at most 2^15 columns.
     ids1 += np.repeat(np.arange(count, dtype=np.int64) * cols, n)
-    # A retained column is the same column in d2, so d2 needs no labelling.
-    flagged, _ = _verdict_masks(ids1, ids1[~deleted], d1, dist, epsilon)
+    # A retained column is the same column in d2, so d2 needs no labelling,
+    # and the retained columns are an embedding to start the scans from.
+    flagged, _ = _verdict_masks(ids1, ids1[~deleted], d1, dist, epsilon, ~deleted)
     return int((flagged & deleted).sum()), int(deleted.sum())
 
 

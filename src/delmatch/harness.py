@@ -34,7 +34,8 @@ from .matcher import (MatcherConfig, default_epsilon, match_counts, count_mismat
                       _containment_counts)
 from .detector import (Verdict, detect_f, detect_g, detection_trials,
                        count_embeddings, brute_force_embeddings, posterior_deletions,
-                       brute_force_posterior, certain_verdict_masks, trial_deletions)
+                       brute_force_posterior, certain_verdict_masks, trial_deletions,
+                       _certain_masks)
 
 # Desk-scale guard: largest m*n a matching sweep will materialize (m ~ 2^16
 # rows at n = 64), and largest B*n of a simulate-detect trial.  Fixed;
@@ -257,8 +258,11 @@ def _trial_by_trial(trial, args, seeds):
 
 
 def _run_chunk(chunk):
-    _, worker, args, seeds = chunk
-    return worker(args, seeds)
+    """Trials first..end-1 of one grid point: their seeds, derived here, and
+    worker(args, seeds), the chunk's results summed field by field."""
+    worker, args, master_seed, pidx, first, end = chunk
+    seeds = [derive_seed(master_seed, pidx, t) for t in range(first, end)]
+    return worker(args, seeds), seeds
 
 
 def _sweep(points, trials: int, master_seed: int, threads: int):
@@ -267,19 +271,19 @@ def _sweep(points, trials: int, master_seed: int, threads: int):
 
     points[pidx] = (worker, args, cells): trial t of point pidx has seed
     derive_seed(master_seed, pidx, t) and `cells` symbols of input.  A
-    point's trials run in chunks of consecutive seeds, at most CHUNK_CELLS
+    point's trials run in chunks of consecutive trials, at most CHUNK_CELLS
     cells and ceil(trials / threads) trials each but never less than one
-    trial, and worker(args, seeds) returns a chunk's results summed field
-    by field.  The serial path and the pool run the same chunks.  Returns
-    each point's sums and the (point, trial, seed) log for the manifest.
+    trial.  A chunk is sent as (point, first trial, end): it derives its own
+    seeds where it runs, and worker(args, seeds) returns its results summed
+    field by field.  The serial path and the pool run the same chunks.
+    Returns each point's sums and the (point, trial, seed) log for the
+    manifest, assembled in chunk order from the seeds the chunks return.
     """
-    seed_log = [(pidx, t, derive_seed(master_seed, pidx, t))
-                for pidx in range(len(points)) for t in range(trials)]
     chunks = []
     for pidx, (worker, args, cells) in enumerate(points):
-        seeds = [seed for _, _, seed in seed_log[pidx * trials:(pidx + 1) * trials]]
         size = max(1, min(CHUNK_CELLS // cells, -(-trials // threads)))
-        chunks += [(pidx, worker, args, seeds[i:i + size]) for i in range(0, trials, size)]
+        chunks += [(worker, args, master_seed, pidx, first, min(first + size, trials))
+                   for first in range(0, trials, size)]
     if threads <= 1 or len(chunks) <= 1:
         results = list(map(_run_chunk, chunks))
     else:
@@ -287,8 +291,10 @@ def _sweep(points, trials: int, master_seed: int, threads: int):
             results = list(ex.map(_run_chunk, chunks,
                                   chunksize=max(1, len(chunks) // (threads * 8))))
     per_point = [[] for _ in points]
-    for (pidx, *_), result in zip(chunks, results):
-        per_point[pidx].append(result)
+    seed_log = []
+    for (_, _, _, pidx, first, _), (sums, seeds) in zip(chunks, results):
+        per_point[pidx].append(sums)
+        seed_log += [(pidx, first + i, seed) for i, seed in enumerate(seeds)]
     return [_field_sums(r) for r in per_point], seed_log
 
 
@@ -546,17 +552,17 @@ class OracleReport:
 
 
 def _random_instance(rng, n_max=12, consistent=True):
+    """(d1, d2, deleted): a small random batch and its deletion flags, or
+    None for them when not consistent (d2 then is arbitrary)."""
     q = int(rng.choice([2, 3]))
     n = int(rng.integers(1, n_max + 1))
     b = int(rng.integers(0, 4))
     d1 = rng.integers(0, q, size=(b, n)).astype(np.uint8)
     if consistent:
         deleted = rng.random(n) < rng.uniform(0.0, 0.9)
-        d2 = d1[:, ~deleted]
-    else:
-        k = int(rng.integers(0, n + 1))
-        d2 = rng.integers(0, q, size=(b, k)).astype(np.uint8)
-    return d1, d2
+        return d1, d1[:, ~deleted], deleted
+    k = int(rng.integers(0, n + 1))
+    return d1, rng.integers(0, q, size=(b, k)).astype(np.uint8), None
 
 
 def check_counting(cases: int, seed: int) -> list:
@@ -565,7 +571,7 @@ def check_counting(cases: int, seed: int) -> list:
     failures = []
     rng = _rng(seed, 1)
     for i in range(cases):
-        d1, d2 = _random_instance(rng, consistent=bool(i % 2))
+        d1, d2, _ = _random_instance(rng, consistent=bool(i % 2))
         got, want = count_embeddings(d1, d2), brute_force_embeddings(d1, d2)
         if got != want:
             failures.append(f"counting case {i}: got {got}, brute force {want}, "
@@ -577,7 +583,7 @@ def check_posteriors(cases: int, seed: int) -> list:
     failures = []
     rng = _rng(seed, 2)
     for i in range(cases):
-        d1, d2 = _random_instance(rng, consistent=True)
+        d1, d2, _ = _random_instance(rng, consistent=True)
         n, k = d1.shape[1], d2.shape[1]
         batch = model.SeedBatch(d1, d2)
         fast = posterior_deletions(batch)
@@ -641,7 +647,7 @@ def check_g_subset_f(cases: int, seed: int) -> list:
     dists = [Distribution.bernoulli(0.5), Distribution.bernoulli(0.3),
              Distribution.uniform(3)]
     for i in range(cases):
-        d1, d2 = _random_instance(rng, n_max=10, consistent=True)
+        d1, d2, _ = _random_instance(rng, n_max=10, consistent=True)
         dist = dists[i % len(dists)]
         if int(d1.max(initial=0)) >= dist.alphabet_size:
             dist = Distribution.uniform(3)
@@ -660,18 +666,20 @@ def check_g_subset_f(cases: int, seed: int) -> list:
 
 
 def check_fast_kernel(cases: int, seed: int) -> list:
+    """The certainty masks, with no embedding known and from the instance's
+    own retained columns, equal the exact posteriors' 1 and 0 entries."""
     failures = []
     rng = _rng(seed, 5)
     for i in range(cases):
-        d1, d2 = _random_instance(rng, consistent=True)
+        d1, d2, deleted = _random_instance(rng, consistent=True)
         posts = posterior_deletions(model.SeedBatch(d1, d2))
-        certain_del, certain_ret = certain_verdict_masks(d1, d2)
-        want_del = np.array([p == 1 for p in posts])
-        want_ret = np.array([p == 0 for p in posts])
-        if not (np.array_equal(certain_del, want_del)
-                and np.array_equal(certain_ret, want_ret)):
-            failures.append(f"fast kernel case {i}: masks disagree with "
-                            f"posteriors, d1={d1.tolist()}, d2={d2.tolist()}")
+        want = [[p == 1 for p in posts], [p == 0 for p in posts]]
+        ids1, ids2 = model._column_ids(d1, d2)
+        for name, masks in (("no embedding", certain_verdict_masks(d1, d2)),
+                            ("known embedding", _certain_masks(ids1, ids2, ~deleted))):
+            if [m.tolist() for m in masks] != want:
+                failures.append(f"fast kernel case {i}, {name}: masks disagree with "
+                                f"posteriors, d1={d1.tolist()}, d2={d2.tolist()}")
     return failures
 
 

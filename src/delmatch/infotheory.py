@@ -76,19 +76,25 @@ def typicality_mask(mat, dist: Distribution, epsilon: float, axis: int) -> np.nd
     few ulps of slack, 1e-12 * max(1, H), keep exactly typical lines
     typical at epsilon = 0.  epsilon must be finite and >= 0: a NaN slack
     would make every line atypical.  Symbols are indices into the
-    distribution's alphabet: one >= q is a ValueError naming the first.
+    distribution's alphabet: one < 0 or >= q is a ValueError naming the
+    first.  Only a signed dtype can hold one < 0, and numpy would read it as
+    an index from the end, so only signed input pays for that check.
     """
     check_range("epsilon", epsilon)
     mat = np.asarray(mat)
     if mat.shape[axis] == 0:
         return np.ones(mat.shape[1 - axis], dtype=bool)
     h = entropy(dist)
-    try:
-        costs = dist.neg_log2()[mat]
-    except IndexError:
-        q = dist.alphabet_size
-        raise ValueError(f"symbol {mat[mat >= q][0]} is outside the distribution's "
-                         f"alphabet [0, {q})") from None
+    q = dist.alphabet_size
+    outside = mat.dtype.kind == "i" and mat.min(initial=0) < 0
+    if not outside:
+        try:
+            costs = dist.neg_log2()[mat]
+        except IndexError:
+            outside = True
+    if outside:
+        bad = mat[(mat < 0) | (mat >= q)][0]
+        raise ValueError(f"symbol {bad} is outside the distribution's alphabet [0, {q})")
     scores = costs.mean(axis=axis)
     return np.abs(scores - h) <= epsilon + 1e-12 * max(1.0, h)
 

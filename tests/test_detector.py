@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from delmatch import harness
+from delmatch import detector, harness
 from delmatch.detector import (Verdict, InconsistentBatchError, GuardExceededError,
                                count_embeddings, brute_force_embeddings,
                                posterior_deletions, brute_force_posterior, detect_f,
                                detect_g, certain_verdict_masks, detection_trial,
-                               detection_trials, verdicts_to_csv, _certain_masks,
-                               _column_ids)
+                               detection_trials, verdicts_to_csv, _brute_force_patterns,
+                               _certain_masks, _column_ids, _greedy_scan)
 from delmatch.harness import (ExperimentConfig, run_simulate_detect, wilson_interval,
                               _random_instance)
 from delmatch.infotheory import detection_probability_bound, typicality_mask
@@ -152,6 +152,10 @@ def test_symbols_outside_the_alphabet_named():
         for detect in (detect_f, detect_g):
             with pytest.raises(ValueError, match=f"symbol {bad} is outside"):
                 detect(batch, dist, 0.1)
+    # a negative symbol in signed input is not read as an index from the end
+    for mat, axis, bad in (([[-1, 0]], 1, -1), (np.array([[0, 1], [-2, 5]]), 0, -2)):
+        with pytest.raises(ValueError, match=f"symbol {bad} is outside"):
+            typicality_mask(mat, dist, 1.0, axis=axis)
 
 
 def test_verdicts_deterministic():
@@ -229,6 +233,85 @@ def test_certain_masks_equal_exact_posteriors(batch):
     cdel, cret = certain_verdict_masks(d1, d2)
     assert cdel.tolist() == [p == 1 for p in posts]
     assert cret.tolist() == [p == 0 for p in posts]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_batches(max_n=10))
+def test_certain_masks_from_every_embedding(batch):
+    # the known embedding is any valid one: every consistent pattern gives
+    # the masks that the two full scans give
+    d1, d2, _, _ = batch
+    ids1, ids2 = _column_ids(d1, d2)
+    for combo in _brute_force_patterns(d1, d2):
+        retained = np.zeros(len(ids1), dtype=bool)
+        retained[list(combo)] = True
+        got = _certain_masks(ids1, ids2, retained)
+        want = _certain_masks(ids1, ids2)
+        assert [m.tolist() for m in got] == [m.tolist() for m in want]
+
+
+def test_known_embedding_must_be_d2():
+    ids1, ids2 = np.array([0, 1, 0]), np.array([0, 1])
+    for retained in ([True, False, True], [True, True]):
+        with pytest.raises(ValueError, match="retained columns"):
+            _certain_masks(ids1, ids2, np.array(retained))
+
+
+@pytest.mark.parametrize("row, kept, left_moved, right_moved", [
+    ("aaaaaa", "001110", [0, 1, 2], [0, 1, 2]),  # one chain spans all of d2
+    ("aabcc", "01110", [0], [2]),                 # re-placed at t = 0 and t = K-1
+    ("aabccd", "011011", [0, 2], []),             # two chains, the second after a rejoin
+    ("abab", "0000", [], []),                     # K = 0
+    ("abab", "1111", [], []),                     # K = n
+    ("", "", [], []),
+], ids=["all_equal", "ends", "adjacent", "K0", "Kn", "empty"])
+def test_certain_masks_chain_edges(monkeypatch, row, kept, left_moved, right_moved):
+    d1 = _rows(row)
+    retained = np.array([c == "1" for c in kept], dtype=bool)
+    d2 = d1[:, retained]
+    posts = posterior_deletions(SeedBatch(d1, d2))
+    want = [[p == 1 for p in posts], [p == 0 for p in posts]]
+    assert [m.tolist() for m in certain_verdict_masks(d1, d2)] == want
+    moved = []
+
+    def recording(ids1, ids2, places, starts):
+        before = list(places)
+        after = _greedy_scan(ids1, ids2, places, starts)
+        moved.append([t for t, (x, y) in enumerate(zip(before, after)) if x != y])
+        return after
+
+    monkeypatch.setattr(detector, "_greedy_scan", recording)
+    ids1, ids2 = _column_ids(d1, d2)
+    assert [m.tolist() for m in _certain_masks(ids1, ids2, retained)] == want
+    k = len(ids2)
+    # the second scan runs on the reversed columns
+    assert moved == [left_moved, sorted(k - 1 - t for t in right_moved)]
+
+
+class _CountingList(list):
+    def index(self, *args):
+        self.calls += 1
+        return super().index(*args)
+
+
+def test_greedy_scan_places_each_symbol_at_most_once():
+    # from an embedding, with a start at every position, the scan calls
+    # index at most once per symbol and still ends at the leftmost
+    # embedding; with no embedding it is one call per symbol
+    rng = np.random.default_rng(909)
+    for _ in range(300):
+        n = int(rng.integers(0, 30))
+        ids1 = rng.integers(0, int(rng.integers(1, 4)), n).tolist()
+        emb = np.flatnonzero(rng.random(n) < rng.uniform(0.1, 1.0)).tolist()
+        ids2 = [ids1[j] for j in emb]
+        plain = _CountingList(ids1)
+        plain.calls = 0
+        leftmost = _greedy_scan(plain, ids2, [-1] * len(emb), [0])
+        assert plain.calls == len(emb)
+        counted = _CountingList(ids1)
+        counted.calls = 0
+        assert _greedy_scan(counted, ids2, emb, range(len(emb))) == leftmost
+        assert counted.calls <= len(emb)
 
 
 @st.composite
@@ -318,7 +401,7 @@ def test_detect_f_is_posterior_classification():
     probs = (0.6, 0.3, 0.1)
     h = -sum(p * math.log2(p) for p in probs)
     for _ in range(200):
-        d1, d2 = _random_instance(rng, consistent=True)
+        d1, d2, _ = _random_instance(rng, consistent=True)
         batch = SeedBatch(d1, d2)
         eps = float(rng.choice([0.0, 0.1, 0.4]))
         posts = posterior_deletions(batch)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delmatch import harness
+from delmatch import detector, harness
 from delmatch.detector import Verdict, detect_f, detection_trials
 from delmatch.harness import (ExperimentConfig, ConfigError, run_rates, run_simulate_match,
                               run_simulate_detect, run_pipeline, run_oracle_check,
@@ -441,25 +441,41 @@ def test_oracle_check_passes():
     assert len(report.suites) == 5
 
 
-@pytest.mark.parametrize("suite, target, mutant", [
-    (lambda: harness.check_counting(40, 1), "count_embeddings",
+def _stops_before_rejoining(real):
+    """A greedy scan whose re-placements stop one symbol before they rejoin
+    the known embedding: that symbol keeps its old place."""
+    def scan(ids1, ids2, places, starts):
+        before = list(places)
+        after = list(real(ids1, ids2, places, starts))
+        for t in range(1, len(after)):
+            if after[t] == before[t] and after[t - 1] != before[t - 1]:
+                after[t - 1] = before[t - 1]
+        return after
+    return scan
+
+
+@pytest.mark.parametrize("suite, module, target, mutant", [
+    (lambda: harness.check_counting(40, 1), harness, "count_embeddings",
      lambda real: lambda d1, d2: real(d1, d2) + 1),
-    (lambda: harness.check_posteriors(40, 1), "posterior_deletions",
+    (lambda: harness.check_posteriors(40, 1), harness, "posterior_deletions",
      lambda real: lambda batch: [p / 2 for p in real(batch)]),
-    (lambda: harness.check_supersequence(1), "supersequence_count_exact",
+    (lambda: harness.check_supersequence(1), harness, "supersequence_count_exact",
      lambda real: lambda n, k, q: real(n, k, q) + 1),
-    (lambda: harness.check_g_subset_f(40, 1), "detect_g",
+    (lambda: harness.check_g_subset_f(40, 1), harness, "detect_g",
      lambda real: lambda batch, dist, eps: [Verdict.DELETED] * batch.n),
     # a detect_g that never says Deleted gives the suite nothing to check
-    (lambda: harness.check_g_subset_f(40, 1), "detect_g",
+    (lambda: harness.check_g_subset_f(40, 1), harness, "detect_g",
      lambda real: lambda batch, dist, eps: [Verdict.INCONCLUSIVE] * batch.n),
-    (lambda: harness.check_fast_kernel(40, 1), "certain_verdict_masks",
+    (lambda: harness.check_fast_kernel(40, 1), harness, "certain_verdict_masks",
      lambda real: lambda d1, d2: real(d1, d2)[::-1]),  # deleted and retained swapped
+    # only the known-embedding masks re-place from an embedding and rejoin it
+    (lambda: harness.check_fast_kernel(40, 1), detector, "_greedy_scan",
+     _stops_before_rejoining),
 ], ids=["counting", "posteriors", "supersequence", "g_subset_f", "g_subset_f_never_deleted",
-        "fast_kernel"])
-def test_oracle_suite_catches_mutant(monkeypatch, suite, target, mutant):
+        "fast_kernel", "fast_kernel_chain_stops_early"])
+def test_oracle_suite_catches_mutant(monkeypatch, suite, module, target, mutant):
     # a suite that passed a broken implementation would leave oracle-check at "ok"
-    monkeypatch.setattr(harness, target, mutant(getattr(harness, target)))
+    monkeypatch.setattr(module, target, mutant(getattr(module, target)))
     assert suite()
 
 

@@ -53,8 +53,8 @@ for n_cols in (16, 24, 32):
 print()
 
 # --- and above the boundary matching collapses ------------------------------
-# At R = 1.2 bits/column, m = round(2^(1.2 n)) dwarfs every materialization
-# guard; the runner switches to the exact closed-form collision mode.
+# At R = 1.2 bits/column, m = round(2^(1.2 n)) dwarfs the m*n work guard;
+# the runner switches to the exact closed-form collision mode.
 cfg_over = ExperimentConfig(dist=dist, n_values=(32,), delta=0.3, trials=200,
                             master_seed=2024, rate=1.2, alpha=0.5, threads=2)
 (point,) = run_simulate_match(cfg_over)

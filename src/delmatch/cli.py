@@ -42,7 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="64-bit master seed (default 0)")
     common.add_argument("--out", help="output CSV path (default: print to stdout)")
     common.add_argument("--trials", type=int, help="Monte Carlo trials per grid point")
-    common.add_argument("--threads", type=int, help="worker processes (default 1)")
+    common.add_argument("--threads", type=int,
+                        help="at most this many worker processes (default 1)")
 
     p = sub.add_parser("rates", parents=[common],
                        help="achievable-rate table over a (delta, alpha) grid")
@@ -95,8 +96,6 @@ def _add_match_args(p):
     p.add_argument("--delta", type=float, help="column deletion probability")
     p.add_argument("--epsilon", type=float,
                    help="typicality slack (default 0.1 * H(X))")
-    p.add_argument("--override-guards", action="store_true", default=None,
-                   help="materialize beyond the m*n desk-scale guard")
 
 
 def _out_path(path: str) -> str:
@@ -109,11 +108,11 @@ def _out_path(path: str) -> str:
     return path
 
 
-def _get(args, cfgmap, key, conv=None, default=None, required=False):
-    """A flag, else the config file's key, else the default, passed through
-    conv; a conv error names the option.  The key is taken out of cfgmap,
-    so the keys left there were never read."""
-    val = cfgmap.pop(key, DEFAULTS.get(key, default))
+def _get(args, cfgmap, key, conv=None, required=False):
+    """A flag, else the config file's key, else its DEFAULTS entry, passed
+    through conv; a conv error names the option.  The key is taken out of
+    cfgmap, so the keys left there were never read."""
+    val = cfgmap.pop(key, DEFAULTS.get(key))
     if getattr(args, key, None) is not None:
         val = getattr(args, key)
     if val is None and required:
@@ -174,9 +173,7 @@ def _sweep_config(args, cfgmap) -> ExperimentConfig:
     if args.command == "simulate-detect":  # no matcher: --epsilon is the detector's
         kw["detect_epsilon"] = kw["epsilon"]
     else:
-        kw.update(rate=_get(args, cfgmap, "rate", float), m=_get(args, cfgmap, "m", int),
-                  override_guards=_get(args, cfgmap, "override_guards", _parse_bool,
-                                       default=False))
+        kw.update(rate=_get(args, cfgmap, "rate", float), m=_get(args, cfgmap, "m", int))
     if args.command == "simulate-match":
         kw["alpha"] = _get(args, cfgmap, "alpha", float, required=True)
     else:
@@ -185,17 +182,6 @@ def _sweep_config(args, cfgmap) -> ExperimentConfig:
         kw["detect_epsilon"] = _get(args, cfgmap, "detect_epsilon", float)
     _refuse_unread(args, cfgmap)
     return ExperimentConfig(**kw)
-
-
-def _parse_bool(v):
-    if isinstance(v, bool):
-        return v
-    word = str(v).strip().lower()
-    if word in ("1", "true", "yes", "on"):
-        return True
-    if word in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean (1/0, true/false, yes/no, on/off), got {v!r}")
 
 
 def cmd_sweep(args, cfgmap) -> int:

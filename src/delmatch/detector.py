@@ -241,7 +241,6 @@ def _certain_masks(ids1, ids2, retained=None):
         raise InconsistentBatchError("d2 wider than d1")
     if n and int(ids1.max()) >= 2 ** 63 // (k + 1):
         raise ValueError("column ids too large for the int64 keys id * (K+1) + t")
-    list1 = ids1.tolist()
     if retained is None:
         seq2, fore, back = ids2.tolist(), [-1] * k, [-1] * k
         starts_fore = starts_back = [0]
@@ -264,9 +263,11 @@ def _certain_masks(ids1, ids2, retained=None):
         starts_back = (k - gap[sym == padded[gap]])[::-1].tolist()
     # d2's column t sits in column left[t] of the leftmost embedding and
     # right[t] of the rightmost one; no embedding puts it outside that range.
+    # A scan with no start reads no id, so its list is built only with one.
+    list1 = ids1.tolist() if starts_fore or starts_back else []
     left = np.asarray(_greedy_scan(list1, seq2, fore, starts_fore), dtype=np.int64)
-    right = n - 1 - np.asarray(_greedy_scan(list1[::-1], seq2[::-1], back, starts_back),
-                               dtype=np.int64)[::-1]
+    right = n - 1 - np.asarray(_greedy_scan(list1[::-1] if starts_back else [], seq2[::-1],
+                                            back, starts_back), dtype=np.int64)[::-1]
     on_left = np.bincount(left, minlength=n)
     on_right = np.bincount(right, minlength=n)
     left_upto, right_upto = np.cumsum(on_left), np.cumsum(on_right)

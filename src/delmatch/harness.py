@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import expm1, log1p, log2, sqrt
+from math import expm1, isqrt, log1p, log2, sqrt
 
 import numpy as np
 
@@ -37,16 +37,16 @@ from .detector import (Verdict, detect_f, detect_g, detection_trials,
                        brute_force_posterior, certain_verdict_masks, trial_deletions,
                        _certain_masks)
 
-# Desk-scale guard: largest m*n a matching sweep will materialize (m ~ 2^16
-# rows at n = 64), and largest B*n of a simulate-detect trial.  Fixed;
-# override_guards lifts it for the matching sweeps only.
+# Desk-scale guard on one trial's work, fixed and checked before any trial
+# (_guarded_cells): m*n materialized cells of a matching trial (m ~ 2^16 rows
+# at n = 64), B*n of a detection trial, n*n for a closed-form trial.
 CELL_GUARD = 1 << 22
 
 # Rows the closed-form mode evaluates per trial; precision comes from trials.
 EVAL_ROWS = 128
 
-# Most symbols of per-trial input (B * n for a detection trial, m * n for a
-# matching one) that one chunk of trials holds; a larger trial runs alone.
+# Most cells of per-trial work (as CELL_GUARD counts them) that one chunk of
+# trials holds; a larger trial runs alone.
 CHUNK_CELLS = 2 ** 15
 
 # Fixed stream ids inside one trial seed.
@@ -134,7 +134,6 @@ class ExperimentConfig:
     detect_epsilon: float = None
     out: str = None
     threads: int = 1
-    override_guards: bool = False
 
     def __post_init__(self):
         if self.rate is not None and self.m is not None:
@@ -153,8 +152,8 @@ class ExperimentConfig:
         check_range("seed", self.master_seed, hi=2 ** 64, error=ConfigError)
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
-        if self.m is not None and self.m < 1:
-            raise ConfigError("m must be >= 1")
+        if self.m is not None and not 1 <= self.m <= 2 ** 512:
+            raise ConfigError("m must be >= 1 and <= 2^512")
         for name in ("rate", "epsilon", "detect_epsilon"):
             if getattr(self, name) is not None:
                 check_range(name, getattr(self, name), error=ConfigError)
@@ -239,8 +238,6 @@ def _pipeline_trial(args):
 
     perm = exp.labeling.perm
     remaining = np.delete(np.arange(m), perm[batch.source_rows])
-    if not remaining.size:
-        return 0, 0, len(detected), deleted_cols
     _, rows = match_counts(exp.c1, exp.c2.symbols[remaining], detected,
                            MatcherConfig(epsilon=epsilon), dist)
     wrong = count_mismatches(rows, perm, remaining)
@@ -266,8 +263,8 @@ def _run_chunk(chunk):
 
 
 def _sweep(points, trials: int, master_seed: int, threads: int):
-    """Run every trial of every grid point, on one process pool when
-    threads > 1.
+    """Run every trial of every grid point, on one process pool of at most
+    threads workers when threads > 1.
 
     points[pidx] = (worker, args, cells): trial t of point pidx has seed
     derive_seed(master_seed, pidx, t) and `cells` symbols of input.  A
@@ -287,9 +284,11 @@ def _sweep(points, trials: int, master_seed: int, threads: int):
     if threads <= 1 or len(chunks) <= 1:
         results = list(map(_run_chunk, chunks))
     else:
-        with ProcessPoolExecutor(max_workers=threads) as ex:
+        # The pool forks all its workers at once: no more than can be busy.
+        workers = min(threads, len(chunks), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_run_chunk, chunks,
-                                  chunksize=max(1, len(chunks) // (threads * 8))))
+                                  chunksize=max(1, len(chunks) // (workers * 8))))
     per_point = [[] for _ in points]
     seed_log = []
     for (_, _, _, pidx, first, _), (sums, seeds) in zip(chunks, results):
@@ -384,18 +383,21 @@ class MatchPoint(_HalfWidth):
     mode: str
 
 
+def _guarded_cells(name: str, size: int, n: int) -> int:
+    """size * n, one trial's cells at n columns (size = m, B or n), refused
+    with a sizing hint past CELL_GUARD: the one work guard of the sweeps."""
+    cells = size * n
+    if cells > CELL_GUARD:
+        most = isqrt(CELL_GUARD) if name == "n" else CELL_GUARD // n
+        raise ConfigError(f"{name}*n = {cells} exceeds the work guard {CELL_GUARD}; "
+                          f"reduce {name} to <= {most} at n = {n}")
+    return cells
+
+
 def _choose_match_mode(cfg: ExperimentConfig, m: int, n: int) -> str:
-    """'materialized' within the m*n guard; beyond it 'virtual', the exact
-    closed form, which needs simulate-match and a uniform distribution."""
-    if m * n <= CELL_GUARD or cfg.override_guards:
-        return "materialized"
-    if cfg.alpha is not None and cfg.dist.is_uniform():
-        return "virtual"
-    raise ConfigError(
-        f"m*n = {m * n} exceeds the materialization guard {CELL_GUARD}, and the "
-        f"exact closed-form mode needs simulate-match and a uniform distribution; "
-        f"reduce m to <= {max(1, CELL_GUARD // n)} at n = {n}, or set "
-        f"override_guards to force materialization")
+    """'virtual', the exact closed form, beyond the m*n guard for a uniform
+    distribution; 'materialized' otherwise."""
+    return "virtual" if m * n > CELL_GUARD and cfg.dist.is_uniform() else "materialized"
 
 
 def run_simulate_match(cfg: ExperimentConfig) -> list:
@@ -405,11 +407,12 @@ def run_simulate_match(cfg: ExperimentConfig) -> list:
     epsilon = cfg.matcher_epsilon()
     grid = [(n, m, _choose_match_mode(cfg, m, n))
             for n in cfg.n_values for m in [cfg.resolve_m(n)]]
+    # The closed form sums up to n + 1 terms of up to n * log2(q) bits.
     specs = [(partial(_trial_by_trial, _match_trial),
-              (cfg.dist, n, m, cfg.delta, cfg.alpha, epsilon), m * n)
+              (cfg.dist, n, m, cfg.delta, cfg.alpha, epsilon), _guarded_cells("m", m, n))
              if mode == "materialized" else
              (partial(_trial_by_trial, _virtual_match_trial),
-              (cfg.dist, n, m, cfg.delta, cfg.alpha), m * n)
+              (cfg.dist, n, m, cfg.delta, cfg.alpha), _guarded_cells("n", n, n))
              for n, m, mode in grid]
 
     def point(key, sums, estimate):
@@ -454,15 +457,12 @@ def run_simulate_detect(cfg: ExperimentConfig) -> list:
     epsilon = _detect_only_epsilon(cfg)
     h = entropy(cfg.dist)
     grid = [(n, b) for n in cfg.n_values for b in cfg.batch_sizes]
-    specs = [(_detect_trials, (cfg.dist, n, b, cfg.delta, epsilon), b * n)
-             for n, b in grid]
+    specs = [(_detect_trials, (cfg.dist, n, b, cfg.delta, epsilon),
+              _guarded_cells("B", b, n)) for n, b in grid]
 
-    # Refuse an oversized or all-retained point before any trial; any() stops
-    # at its first deletion.
+    # Refuse an all-retained point before any trial; any() stops at its
+    # first deletion.
     for pidx, (n, b) in enumerate(grid):
-        if b * n > CELL_GUARD:
-            raise ConfigError(f"B*n = {b * n} exceeds the detection guard {CELL_GUARD}; "
-                              f"reduce B to <= {CELL_GUARD // n} at n = {n}")
         if not any(trial_deletions(derive_seed(cfg.master_seed, pidx, t), n, cfg.delta).any()
                    for t in range(cfg.trials)):
             raise RuntimeError(f"no columns were deleted in any trial at (n={n}, "
@@ -518,9 +518,9 @@ def run_pipeline(cfg: ExperimentConfig) -> list:
         m = cfg.resolve_m(n)
         if b >= m:
             raise ConfigError(f"batch size {b} must be < m = {m}")
-        _choose_match_mode(cfg, m, n)  # no closed form here: raises beyond the guard
         specs.append((partial(_trial_by_trial, _pipeline_trial),
-                      (cfg.dist, n, m, cfg.delta, b, epsilon, detect_eps), m * n))
+                      (cfg.dist, n, m, cfg.delta, b, epsilon, detect_eps),
+                      _guarded_cells("m", m, n)))
 
     def point(key, sums, estimate):
         n, b = key
@@ -730,7 +730,6 @@ def _cfg_echo(cfg: ExperimentConfig, command: str) -> list:
     echo.append(("epsilon", repr(cfg.matcher_epsilon())))
     if command == "pipeline":  # simulate-match has no detector
         echo.append(("detect_epsilon", repr(cfg.detector_epsilon())))
-    echo.append(("override_guards", str(cfg.override_guards).lower()))
     return echo
 
 

@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import errno
 import hashlib
+import io
 import math
 import time
 import tracemalloc
@@ -8,7 +10,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from delmatch import detector, harness
 from delmatch.detector import Verdict, detect_f, detection_trials
@@ -47,10 +49,10 @@ def test_parse_grids():
 def test_parse_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment\ndist = bern:0.5\nn = 16\n\ndelta = 0.2\n"
-                    "detect-epsilon = 0.3\noverride_guards = on\n")
+                    "detect-epsilon = 0.3\nthreads = 2\n")
     assert parse_config_file(str(path)) == {"dist": "bern:0.5", "n": "16",
                                             "delta": "0.2", "detect_epsilon": "0.3",
-                                            "override_guards": "on"}
+                                            "threads": "2"}
     bad = tmp_path / "bad.cfg"
     bad.write_text("just words\n")
     with pytest.raises(ConfigError):
@@ -155,17 +157,6 @@ def test_simulate_match_guard_refusal():
         run_simulate_match(cfg)
 
 
-def test_override_guards_materializes_beyond_guard(monkeypatch):
-    monkeypatch.setattr(harness, "CELL_GUARD", 64)
-    cfg = _match_cfg(dist=Distribution((0.7, 0.2, 0.1)), rate=None, m=16,
-                     n_values=(8,), trials=2)
-    with pytest.raises(ConfigError, match="guard"):
-        run_simulate_match(cfg)
-    (p,) = run_simulate_match(dataclasses.replace(cfg, override_guards=True))
-    assert p.mode == "materialized"
-    assert p.evaluated == 2 * 16
-
-
 def test_virtual_mode_engages_beyond_guard():
     cfg = _match_cfg(rate=None, m=2 ** 18, n_values=(64,), trials=5)
     assert 2 ** 18 * 64 > CELL_GUARD
@@ -220,7 +211,7 @@ def test_match_trial_counts_like_mismatch_rate(dist, m, n, delta, alpha, seed):
        st.integers(0, 2 ** 64 - 1))
 def test_pipeline_trial_counts_like_match_all(dist, m, n, delta, b, seed):
     # the rows left after the seed batch, scored outcome by outcome
-    b = min(b, m - 1)
+    b = min(b, m)  # b = m leaves no row to match
     wrong, evaluated, detected_cols, _ = _pipeline_trial(
         (dist, n, m, delta, b, 0.1, 0.1, seed))
     c1 = sample_database(dist, m, n, derive_seed(seed, harness.STREAM_DATABASE))
@@ -536,20 +527,6 @@ def _no_sweep(*args):
     raise AssertionError("trials ran")
 
 
-def test_cli_config_booleans_are_strict(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(harness, "_sweep", _no_sweep)
-    cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("override_guards = ture\n")
-    assert cli.main(["pipeline", "--config", str(cfgfile), "--n", "8",
-                     "--B", "4", "--delta", "0.3"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and "'ture'" in captured.err
-    words = {"1": True, "TRUE": True, "yes": True, "on": True,
-             "0": False, "false": False, " No ": False, "off": False}
-    assert {w: cli._parse_bool(w) for w in words} == words
-
-
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
 @pytest.mark.parametrize("command", [
     ["simulate-match", "--n", "8", "--m", "16", "--delta", "0.2", "--alpha", "1"],
@@ -590,6 +567,8 @@ def test_cli_stdout_equals_out_file(tmp_path, capsys, args):
     (["--rate", "-1"], "rate must be finite"),
     (["--rate", "nan"], "rate must be finite"),
     (["--m", "0"], "m must be >= 1"),
+    # a closed-form trial takes m - 1 as a float
+    (["--dist", "uniform:2", "--m", str(2 ** 512 + 1)], "m must be >= 1 and <= 2^512"),
 ])
 def test_cli_rejects_bad_sweep_parameters(capsys, bad, message):
     args = ["simulate-match", "--dist", "bern:0.5", "--n", "8", "--delta", "0.2",
@@ -726,13 +705,185 @@ def test_cli_detect_refuses_batch_cells_beyond_the_guard(capsys, monkeypatch):
     assert time.perf_counter() - started < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: B*n = 800000000 exceeds the detection guard "
+    assert captured.err == (f"error: B*n = 800000000 exceeds the work guard "
                             f"{CELL_GUARD}; reduce B to <= {CELL_GUARD // 8} at n = 8\n")
     # B*n at the guard itself is planned
     cfg = ExperimentConfig(dist=Distribution.bernoulli(0.5), n_values=(8,), delta=0.5,
                            trials=1, master_seed=0, batch_sizes=(CELL_GUARD // 8,))
     with pytest.raises(AssertionError, match="trials ran"):
         run_simulate_detect(cfg)
+
+
+@pytest.mark.parametrize("args, message", [
+    # closed form: F(W, K, q) sums up to n + 1 terms of up to n * log2(q) bits
+    (["simulate-match", "--dist", "uniform:2", "--n", "100000", "--rate", "0.001",
+      "--alpha", "0.5"],
+     "n*n = 10000000000 exceeds the work guard 4194304; reduce n to <= 2048 at n = 100000"),
+    # a non-uniform distribution has no closed form, so it would materialize
+    (["simulate-match", "--dist", "0.7,0.2,0.1", "--n", "64", "--m", "65537",
+      "--alpha", "0.5"],
+     "m*n = 4194368 exceeds the work guard 4194304; reduce m to <= 65536 at n = 64"),
+    (["pipeline", "--dist", "uniform:2", "--n", "64", "--m", "65537", "--B", "4"],
+     "m*n = 4194368 exceeds the work guard 4194304; reduce m to <= 65536 at n = 64"),
+], ids=["closed_form", "match", "pipeline"])
+def test_cli_refuses_work_beyond_the_guard(capsys, monkeypatch, args, message):
+    monkeypatch.setattr(harness, "_sweep", _no_sweep)
+    started = time.perf_counter()
+    assert cli.main(args + ["--delta", "0.2", "--trials", "1"]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_work_guard_admits_its_own_size(monkeypatch):
+    monkeypatch.setattr(harness, "_sweep", _no_sweep)
+    side = math.isqrt(CELL_GUARD)
+    for cfg in (_match_cfg(dist=Distribution.uniform(2), rate=0.2, n_values=(side,)),
+                _match_cfg(rate=None, m=CELL_GUARD // 64, n_values=(64,)),
+                _match_cfg(rate=None, m=CELL_GUARD // 64, n_values=(64,), alpha=None,
+                           batch_sizes=(4,))):
+        with pytest.raises(AssertionError, match="trials ran"):
+            (run_simulate_match if cfg.alpha is not None else run_pipeline)(cfg)
+
+
+def test_cli_has_no_guard_override(capsys):
+    assert cli.main(["simulate-match", "--n", "8", "--m", "16", "--delta", "0.2",
+                     "--alpha", "1", "--override-guards"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --override-guards" in captured.err
+    for command in cli.SWEEPS:
+        cli.main([command, "--help"])
+        assert "override" not in capsys.readouterr().out
+
+
+def test_sweep_pool_has_no_more_workers_than_cpus_or_chunks(tmp_path, monkeypatch):
+    # the pool forks all its workers at once, so --threads is an upper bound;
+    # the stand-in pool runs the chunks in this process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    args = ["simulate-detect", "--n", "8", "--B", "4", "--delta", "0.3", "--seed", "2"]
+    outs = []
+    for trials, threads in (("40", "1"), ("40", "20000"), ("3", "20000")):
+        out = tmp_path / f"{trials}-{threads}.csv"
+        assert cli.main(args + ["--trials", trials, "--threads", threads,
+                                "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert sizes == [4, 3]  # 40 chunks on 4 CPUs; 3 chunks
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate-match", "--n", "8", "--m", "16", "--alpha", "0.5"],
+    ["simulate-detect", "--n", "8", "--B", "4"],
+    ["pipeline", "--n", "8", "--m", "16", "--B", "0,4"],
+], ids=lambda args: args[0])
+def test_cli_sweep_exit_0_prints_its_csv_header(capsys, args):
+    assert cli.main(args + ["--delta", "0.5", "--trials", "3"]) == 0
+    _, to_csv, _ = cli.SWEEPS[args[0]]
+    captured = capsys.readouterr()
+    assert captured.out.startswith(to_csv([])) and captured.err == ""
+
+
+class _Planned(Exception):
+    """Stands in for a sweep's trials; no exception the CLI maps to an exit code."""
+
+
+def _plan_only(points, trials, master_seed, threads):
+    raise _Planned([cells for _, _, cells in points])
+
+
+def _list_of(*values):
+    return st.lists(st.sampled_from(values), min_size=1, max_size=2).map(",".join)
+
+
+# Per flag, values that parse (huge sizes included: refusing them is the
+# guard's job) and values that do not.
+_SIZES = ("1", "2", "8", "64", "2048", "2049", "65536", "100000", str(2 ** 40))
+_GOOD = {
+    "--dist": st.sampled_from(["bern:0.5", "bern:0.2", "uniform:2", "uniform:4",
+                               "uniform:256", "0.7,0.2,0.1", "0,1"]),
+    "--n": _list_of(*_SIZES),
+    "--delta": st.sampled_from(["0", "0.2", "0.5", "0.95"]),
+    "--epsilon": st.sampled_from(["0", "0.05", "0.3"]),
+    "--trials": st.sampled_from(["1", "2", "200"]),
+    "--seed": st.sampled_from(["0", str(2 ** 64 - 1)]),
+    "--threads": st.sampled_from(["1", "2", "20000"]),
+    "--rate": st.sampled_from(["0", "0.001", "0.2", "0.5", "1.2"]),
+    "--m": st.sampled_from(["1", "16", "600", "65537", str(2 ** 40), str(2 ** 512)]),
+    "--alpha": st.sampled_from(["0", "0.5", "1"]),
+    "--B": _list_of("0", "1", "4", "16", "2048", str(10 ** 8)),
+    "--detect-epsilon": st.sampled_from(["0", "0.05", "0.3"]),
+}
+_BAD = st.sampled_from(["", "-1", "0", "nan", "inf", "-inf", "1e400", "x", "8,", "1e3",
+                        "2.5", str(2 ** 64), str(2 ** 513), "uniform:257", "0.5,0.6"])
+_COMMAND_FLAGS = {
+    "simulate-match": ["--dist", "--n", "--delta", "--alpha", "--epsilon"],
+    "simulate-detect": ["--dist", "--n", "--delta", "--B", "--epsilon"],
+    "pipeline": ["--dist", "--n", "--delta", "--B", "--epsilon", "--detect-epsilon"],
+}
+_CONFIG_LINES = st.lists(st.sampled_from(
+    ["override_guards = yes", "eval_rows = 7", "detect_epsilon = 0.1", "alpha = 0.5",
+     "B = 4", "rate = 0.2", "m = 16", "n = 8", "delta = 0.3", "cases = 3",
+     "threads = 2", "no equals sign"]), min_size=1, max_size=2)
+
+
+@st.composite
+def _sweep_argv(draw):
+    """A sweep command's argv from its grammar, with at most two of its
+    flags corrupted (a bad value, or left out) or config file lines added."""
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    flags = _COMMAND_FLAGS[command] + ["--trials", "--seed", "--threads"]
+    if command != "simulate-detect":  # one of the two sets the row count
+        flags.append(draw(st.sampled_from(["--rate", "--m"])))
+    corrupt = draw(st.sets(st.sampled_from(flags + ["--rate", "--m", "--config"]),
+                           max_size=2))
+    argv = [command]
+    for flag in dict.fromkeys(flags + sorted(corrupt - {"--config"})):
+        if flag not in corrupt:
+            argv.append(f"{flag}={draw(_GOOD[flag])}")
+        elif draw(st.booleans()):
+            argv.append(f"{flag}={draw(_BAD | _GOOD[flag])}")
+    return argv, draw(_CONFIG_LINES) if "--config" in corrupt else []
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_sweep_argv())
+def test_cli_sweeps_refuse_or_plan_work_within_the_guard(tmp_path, monkeypatch, drawn):
+    # every argv either exits 2 (1 for an all-retained detection point) with
+    # one error line and no stdout, or plans only points within the guard
+    argv, lines = drawn
+    monkeypatch.setattr(harness, "_sweep", _plan_only)
+    if lines:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("".join(f"{line}\n" for line in lines))
+        argv = argv + ["--config", str(cfgfile)]
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except _Planned as planned:
+        (cells,) = planned.args
+        assert cells and max(cells) <= CELL_GUARD, argv
+        return
+    assert code == 2 or (code == 1 and "no columns were deleted" in err.getvalue()), argv
+    assert out.getvalue() == "", argv
+    assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, argv
 
 
 def test_cli_detect_manifest_echoes_its_own_keys(tmp_path):
@@ -787,19 +938,18 @@ def test_cli_config_key_spellings(tmp_path):
     csvs = []
     for key in ("detect-epsilon", "detect_epsilon"):
         cfgfile.write_text("dist = bern:0.5\nn = 16\nrate = 0.25\ndelta = 0.3\n"
-                           f"B = 4\ntrials = 2\n{key} = 0.2\noverride-guards = yes\n")
+                           f"B = 4\ntrials = 2\n{key} = 0.2\n")
         out = tmp_path / f"{key}.csv"
         assert cli.main(["pipeline", "--config", str(cfgfile), "--out", str(out)]) == 0
         manifest = (tmp_path / f"{key}.csv.manifest.txt").read_text()
         assert "config.detect_epsilon = 0.2\n" in manifest
-        assert "config.override_guards = true\n" in manifest
         csvs.append(out.read_bytes())
     assert csvs[0] == csvs[1]
 
 
 @pytest.mark.parametrize("command, line", [
     (["simulate-match", "--n", "8", "--m", "16", "--delta", "0.2", "--alpha", "1"],
-     "override-gaurds = yes"),  # misspelt
+     "override-gaurds = yes"),  # misspelt, and removed
     (["simulate-match", "--n", "8", "--m", "16", "--delta", "0.2", "--alpha", "1"],
      "eval_rows = 7"),  # removed
     (["pipeline", "--n", "8", "--m", "16", "--delta", "0.2", "--B", "4"],
@@ -809,8 +959,8 @@ def test_cli_config_key_spellings(tmp_path):
     (["simulate-detect", "--n", "8", "--B", "4", "--delta", "0.2"],
      "detect_epsilon = 0.1"),  # simulate-detect's detector slack is epsilon
     (["simulate-detect", "--n", "8", "--B", "4", "--delta", "0.2"], "m = 100"),
-    (["simulate-detect", "--n", "8", "--B", "4", "--delta", "0.2"],
-     "override_guards = yes"),  # no matcher to guard
+    (["pipeline", "--n", "8", "--m", "16", "--delta", "0.2", "--B", "4"],
+     "override_guards = yes"),  # removed: the work guard is fixed
     (["rates"], "trials = 5"),
     (["oracle-check"], "threads = 2"),
 ])

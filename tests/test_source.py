@@ -39,3 +39,14 @@ def test_package_exports_exactly_the_names_its_users_import():
     exported = {alias.name for node in ast.parse(init.read_text(), str(init)).body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert (sorted(exported - used), sorted(used - exported)) == ([], [])
+
+
+def test_readme_config_keys_are_the_keys_the_cli_reads():
+    # the README's key list is every key cli.py reads through _get, and no other
+    cli = PACKAGE / "cli.py"
+    read = {node.args[2].value for node in ast.walk(ast.parse(cli.read_text(), str(cli)))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_get"}
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    listed = re.search(r"Keys\s+mirror the flag names:(.*?)\.\s", readme, re.S)
+    assert listed, "README lists no config keys"
+    assert sorted(re.findall(r"`([^`]+)`", listed.group(1))) == sorted(read)

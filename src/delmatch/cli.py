@@ -37,13 +37,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "experiments, and brute-force oracle checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # No flag has a type: _get converts a flag and a config line alike.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value config file")
-    common.add_argument("--seed", type=int, help="64-bit master seed (default 0)")
+    common.add_argument("--seed", help="64-bit master seed (default 0)")
     common.add_argument("--out", help="output CSV path (default: print to stdout)")
-    common.add_argument("--trials", type=int, help="Monte Carlo trials per grid point")
-    common.add_argument("--threads", type=int,
-                        help="at most this many worker processes (default 1)")
+    common.add_argument("--trials", help="Monte Carlo trials per grid point")
+    common.add_argument("--threads", help="at most this many worker processes (default 1)")
 
     p = sub.add_parser("rates", parents=[common],
                        help="achievable-rate table over a (delta, alpha) grid")
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mismatch rate of the matching scheme under "
                             "given-alpha side information")
     _add_match_args(p)
-    p.add_argument("--alpha", type=float, help="deletion detection probability")
+    p.add_argument("--alpha", help="deletion detection probability")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate-detect", parents=[common],
@@ -65,9 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", help="bern:p | uniform:q | p0,p1,...")
     p.add_argument("--n", help="comma list of column counts")
     p.add_argument("--B", help="comma list of seed batch sizes")
-    p.add_argument("--delta", type=float, help="column deletion probability")
-    p.add_argument("--epsilon", type=float,
-                   help="typicality slack for the detector (default 0.05)")
+    p.add_argument("--delta", help="column deletion probability")
+    p.add_argument("--epsilon", help="typicality slack for the detector (default 0.05)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("pipeline", parents=[common],
@@ -75,15 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "match the remaining rows")
     _add_match_args(p)
     p.add_argument("--B", help="comma list of seed batch sizes")
-    p.add_argument("--detect-epsilon", type=float,
-                   help="typicality slack for the detector "
-                        "(defaults to --epsilon)")
+    p.add_argument("--detect-epsilon",
+                   help="typicality slack for the detector (defaults to --epsilon)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("oracle-check", parents=[common],
                        help="exhaustive small-instance verification of the "
                             "exact counting machinery")
-    p.add_argument("--cases", type=int, help="random cases per suite (default 400)")
+    p.add_argument("--cases", help="random cases per suite (default 400)")
     p.set_defaults(func=cmd_oracle_check)
     return parser
 
@@ -91,11 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_match_args(p):
     p.add_argument("--dist", help="bern:p | uniform:q | p0,p1,...")
     p.add_argument("--n", help="comma list of column counts")
-    p.add_argument("--rate", type=float, help="growth rate R; m = round(2^(n R))")
-    p.add_argument("--m", type=int, help="explicit row count (alternative to --rate)")
-    p.add_argument("--delta", type=float, help="column deletion probability")
-    p.add_argument("--epsilon", type=float,
-                   help="typicality slack (default 0.1 * H(X))")
+    p.add_argument("--rate", help="growth rate R; m = round(2^(n R))")
+    p.add_argument("--m", help="explicit row count (alternative to --rate)")
+    p.add_argument("--delta", help="column deletion probability")
+    p.add_argument("--epsilon", help="typicality slack (default 0.1 * H(X))")
 
 
 def _out_path(path: str) -> str:
@@ -126,7 +123,11 @@ def _get(args, cfgmap, key, conv=None, required=False):
 
 
 def _refuse_unread(args, cfgmap):
-    """A config key the command did not read is misspelt or not its own."""
+    """A config key the command did not read is misspelt or not its own.  The
+    shared flags must parse even where unread (rates takes --threads)."""
+    _get(args, {}, "seed", int)
+    _get(args, {}, "trials", int)
+    _get(args, {}, "threads", int)
     if cfgmap:
         raise ConfigError(f"unknown config key(s) for {args.command}: "
                           + ", ".join(sorted(cfgmap)))

@@ -311,9 +311,9 @@ def detection_trials(dist: Distribution, n: int, B: int, delta: float,
 
     Trial seed s samples a fresh B x n batch from stream (s, 0) and a
     deletion pattern from stream (s, 1), and the detector flags the typical
-    columns that are certainly deleted.  Returns (columns flagged Deleted
-    among truly deleted ones, number of truly deleted columns), summed over
-    the seeds.
+    columns that are certainly deleted.  Returns (columns flagged Deleted,
+    number of truly deleted columns), summed over the seeds; a Deleted verdict
+    on a retained column raises RuntimeError.
 
     The trials run as one instance, with one labelling and one certainty
     pass: their batches side by side, and each trial's column ids offset so
@@ -336,8 +336,14 @@ def detection_trials(dist: Distribution, n: int, B: int, delta: float,
     ids1 += np.repeat(np.arange(count, dtype=np.int64) * cols, n)
     # A retained column is the same column in d2, so d2 needs no labelling,
     # and the retained columns are an embedding to start the scans from.
-    flagged, _ = _verdict_masks(ids1, ids1[~deleted], d1, dist, epsilon, ~deleted)
-    return int((flagged & deleted).sum()), int(deleted.sum())
+    retained = ~deleted
+    flagged, _ = _verdict_masks(ids1, ids1[retained], d1, dist, epsilon, retained)
+    # Deleted verdicts are certainty claims, hence always true deletions.
+    false_verdicts = flagged & retained
+    if false_verdicts.any():
+        raise RuntimeError("detector reported a retained column as deleted (trial seed "
+                           f"{seeds[int(false_verdicts.argmax()) // n]})")
+    return int(flagged.sum()), int(deleted.sum())
 
 
 def verdicts_to_csv(verdicts, posteriors) -> str:

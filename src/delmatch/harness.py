@@ -182,13 +182,34 @@ class ExperimentConfig:
 
 
 def _match_trial(args):
-    dist, n, m, delta, alpha, epsilon, trial_seed = args
+    """One materialized matching trial: (mismatches, rows scored, columns
+    detected, columns deleted).
+
+    The channel reveals each deletion with probability alpha.  With B > 0 a
+    batch of B seed rows is drawn, the detected set is detect_f's Deleted
+    verdicts, and the seed rows' images are not scored.  simulate-match
+    passes B = 0 and pipeline alpha = 0; no caller passes both non-zero."""
+    dist, n, m, delta, alpha, B, epsilon, detect_epsilon, trial_seed = args
     c1 = sample_database(dist, m, n, derive_seed(trial_seed, STREAM_DATABASE))
     exp = apply_deletion_channel(c1, delta, alpha,
                                  derive_seed(trial_seed, STREAM_CHANNEL))
-    _, rows = match_counts(exp.c1, exp.c2.symbols, exp.detection.detected_indices,
+    perm, observed, scored = exp.labeling.perm, exp.c2.symbols, np.arange(m)
+    detected = exp.detection.detected_indices
+    if B:
+        batch = extract_seed_batch(exp, B, derive_seed(trial_seed, STREAM_BATCH))
+        verdicts = detect_f(batch, dist, detect_epsilon)
+        detected = [j for j, v in enumerate(verdicts) if v is Verdict.DELETED]
+        # Deleted verdicts are certainty claims, hence always true deletions.
+        false_verdicts = [j for j in detected if not exp.deletion.flags[j]]
+        if false_verdicts:
+            raise RuntimeError(f"detector reported retained columns {false_verdicts} "
+                               f"as deleted (trial seed {trial_seed})")
+        scored = np.delete(scored, perm[batch.source_rows])
+        observed = observed[scored]
+    _, rows = match_counts(exp.c1, observed, detected,
                            MatcherConfig(epsilon=epsilon), dist)
-    return count_mismatches(rows, exp.labeling.perm, np.arange(m)), m
+    return (count_mismatches(rows, perm, scored), scored.size, len(detected),
+            n - exp.retained_count)
 
 
 def _virtual_match_trial(args):
@@ -198,7 +219,8 @@ def _virtual_match_trial(args):
     rows both contains it and survives typicality, which happens with
     probability F(L, K, q)/q^L per competitor, independent of the row's
     content.  The per-row mismatch indicator is sampled from its exact
-    marginal for EVAL_ROWS rows per trial."""
+    marginal for EVAL_ROWS rows per trial.  Returns _match_trial's four
+    fields; the column counts come from the channel streams it draws."""
     dist, n, m, delta, alpha, trial_seed = args
     deleted, detected = _channel_pattern(n, delta, alpha,
                                          derive_seed(trial_seed, STREAM_CHANNEL))
@@ -214,34 +236,7 @@ def _virtual_match_trial(args):
         collision_prob = -expm1((m - 1) * log1p(-p_col))
     evaluated = min(m, EVAL_ROWS)
     draws = _rng(trial_seed, STREAM_EVAL).random(evaluated)
-    return int((draws < collision_prob).sum()), evaluated
-
-
-def _detect_trials(args, seeds):
-    return detection_trials(*args, seeds)
-
-
-def _pipeline_trial(args):
-    dist, n, m, delta, B, epsilon, detect_epsilon, trial_seed = args
-    c1 = sample_database(dist, m, n, derive_seed(trial_seed, STREAM_DATABASE))
-    exp = apply_deletion_channel(c1, delta, 0.0,
-                                 derive_seed(trial_seed, STREAM_CHANNEL))
-    batch = extract_seed_batch(exp, B, derive_seed(trial_seed, STREAM_BATCH))
-    verdicts = detect_f(batch, dist, detect_epsilon)
-    detected = [j for j, v in enumerate(verdicts) if v is Verdict.DELETED]
-    # Deleted verdicts are certainty claims, hence always true deletions.
-    false_verdicts = [j for j in detected if not exp.deletion.flags[j]]
-    if false_verdicts:
-        raise RuntimeError(f"detector reported retained columns {false_verdicts} "
-                           f"as deleted (trial seed {trial_seed})")
-    deleted_cols = n - exp.retained_count
-
-    perm = exp.labeling.perm
-    remaining = np.delete(np.arange(m), perm[batch.source_rows])
-    _, rows = match_counts(exp.c1, exp.c2.symbols[remaining], detected,
-                           MatcherConfig(epsilon=epsilon), dist)
-    wrong = count_mismatches(rows, perm, remaining)
-    return wrong, remaining.size, len(detected), deleted_cols
+    return (int((draws < collision_prob).sum()), evaluated, n - width, n - big_k)
 
 
 def _field_sums(results):
@@ -256,42 +251,43 @@ def _trial_by_trial(trial, args, seeds):
 
 def _run_chunk(chunk):
     """Trials first..end-1 of one grid point: their seeds, derived here, and
-    worker(args, seeds), the chunk's results summed field by field."""
-    worker, args, master_seed, pidx, first, end = chunk
+    work(seeds), the chunk's results summed field by field."""
+    work, master_seed, pidx, first, end = chunk
     seeds = [derive_seed(master_seed, pidx, t) for t in range(first, end)]
-    return worker(args, seeds), seeds
+    return work(seeds), seeds
 
 
 def _sweep(points, trials: int, master_seed: int, threads: int):
     """Run every trial of every grid point, on one process pool of at most
     threads workers when threads > 1.
 
-    points[pidx] = (worker, args, cells): trial t of point pidx has seed
+    points[pidx] = (work, cells): trial t of point pidx has seed
     derive_seed(master_seed, pidx, t) and `cells` symbols of input.  A
     point's trials run in chunks of consecutive trials, at most CHUNK_CELLS
-    cells and ceil(trials / threads) trials each but never less than one
-    trial.  A chunk is sent as (point, first trial, end): it derives its own
-    seeds where it runs, and worker(args, seeds) returns its results summed
+    cells and ceil(trials / min(threads, CPUs)) trials each but never less
+    than one trial.  A chunk is sent as (point, first trial, end): it derives
+    its own seeds where it runs, and work(seeds) returns its results summed
     field by field.  The serial path and the pool run the same chunks.
     Returns each point's sums and the (point, trial, seed) log for the
     manifest, assembled in chunk order from the seeds the chunks return.
     """
+    cpus = os.cpu_count() or 1
     chunks = []
-    for pidx, (worker, args, cells) in enumerate(points):
-        size = max(1, min(CHUNK_CELLS // cells, -(-trials // threads)))
-        chunks += [(worker, args, master_seed, pidx, first, min(first + size, trials))
+    for pidx, (work, cells) in enumerate(points):
+        size = max(1, min(CHUNK_CELLS // cells, -(-trials // min(threads, cpus))))
+        chunks += [(work, master_seed, pidx, first, min(first + size, trials))
                    for first in range(0, trials, size)]
     if threads <= 1 or len(chunks) <= 1:
         results = list(map(_run_chunk, chunks))
     else:
         # The pool forks all its workers at once: no more than can be busy.
-        workers = min(threads, len(chunks), os.cpu_count() or 1)
+        workers = min(threads, len(chunks), cpus)
         with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_run_chunk, chunks,
                                   chunksize=max(1, len(chunks) // (workers * 8))))
     per_point = [[] for _ in points]
     seed_log = []
-    for (_, _, _, pidx, first, _), (sums, seeds) in zip(chunks, results):
+    for (_, _, pidx, first, _), (sums, seeds) in zip(chunks, results):
         per_point[pidx].append(sums)
         seed_log += [(pidx, first + i, seed) for i, seed in enumerate(seeds)]
     return [_field_sums(r) for r in per_point], seed_log
@@ -320,7 +316,7 @@ def _run_sweep(command: str, cfg: ExperimentConfig, grid, specs, point, to_csv) 
     """The loop every Monte Carlo command shares: run the trials of each grid
     point, pool them into a rate with a Wilson interval, emit when cfg.out.
 
-    specs[i] is grid[i]'s (worker, args, cells) for _sweep.  Workers return
+    specs[i] is grid[i]'s (work, cells) for _sweep.  Work returns
     (successes, total, *more); point(grid[i], sums, estimate) builds the
     result from those summed over trials, estimate = (rate, ci_low, ci_high).
     """
@@ -370,17 +366,26 @@ def run_rates(dist: Distribution, deltas, alphas, out: str = None) -> list:
 
 @dataclass(frozen=True)
 class MatchPoint(_HalfWidth):
+    """One simulate-match or pipeline grid point: B = 0 for simulate-match,
+    alpha = 0 for pipeline."""
     n: int
+    B: int
     rate: float
     delta: float
     alpha: float
     trials: int
     mismatches: int
     evaluated: int
+    detected_cols: int
+    deleted_cols: int
     mismatch_rate: float
     ci_low: float
     ci_high: float
     mode: str
+
+    @property
+    def detected_fraction(self) -> float:
+        return self.detected_cols / self.deleted_cols if self.deleted_cols else 0.0
 
 
 def _guarded_cells(name: str, size: int, n: int) -> int:
@@ -408,16 +413,17 @@ def run_simulate_match(cfg: ExperimentConfig) -> list:
     grid = [(n, m, _choose_match_mode(cfg, m, n))
             for n in cfg.n_values for m in [cfg.resolve_m(n)]]
     # The closed form sums up to n + 1 terms of up to n * log2(q) bits.
-    specs = [(partial(_trial_by_trial, _match_trial),
-              (cfg.dist, n, m, cfg.delta, cfg.alpha, epsilon), _guarded_cells("m", m, n))
+    specs = [(partial(_trial_by_trial, _match_trial,
+                      (cfg.dist, n, m, cfg.delta, cfg.alpha, 0, epsilon, None)),
+              _guarded_cells("m", m, n))
              if mode == "materialized" else
-             (partial(_trial_by_trial, _virtual_match_trial),
-              (cfg.dist, n, m, cfg.delta, cfg.alpha), _guarded_cells("n", n, n))
+             (partial(_trial_by_trial, _virtual_match_trial,
+                      (cfg.dist, n, m, cfg.delta, cfg.alpha)), _guarded_cells("n", n, n))
              for n, m, mode in grid]
 
     def point(key, sums, estimate):
         n, _, mode = key
-        return MatchPoint(n, cfg.rate_for(n), cfg.delta, cfg.alpha, cfg.trials,
+        return MatchPoint(n, 0, cfg.rate_for(n), cfg.delta, cfg.alpha, cfg.trials,
                           *sums, *estimate, mode)
 
     return _run_sweep("simulate-match", cfg, grid, specs, point, match_csv)
@@ -457,7 +463,7 @@ def run_simulate_detect(cfg: ExperimentConfig) -> list:
     epsilon = _detect_only_epsilon(cfg)
     h = entropy(cfg.dist)
     grid = [(n, b) for n in cfg.n_values for b in cfg.batch_sizes]
-    specs = [(_detect_trials, (cfg.dist, n, b, cfg.delta, epsilon),
+    specs = [(partial(detection_trials, cfg.dist, n, b, cfg.delta, epsilon),
               _guarded_cells("B", b, n)) for n, b in grid]
 
     # Refuse an all-retained point before any trial; any() stops at its
@@ -486,26 +492,6 @@ def detect_csv(points) -> str:
     return csv_text("n,B,empirical_alpha,CI,theorem2_bound", rows)
 
 
-@dataclass(frozen=True)
-class PipelinePoint(_HalfWidth):
-    n: int
-    B: int
-    rate: float
-    delta: float
-    trials: int
-    mismatches: int
-    evaluated: int
-    detected_cols: int
-    deleted_cols: int
-    mismatch_rate: float
-    ci_low: float
-    ci_high: float
-
-    @property
-    def detected_fraction(self) -> float:
-        return self.detected_cols / self.deleted_cols if self.deleted_cols else 0.0
-
-
 def run_pipeline(cfg: ExperimentConfig) -> list:
     """Seeds -> certainty verdicts -> detected set -> match the remaining rows."""
     if cfg.batch_sizes is None:
@@ -518,14 +504,14 @@ def run_pipeline(cfg: ExperimentConfig) -> list:
         m = cfg.resolve_m(n)
         if b >= m:
             raise ConfigError(f"batch size {b} must be < m = {m}")
-        specs.append((partial(_trial_by_trial, _pipeline_trial),
-                      (cfg.dist, n, m, cfg.delta, b, epsilon, detect_eps),
+        specs.append((partial(_trial_by_trial, _match_trial,
+                              (cfg.dist, n, m, cfg.delta, 0.0, b, epsilon, detect_eps)),
                       _guarded_cells("m", m, n)))
 
     def point(key, sums, estimate):
         n, b = key
-        return PipelinePoint(n, b, cfg.rate_for(n), cfg.delta, cfg.trials,
-                             *sums, *estimate)
+        return MatchPoint(n, b, cfg.rate_for(n), cfg.delta, 0.0, cfg.trials,
+                          *sums, *estimate, "materialized")
 
     return _run_sweep("pipeline", cfg, grid, specs, point, pipeline_csv)
 

@@ -521,11 +521,11 @@ def test_all_retained_point_refused_before_any_trial(monkeypatch):
     # of point (1, 64) does; the sweep is refused before either runs a trial.
     calls = []
 
-    def counting(args, seeds):
-        calls.append(len(seeds))
-        return detection_trials(*args, seeds)
+    def counting(*args):
+        calls.append(len(args[-1]))
+        return detection_trials(*args)
 
-    monkeypatch.setattr(harness, "_detect_trials", counting)
+    monkeypatch.setattr(harness, "detection_trials", counting)
     with pytest.raises(RuntimeError, match=r"no columns were deleted in any trial "
                                            r"at \(n=1, B=64\)"):
         run_simulate_detect(ExperimentConfig(

@@ -17,7 +17,7 @@ from delmatch.detector import Verdict, detect_f, detection_trials
 from delmatch.harness import (ExperimentConfig, ConfigError, run_rates, run_simulate_match,
                               run_simulate_detect, run_pipeline, run_oracle_check,
                               parse_distribution, parse_float_grid, parse_int_list,
-                              parse_config_file, _match_trial, _pipeline_trial,
+                              parse_config_file, _match_trial,
                               _virtual_match_trial, CELL_GUARD)
 from delmatch.infotheory import entropy
 from delmatch.matcher import MatcherConfig, match_all, match_counts
@@ -173,10 +173,10 @@ def test_virtual_trial_matches_materialized_statistically():
         wrong_mat = wrong_virt = total_mat = total_virt = 0
         for t in range(400):
             seed = derive_seed(2024, t)
-            w, e = _match_trial((BERN, n, m, delta, alpha, 0.1, seed))
+            w, e, _, _ = _match_trial((BERN, n, m, delta, alpha, 0, 0.1, None, seed))
             wrong_mat += w
             total_mat += e
-            w, e = _virtual_match_trial((BERN, n, m, delta, alpha, seed))
+            w, e, _, _ = _virtual_match_trial((BERN, n, m, delta, alpha, seed))
             wrong_virt += w
             total_virt += e
         rate_mat = wrong_mat / total_mat
@@ -187,22 +187,40 @@ def test_virtual_trial_matches_materialized_statistically():
 SKEWED = Distribution((0.75, 0.25))
 
 
+def _assert_trial_counts_like_brute_force(dist, m, n, delta, alpha, b, seed):
+    # the rows left after any seed batch, scored row by row against
+    # match_counts' rows and outcome by outcome against match_all's
+    wrong, evaluated, detected_cols, deleted_cols = _match_trial(
+        (dist, n, m, delta, alpha, b, 0.1, 0.1, seed))
+    c1 = sample_database(dist, m, n, derive_seed(seed, harness.STREAM_DATABASE))
+    exp = apply_deletion_channel(c1, delta, alpha,
+                                 derive_seed(seed, harness.STREAM_CHANNEL))
+    perm = exp.labeling.perm
+    detected, remaining = exp.detection.detected_indices.tolist(), list(range(m))
+    if b:
+        batch = extract_seed_batch(exp, b, derive_seed(seed, harness.STREAM_BATCH))
+        detected = [j for j, v in enumerate(detect_f(batch, dist, 0.1))
+                    if v is Verdict.DELETED]
+        remaining = sorted(set(remaining) - set(perm[batch.source_rows].tolist()))
+    _, rows = match_counts(exp.c1, exp.c2.symbols[remaining], detected,
+                           MatcherConfig(epsilon=0.1), dist)
+    outcomes, _ = match_all(exp.c1, exp.c2.symbols[remaining], detected,
+                            MatcherConfig(epsilon=0.1), dist)
+    assert (evaluated, detected_cols) == (len(remaining), len(detected))
+    assert deleted_cols == int(exp.deletion.flags.sum())
+    assert wrong == sum(not (row >= 0 and perm[row] == j)
+                        for row, j in zip(rows.tolist(), remaining))
+    assert wrong == sum(not (o.is_match and perm[o.row] == j)
+                        for o, j in zip(outcomes, remaining))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([BERN, SKEWED]), st.integers(1, 40), st.integers(1, 12),
        st.sampled_from([0.0, 0.3, 0.6]), st.sampled_from([0.0, 0.5, 1.0]),
        st.integers(0, 2 ** 64 - 1))
 def test_match_trial_counts_like_mismatch_rate(dist, m, n, delta, alpha, seed):
-    # the trial's count against match_counts' rows, scored row by row
-    wrong, evaluated = _match_trial((dist, n, m, delta, alpha, 0.1, seed))
-    c1 = sample_database(dist, m, n, derive_seed(seed, harness.STREAM_DATABASE))
-    exp = apply_deletion_channel(c1, delta, alpha,
-                                 derive_seed(seed, harness.STREAM_CHANNEL))
-    _, rows = match_counts(exp.c1, exp.c2.symbols, exp.detection.detected_indices,
-                           MatcherConfig(epsilon=0.1), dist)
-    perm = exp.labeling.perm
-    assert evaluated == m
-    assert wrong == sum(not (row >= 0 and perm[row] == j)
-                        for j, row in enumerate(rows.tolist()))
+    # simulate-match's (alpha, B = 0) draws
+    _assert_trial_counts_like_brute_force(dist, m, n, delta, alpha, 0, seed)
 
 
 @settings(max_examples=40, deadline=None)
@@ -210,23 +228,18 @@ def test_match_trial_counts_like_mismatch_rate(dist, m, n, delta, alpha, seed):
        st.sampled_from([0.0, 0.3, 0.6]), st.integers(0, 8),
        st.integers(0, 2 ** 64 - 1))
 def test_pipeline_trial_counts_like_match_all(dist, m, n, delta, b, seed):
-    # the rows left after the seed batch, scored outcome by outcome
-    b = min(b, m)  # b = m leaves no row to match
-    wrong, evaluated, detected_cols, _ = _pipeline_trial(
-        (dist, n, m, delta, b, 0.1, 0.1, seed))
-    c1 = sample_database(dist, m, n, derive_seed(seed, harness.STREAM_DATABASE))
-    exp = apply_deletion_channel(c1, delta, 0.0,
-                                 derive_seed(seed, harness.STREAM_CHANNEL))
-    batch = extract_seed_batch(exp, b, derive_seed(seed, harness.STREAM_BATCH))
-    detected = [j for j, v in enumerate(detect_f(batch, dist, 0.1))
-                if v is Verdict.DELETED]
-    perm = exp.labeling.perm
-    remaining = sorted(set(range(m)) - set(perm[batch.source_rows].tolist()))
-    outcomes, _ = match_all(exp.c1, exp.c2.symbols[remaining], detected,
-                            MatcherConfig(epsilon=0.1), dist)
-    assert (evaluated, detected_cols) == (len(remaining), len(detected))
-    assert wrong == sum(not (o.is_match and perm[o.row] == j)
-                        for o, j in zip(outcomes, remaining))
+    # pipeline's (alpha = 0, B) draws; b = m leaves no row to match
+    _assert_trial_counts_like_brute_force(dist, m, n, delta, 0.0, min(b, m), seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 24), st.integers(1, 12), st.sampled_from([0.0, 0.3, 0.6, 0.9]),
+       st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 2 ** 64 - 1))
+def test_virtual_trial_detects_and_deletes_like_materialized(m, n, delta, alpha, seed):
+    # the closed form reads the materialized channel's streams, so its
+    # detected and deleted counts are the same for every seed
+    assert (_virtual_match_trial((BERN, n, m, delta, alpha, seed))[2:]
+            == _match_trial((BERN, n, m, delta, alpha, 0, 0.1, None, seed))[2:])
 
 
 def test_simulate_match_csv(tmp_path):
@@ -328,6 +341,22 @@ def test_detection_chunk_peak_allocation_within_budget(monkeypatch, n, b):
     assert peak <= budget, (len(seeds), peak, budget)
 
 
+def test_simulate_detect_rejects_false_deleted_verdict(monkeypatch):
+    # a Deleted verdict on a retained column is a fault, not a count: it
+    # names the seed of the first trial with one
+    real = detector._certain_masks
+
+    def lying_masks(ids1, ids2, retained=None):
+        deleted, kept = real(ids1, ids2, retained)
+        deleted[np.argmax(retained)] = True
+        return deleted, kept
+    monkeypatch.setattr(detector, "_certain_masks", lying_masks)
+    seeds = [derive_seed(3, 0, t) for t in range(5)]
+    first = next(s for s in seeds if not detector.trial_deletions(s, 16, 0.5).all())
+    with pytest.raises(RuntimeError, match=f"as deleted \\(trial seed {first}\\)"):
+        run_simulate_detect(_detect_cfg((16,), (8,), 0.5, 0.05, 5, 3))
+
+
 def test_simulate_detect_requires_deletions():
     with pytest.raises(RuntimeError):
         run_simulate_detect(_detect_cfg((8,), (4,), 0.0, 0.05, 5, 3))
@@ -370,13 +399,13 @@ def test_pipeline_more_seeds_help():
     assert hi.mismatch_rate <= lo.mismatch_rate + 0.02
 
 
-def test_pipeline_trial_rejects_false_deleted_verdict(monkeypatch):
+def test_match_trial_rejects_false_deleted_verdict(monkeypatch):
     # delta = 0 deletes nothing, so any Deleted verdict is false
     def lying_detector(batch, dist, epsilon):
         return [Verdict.DELETED] + [Verdict.RETAINED] * (batch.n - 1)
     monkeypatch.setattr(harness, "detect_f", lying_detector)
     with pytest.raises(RuntimeError, match="as deleted"):
-        _pipeline_trial((BERN, 8, 16, 0.0, 4, 0.1, 0.1, 123))
+        _match_trial((BERN, 8, 16, 0.0, 0.0, 4, 0.1, 0.1, 123))
 
 
 def test_pipeline_batch_guard():
@@ -507,6 +536,38 @@ def test_cli_list_parse_errors_name_their_option(capsys, monkeypatch, args, mess
     assert captured.err == f"error: {message}\n"
 
 
+def _match_argv(*left_out):
+    flags = {"--n": "8", "--m": "16", "--delta": "0.2", "--alpha": "1"}
+    return ["simulate-match"] + [x for flag, value in flags.items() if flag not in left_out
+                                 for x in (flag, value)]
+
+
+@pytest.mark.parametrize("key, base", [
+    ("seed", _match_argv()), ("trials", _match_argv()), ("threads", _match_argv()),
+    ("m", _match_argv("--m")), ("rate", _match_argv("--m")),
+    ("delta", _match_argv("--delta")), ("alpha", _match_argv("--alpha")),
+    ("epsilon", _match_argv()),
+    ("detect_epsilon", ["pipeline", "--n", "8", "--m", "16", "--delta", "0.2", "--B", "2"]),
+    ("cases", ["oracle-check"]),
+])
+def test_cli_bad_value_fails_alike_as_flag_and_config_line(tmp_path, capsys, monkeypatch,
+                                                          key, base):
+    monkeypatch.setattr(harness, "_sweep", _no_sweep)
+    monkeypatch.setattr(harness, "check_counting", _no_sweep)
+    option = "--" + key.replace("_", "-")
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{key} = x\n")
+    results = []
+    for argv in (base + [f"{option}=x"], base + ["--config", str(cfgfile)]):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {option}: ") and err.count("\n") == 1
+
+
 def test_cli_rejects_nan_distribution(capsys):
     assert cli.main(["rates", "--dist", "bern:nan", "--deltas", "0.4"]) == 2
     captured = capsys.readouterr()
@@ -634,9 +695,9 @@ def test_emit_failed_write_leaves_previous_output(tmp_path, monkeypatch):
 
 
 def test_cli_unwritable_out_fails_before_any_trial(tmp_path, capsys, monkeypatch):
-    def no_trial(args, seeds):
+    def no_trial(*args):
         raise AssertionError("a trial ran")
-    monkeypatch.setattr(harness, "_detect_trials", no_trial)
+    monkeypatch.setattr(harness, "detection_trials", no_trial)
     detect = ["simulate-detect", "--dist", "bern:0.5", "--n", "8", "--B", "4",
               "--delta", "0.3", "--trials", "5", "--out"]
     for out in (tmp_path / "missing" / "x.csv", tmp_path):
@@ -759,7 +820,7 @@ def test_cli_has_no_guard_override(capsys):
 def test_sweep_pool_has_no_more_workers_than_cpus_or_chunks(tmp_path, monkeypatch):
     # the pool forks all its workers at once, so --threads is an upper bound;
     # the stand-in pool runs the chunks in this process
-    sizes = []
+    sizes, mapped = [], []
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -772,19 +833,22 @@ def test_sweep_pool_has_no_more_workers_than_cpus_or_chunks(tmp_path, monkeypatc
             return False
 
         def map(self, fn, items, chunksize=1):
+            items = list(items)
+            mapped.append(len(items))
             return map(fn, items)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
     args = ["simulate-detect", "--n", "8", "--B", "4", "--delta", "0.3", "--seed", "2"]
     outs = []
-    for trials, threads in (("40", "1"), ("40", "20000"), ("3", "20000")):
+    for trials, threads in (("40", "1"), ("40", "4"), ("40", "20000"), ("3", "20000")):
         out = tmp_path / f"{trials}-{threads}.csv"
         assert cli.main(args + ["--trials", trials, "--threads", threads,
                                 "--out", str(out)]) == 0
         outs.append(out.read_bytes())
-    assert sizes == [4, 3]  # 40 chunks on 4 CPUs; 3 chunks
-    assert outs[0] == outs[1]
+    # chunks are sized for the 4 CPUs, not for 20000 threads; 3 trials are 3 chunks
+    assert (sizes, mapped) == ([4, 4, 3], [4, 4, 3])
+    assert outs[0] == outs[1] == outs[2]
 
 
 @pytest.mark.parametrize("args", [
@@ -804,7 +868,7 @@ class _Planned(Exception):
 
 
 def _plan_only(points, trials, master_seed, threads):
-    raise _Planned([cells for _, _, cells in points])
+    raise _Planned([cells for _, cells in points])
 
 
 def _list_of(*values):

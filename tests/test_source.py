@@ -2,6 +2,8 @@
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "delmatch"
@@ -50,3 +52,22 @@ def test_readme_config_keys_are_the_keys_the_cli_reads():
     listed = re.search(r"Keys\s+mirror the flag names:(.*?)\.\s", readme, re.S)
     assert listed, "README lists no config keys"
     assert sorted(re.findall(r"`([^`]+)`", listed.group(1))) == sorted(read)
+
+
+def test_failing_property_fails_only_itself(tmp_path):
+    # Hypothesis reports a failure through a module whose import raises a
+    # DeprecationWarning; under the suite's warnings-as-errors that must not
+    # become an internal error that stops the run after the first failure.
+    (tmp_path / "test_tool.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_property(x):\n    assert x < 5\n\n\n"
+        "def test_passes():\n    pass\n\n\n"
+        "def test_fails():\n    assert False\n")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-c",
+                           str(PACKAGE.parents[1] / "pyproject.toml"), "--rootdir", ".",
+                           "-p", "no:cacheprovider", "test_tool.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "FAILED test_tool.py::test_property" in proc.stdout
+    assert "2 failed, 1 passed" in proc.stdout

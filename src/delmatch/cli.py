@@ -37,13 +37,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "experiments, and brute-force oracle checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # No flag has a type: _get converts a flag and a config line alike.
+    # No flag has a type: _get converts a flag and a config line alike.  A
+    # command takes exactly the flags whose keys it reads.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value config file")
-    common.add_argument("--seed", help="64-bit master seed (default 0)")
     common.add_argument("--out", help="output CSV path (default: print to stdout)")
-    common.add_argument("--trials", help="Monte Carlo trials per grid point")
-    common.add_argument("--threads", help="at most this many worker processes (default 1)")
+    sweep = argparse.ArgumentParser(add_help=False, parents=[common])
+    sweep.add_argument("--seed", help="64-bit master seed (default 0)")
+    sweep.add_argument("--trials", help="Monte Carlo trials per grid point")
+    sweep.add_argument("--threads", help="at most this many worker processes (default 1)")
 
     p = sub.add_parser("rates", parents=[common],
                        help="achievable-rate table over a (delta, alpha) grid")
@@ -52,14 +54,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", help="comma list of detection probabilities")
     p.set_defaults(func=cmd_rates)
 
-    p = sub.add_parser("simulate-match", parents=[common],
+    p = sub.add_parser("simulate-match", parents=[sweep],
                        help="mismatch rate of the matching scheme under "
                             "given-alpha side information")
     _add_match_args(p)
     p.add_argument("--alpha", help="deletion detection probability")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("simulate-detect", parents=[common],
+    p = sub.add_parser("simulate-detect", parents=[sweep],
                        help="empirical deletion-detection probability vs the "
                             "analytic bound")
     p.add_argument("--dist", help="bern:p | uniform:q | p0,p1,...")
@@ -69,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", help="typicality slack for the detector (default 0.05)")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("pipeline", parents=[common],
+    p = sub.add_parser("pipeline", parents=[sweep],
                        help="end to end: seed rows -> detected deletions -> "
                             "match the remaining rows")
     _add_match_args(p)
@@ -81,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", parents=[common],
                        help="exhaustive small-instance verification of the "
                             "exact counting machinery")
+    p.add_argument("--seed", help="64-bit master seed (default 0)")
     p.add_argument("--cases", help="random cases per suite (default 400)")
     p.set_defaults(func=cmd_oracle_check)
     return parser
@@ -123,11 +126,7 @@ def _get(args, cfgmap, key, conv=None, required=False):
 
 
 def _refuse_unread(args, cfgmap):
-    """A config key the command did not read is misspelt or not its own.  The
-    shared flags must parse even where unread (rates takes --threads)."""
-    _get(args, {}, "seed", int)
-    _get(args, {}, "trials", int)
-    _get(args, {}, "threads", int)
+    """A config key the command did not read is misspelt or not its own."""
     if cfgmap:
         raise ConfigError(f"unknown config key(s) for {args.command}: "
                           + ", ".join(sorted(cfgmap)))
@@ -172,7 +171,7 @@ def _sweep_config(args, cfgmap) -> ExperimentConfig:
         threads=_get(args, cfgmap, "threads", int),
     )
     if args.command == "simulate-detect":  # no matcher: --epsilon is the detector's
-        kw["detect_epsilon"] = kw["epsilon"]
+        kw["detect_epsilon"] = kw.pop("epsilon")
     else:
         kw.update(rate=_get(args, cfgmap, "rate", float), m=_get(args, cfgmap, "m", int))
     if args.command == "simulate-match":

@@ -116,8 +116,8 @@ class ExperimentConfig:
     """One sweep description: simulate-match, simulate-detect or pipeline.
 
     At most one of rate/m fixes the row count (m = round(2^(n*rate)) when the
-    rate is given); the matching sweeps need one, detection alone needs
-    neither.  Exactly one of alpha/batch_sizes picks the side-information
+    rate is given); the matching sweeps need one, detection alone refuses
+    both.  Exactly one of alpha/batch_sizes picks the side-information
     mode (detection probability vs. seed rows).
     """
 
@@ -293,10 +293,11 @@ def _sweep(points, trials: int, master_seed: int, threads: int):
     return [_field_sums(r) for r in per_point], seed_log
 
 
-def wilson_interval(successes: int, total: int, z: float = 1.96):
+def wilson_interval(successes: int, total: int):
     """95% Wilson score interval for a binomial proportion."""
     if total == 0:
         return 0.0, 1.0
+    z = 1.96
     phat = successes / total
     denom = 1.0 + z * z / total
     center = (phat + z * z / (2 * total)) / denom
@@ -312,13 +313,15 @@ class _HalfWidth:
         return (self.ci_high - self.ci_low) / 2.0
 
 
-def _run_sweep(command: str, cfg: ExperimentConfig, grid, specs, point, to_csv) -> list:
+def _run_sweep(command: str, cfg: ExperimentConfig, grid, specs, point, to_csv,
+               slacks) -> list:
     """The loop every Monte Carlo command shares: run the trials of each grid
     point, pool them into a rate with a Wilson interval, emit when cfg.out.
 
     specs[i] is grid[i]'s (work, cells) for _sweep.  Work returns
     (successes, total, *more); point(grid[i], sums, estimate) builds the
     result from those summed over trials, estimate = (rate, ci_low, ci_high).
+    slacks are the resolved typicality slacks as (key, value) pairs.
     """
     started = time.time()
     totals, seed_log = _sweep(specs, cfg.trials, cfg.master_seed, cfg.threads)
@@ -326,7 +329,7 @@ def _run_sweep(command: str, cfg: ExperimentConfig, grid, specs, point, to_csv) 
                                 *wilson_interval(sums[0], sums[1])))
               for key, sums in zip(grid, totals)]
     if cfg.out:
-        _emit(cfg.out, command, to_csv(points), _cfg_echo(cfg, command), cfg.master_seed,
+        _emit(cfg.out, command, to_csv(points), _cfg_echo(cfg, slacks), cfg.master_seed,
               tuple(seed_log), time.time() - started)
     return points
 
@@ -409,6 +412,8 @@ def run_simulate_match(cfg: ExperimentConfig) -> list:
     """Monte Carlo mismatch rates for the given-alpha side-information mode."""
     if cfg.alpha is None:
         raise ConfigError("simulate-match needs the given-alpha mode")
+    if cfg.detect_epsilon is not None:  # refused like an unread CLI key
+        raise ConfigError("simulate-match does not read detect_epsilon")
     epsilon = cfg.matcher_epsilon()
     grid = [(n, m, _choose_match_mode(cfg, m, n))
             for n in cfg.n_values for m in [cfg.resolve_m(n)]]
@@ -426,7 +431,8 @@ def run_simulate_match(cfg: ExperimentConfig) -> list:
         return MatchPoint(n, 0, cfg.rate_for(n), cfg.delta, cfg.alpha, cfg.trials,
                           *sums, *estimate, mode)
 
-    return _run_sweep("simulate-match", cfg, grid, specs, point, match_csv)
+    return _run_sweep("simulate-match", cfg, grid, specs, point, match_csv,
+                      [("epsilon", epsilon)])
 
 
 def match_csv(points) -> str:
@@ -454,13 +460,16 @@ class DetectPoint(_HalfWidth):
 def run_simulate_detect(cfg: ExperimentConfig) -> list:
     """Empirical detection probability next to the analytic bound, per (n, B).
 
-    The slack is cfg.detect_epsilon, 0.05 when unset; rate, m and the
-    matcher's keys are unused."""
+    There is no matcher: the slack is cfg.detect_epsilon, 0.05 when unset,
+    and rate, m and epsilon are refused."""
     if cfg.batch_sizes is None:
         raise ConfigError("simulate-detect needs the seeded(B) mode")
+    unread = [key for key in ("rate", "m", "epsilon") if getattr(cfg, key) is not None]
+    if unread:
+        raise ConfigError(f"simulate-detect does not read {', '.join(unread)}")
     if min(cfg.batch_sizes, default=1) < 1:
         raise ConfigError(f"batch size {min(cfg.batch_sizes)} must be >= 1")
-    epsilon = _detect_only_epsilon(cfg)
+    epsilon = 0.05 if cfg.detect_epsilon is None else cfg.detect_epsilon
     h = entropy(cfg.dist)
     grid = [(n, b) for n in cfg.n_values for b in cfg.batch_sizes]
     specs = [(partial(detection_trials, cfg.dist, n, b, cfg.delta, epsilon),
@@ -478,12 +487,8 @@ def run_simulate_detect(cfg: ExperimentConfig) -> list:
         return DetectPoint(*key, cfg.delta, epsilon, cfg.trials, *sums, *estimate,
                            detection_probability_bound(*key, cfg.delta, h, epsilon))
 
-    return _run_sweep("simulate-detect", cfg, grid, specs, point, detect_csv)
-
-
-def _detect_only_epsilon(cfg: ExperimentConfig) -> float:
-    """simulate-detect's slack: detect_epsilon, else 0.05 (it has no matcher)."""
-    return 0.05 if cfg.detect_epsilon is None else cfg.detect_epsilon
+    return _run_sweep("simulate-detect", cfg, grid, specs, point, detect_csv,
+                      [("epsilon", epsilon)])
 
 
 def detect_csv(points) -> str:
@@ -513,7 +518,8 @@ def run_pipeline(cfg: ExperimentConfig) -> list:
         return MatchPoint(n, b, cfg.rate_for(n), cfg.delta, 0.0, cfg.trials,
                           *sums, *estimate, "materialized")
 
-    return _run_sweep("pipeline", cfg, grid, specs, point, pipeline_csv)
+    return _run_sweep("pipeline", cfg, grid, specs, point, pipeline_csv,
+                      [("epsilon", epsilon), ("detect_epsilon", detect_eps)])
 
 
 def pipeline_csv(points) -> str:
@@ -699,7 +705,9 @@ def _dist_echo(dist: Distribution) -> str:
     return ",".join(repr(p) for p in dist.probabilities)
 
 
-def _cfg_echo(cfg: ExperimentConfig, command: str) -> list:
+def _cfg_echo(cfg: ExperimentConfig, slacks) -> list:
+    """The manifest's config.* lines: the fields that are set, then the
+    resolved slacks, so that the lines replay as a config file."""
     echo = [("dist", _dist_echo(cfg.dist)),
             ("n", ",".join(str(n) for n in cfg.n_values)),
             ("delta", repr(cfg.delta)), ("trials", str(cfg.trials))]
@@ -711,12 +719,7 @@ def _cfg_echo(cfg: ExperimentConfig, command: str) -> list:
         echo.append(("alpha", repr(cfg.alpha)))
     if cfg.batch_sizes is not None:
         echo.append(("B", ",".join(str(b) for b in cfg.batch_sizes)))
-    if command == "simulate-detect":  # no matcher: its one slack is the detector's
-        return echo + [("epsilon", repr(_detect_only_epsilon(cfg)))]
-    echo.append(("epsilon", repr(cfg.matcher_epsilon())))
-    if command == "pipeline":  # simulate-match has no detector
-        echo.append(("detect_epsilon", repr(cfg.detector_epsilon())))
-    return echo
+    return echo + [(key, repr(value)) for key, value in slacks]
 
 
 def csv_text(header: str, rows) -> str:

@@ -199,11 +199,9 @@ class DeletionPattern:
     """Length-n bit vector of deleted columns (1 = deleted), shared by all rows."""
 
     flags: np.ndarray
-    delta: float
 
     def __post_init__(self):
         object.__setattr__(self, "flags", _flag_vector(self.flags))
-        check_range("delta", self.delta, hi=1.0)
 
     @property
     def n(self) -> int:
@@ -220,11 +218,9 @@ class DetectionPattern:
     """One-sided side information: bit 1 marks a column known to be deleted."""
 
     flags: np.ndarray
-    alpha: float
 
     def __post_init__(self):
         object.__setattr__(self, "flags", _flag_vector(self.flags))
-        check_range("alpha", self.alpha, hi=1.0, closed=True)
 
     @property
     def detected_indices(self) -> np.ndarray:
@@ -265,7 +261,6 @@ class DeletionExperiment:
     labeling: Labeling
     deletion: DeletionPattern
     detection: DetectionPattern
-    master_seed: int
 
     def __post_init__(self):
         if self.c2.q != self.c1.q or self.c2.m != self.c1.m:
@@ -374,9 +369,8 @@ def apply_deletion_channel(c1: Database, delta: float, alpha: float,
         c1=c1,
         c2=Database(shuffled, c1.q),
         labeling=Labeling(perm),
-        deletion=DeletionPattern(deleted, delta),
-        detection=DetectionPattern(detected, alpha),
-        master_seed=int(rng_seed),
+        deletion=DeletionPattern(deleted),
+        detection=DetectionPattern(detected),
     )
 
 

@@ -192,7 +192,9 @@ def test_c10_byte_identical_output(tmp_path):
         outputs = []
         for i, threads in enumerate(("1", "8", "1")):
             out = tmp_path / f"{name}-{i}.csv"
-            code = cli.main(args + ["--threads", threads, "--out", str(out)])
+            # rates runs no trials, so it takes no --threads; it is rerun alike
+            workers = [] if name == "rates" else ["--threads", threads]
+            code = cli.main(args + workers + ["--out", str(out)])
             assert code == 0, name
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2], name

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import errno
@@ -1039,6 +1040,91 @@ def test_cli_refuses_unread_config_keys(tmp_path, capsys, monkeypatch, command, 
     key = line.split("=")[0].strip().replace("-", "_")
     assert captured.out == ""
     assert captured.err == f"error: unknown config key(s) for {command[0]}: {key}\n"
+
+
+class _ReadKeys(dict):
+    """An empty config map that records every key a command reads; a key
+    some command requires reads as a valid value."""
+
+    REQUIRED = {"n": "8", "delta": "0.2", "alpha": "1", "B": "4"}
+
+    def __init__(self):
+        super().__init__()
+        self.read = set()
+
+    def pop(self, key, default=None):
+        self.read.add(key)
+        return self.REQUIRED.get(key, default)
+
+
+def test_cli_flags_are_exactly_the_config_keys_each_command_reads(monkeypatch, capsys):
+    # A flag nothing reads would be accepted and ignored, where the same key
+    # as a config line is refused.  The runners are stubs: no trial runs.
+    monkeypatch.setattr(harness, "_sweep", _no_sweep)
+    monkeypatch.setattr(cli, "SWEEPS", {command: (lambda cfg: [], to_csv, line)
+                                        for command, (_, to_csv, line) in cli.SWEEPS.items()})
+    monkeypatch.setattr(cli, "run_rates", lambda *args: [])
+    monkeypatch.setattr(cli, "run_oracle_check", lambda *args: harness.OracleReport([], []))
+    parser = cli.build_parser()
+    (commands,) = [action.choices for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    every = set()
+    for command, sub in commands.items():
+        cfgmap = _ReadKeys()
+        args = parser.parse_args([command])
+        assert args.func(args, cfgmap) == 0, command
+        flags = {action.dest for action in sub._actions} - {"help", "config"}
+        assert sorted(flags) == sorted(cfgmap.read), command
+        every |= cfgmap.read
+    assert every == {"dist", "deltas", "alphas", "n", "rate", "m", "delta", "alpha", "B",
+                     "epsilon", "detect_epsilon", "trials", "seed", "threads", "cases", "out"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["rates", "--seed", "1"], ["rates", "--trials", "5"], ["rates", "--threads", "2"],
+    ["oracle-check", "--trials", "5"], ["oracle-check", "--threads", "2"],
+], ids=" ".join)
+def test_cli_refuses_a_flag_its_command_does_not_read(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "run_rates", _no_sweep)
+    monkeypatch.setattr(harness, "check_counting", _no_sweep)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(argv[1:])}\n" in captured.err
+
+
+@pytest.mark.parametrize("runner, field, value", [
+    (run_simulate_detect, "rate", 0.2),
+    (run_simulate_detect, "m", 100),
+    (run_simulate_detect, "epsilon", 0.2),  # its one slack is detect_epsilon
+    (run_simulate_match, "detect_epsilon", 0.1),  # no detector
+], ids=lambda value: getattr(value, "__name__", str(value)))
+def test_library_runner_refuses_a_field_it_does_not_read(monkeypatch, runner, field, value):
+    # An ignored field would be echoed to a manifest that does not replay.
+    monkeypatch.setattr(harness, "_sweep", _no_sweep)
+    cfg = (_detect_cfg((16,), (4,), 0.3, None, 5, 1) if runner is run_simulate_detect
+           else _match_cfg())
+    with pytest.raises(ConfigError, match=f"does not read {field}$"):
+        runner(dataclasses.replace(cfg, **{field: value}))
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("simulate-match", _match_cfg(trials=6, alpha=0.5, epsilon=0.3)),
+    ("simulate-detect", _detect_cfg((16, 32), (8,), 0.5, 0.1, 6, 11)),
+    ("pipeline", _match_cfg(rate=None, m=40, delta=0.3, alpha=None, batch_sizes=(0, 4),
+                            detect_epsilon=0.2, trials=6)),
+], ids=lambda value: value if isinstance(value, str) else "cfg")
+def test_library_manifest_replays_through_the_cli(tmp_path, command, cfg):
+    runner, _, _ = cli.SWEEPS[command]
+    first, again = tmp_path / "lib.csv", tmp_path / "cli.csv"
+    runner(dataclasses.replace(cfg, out=str(first)))
+    manifest = (tmp_path / "lib.csv.manifest.txt").read_text().splitlines()
+    cfgfile = tmp_path / "replay.cfg"
+    cfgfile.write_text("".join(line[len("config."):] + "\n" for line in manifest
+                               if line.startswith("config.")))
+    assert cli.main([command, "--config", str(cfgfile), "--seed", str(cfg.master_seed),
+                     "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
 
 
 def test_cli_check_failure_exit_code(capsys):

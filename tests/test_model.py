@@ -210,11 +210,11 @@ def test_experiment_constructor_rejects_inconsistency():
         tampered[0, 0] ^= 1
         with pytest.raises(ValueError):
             DeletionExperiment(exp.c1, Database(tampered, 2), exp.labeling,
-                               exp.deletion, exp.detection, exp.master_seed)
+                               exp.deletion, exp.detection)
     bad_detect = np.array(exp.deletion.flags) ^ 1  # detections at retained cols
     with pytest.raises(ValueError):
         DeletionExperiment(exp.c1, exp.c2, exp.labeling, exp.deletion,
-                           DetectionPattern(bad_detect, 1.0), exp.master_seed)
+                           DetectionPattern(bad_detect))
 
 
 def test_labeling_must_be_bijective():
@@ -263,7 +263,7 @@ def test_types_are_immutable():
     db = sample_database(d, 2, 3, 0)
     with pytest.raises(ValueError):
         db.symbols[0, 0] = 1
-    pat = DeletionPattern(np.array([1, 0, 1]), 0.5)
+    pat = DeletionPattern(np.array([1, 0, 1]))
     with pytest.raises(ValueError):
         pat.flags[0] = 0
 
@@ -286,8 +286,8 @@ def test_records_refuse_a_cast_that_changes_a_symbol(make, values):
     (lambda a: SeedBatch([[0], [1]], [[0], [1]], source_rows=a), "source_rows", [1, 0],
      np.int64),
     (Labeling, "perm", [1, 0], np.int64),
-    (lambda a: DeletionPattern(a, 0.5), "flags", [1, 0], np.uint8),
-    (lambda a: DetectionPattern(a, 0.5), "flags", [1, 0], np.uint8),
+    (DeletionPattern, "flags", [1, 0], np.uint8),
+    (DetectionPattern, "flags", [1, 0], np.uint8),
 ], ids=["Database", "SeedBatch.d1", "SeedBatch.d2", "SeedBatch.source_rows", "Labeling",
         "DeletionPattern", "DetectionPattern"])
 def test_records_keep_a_private_copy(make, field, values, dtype):

@@ -97,17 +97,24 @@ def parse_int_list(spec: str) -> tuple:
 
 def parse_config_file(path: str) -> dict:
     """Flat 'key = value' text config; '#' starts a comment line.  A '-' in
-    a key reads as '_', so 'detect-epsilon' is 'detect_epsilon'."""
-    out = {}
+    a key reads as '_', so 'detect-epsilon' is 'detect_epsilon'.  An empty
+    key or value, and a key given twice, are errors."""
+    out, lines = {}, {}
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            out[key.strip().replace("-", "_")] = value.strip()
+            key, sep, value = (part.strip() for part in line.partition("="))
+            key = key.replace("-", "_")
+            problem = ("expected 'key = value'" if not sep
+                       else "empty key" if not key
+                       else f"empty value for {key}" if not value
+                       else f"{key} given again (first on line {lines[key]})" if key in out
+                       else None)
+            if problem:
+                raise ConfigError(f"{path}:{lineno}: {problem}")
+            out[key], lines[key] = value, lineno
     return out
 
 

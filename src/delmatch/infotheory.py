@@ -17,7 +17,7 @@ from .model import Distribution, check_range
 
 def entropy(dist: Distribution) -> float:
     """Shannon entropy in bits; zero-probability symbols contribute nothing."""
-    return float(sum(-p * log2(p) for p in dist.probabilities if p > 0.0))
+    return dist.entropy
 
 
 def binary_entropy(x: float) -> float:
@@ -72,31 +72,31 @@ def typicality_mask(mat, dist: Distribution, epsilon: float, axis: int) -> np.nd
     """Weak typicality of every line of a symbol matrix along axis (1: each
     row, 0: each column): |-(1/L) log2 p(line) - H(X)| <= epsilon.
 
-    Lines of length 0 are typical.  The mean and H round differently, so a
-    few ulps of slack, 1e-12 * max(1, H), keep exactly typical lines
-    typical at epsilon = 0.  epsilon must be finite and >= 0: a NaN slack
-    would make every line atypical.  Symbols are indices into the
-    distribution's alphabet: one < 0 or >= q is a ValueError naming the
-    first.  Only a signed dtype can hold one < 0, and numpy would read it as
-    an index from the end, so only signed input pays for that check.
+    Lines of length 0 are typical.  Every line of a uniform source scores
+    exactly its one symbol cost, so one comparison decides all lines; other
+    sources average each line's costs.  The cost or mean and H round
+    differently, so a few ulps of slack, 1e-12 * max(1, H), keep exactly
+    typical lines typical at epsilon = 0.  epsilon must be finite and >= 0:
+    a NaN slack would make every line atypical.  Symbols are indices into
+    the distribution's alphabet: one < 0 or >= q is a ValueError naming the
+    first, and a non-integer dtype is a ValueError too.
     """
     check_range("epsilon", epsilon)
     mat = np.asarray(mat)
     if mat.shape[axis] == 0:
         return np.ones(mat.shape[1 - axis], dtype=bool)
-    h = entropy(dist)
+    if mat.dtype.kind not in "iu":
+        raise ValueError(f"symbols must be integers, got {mat.dtype}")
     q = dist.alphabet_size
-    outside = mat.dtype.kind == "i" and mat.min(initial=0) < 0
-    if not outside:
-        try:
-            costs = dist.neg_log2()[mat]
-        except IndexError:
-            outside = True
-    if outside:
+    if (mat.max(initial=0) >= q
+            or mat.dtype.kind == "i" and mat.min(initial=0) < 0):
         bad = mat[(mat < 0) | (mat >= q)][0]
         raise ValueError(f"symbol {bad} is outside the distribution's alphabet [0, {q})")
-    scores = costs.mean(axis=axis)
-    return np.abs(scores - h) <= epsilon + 1e-12 * max(1.0, h)
+    h = dist.entropy
+    slack = epsilon + 1e-12 * max(1.0, h)
+    if dist.is_uniform():
+        return np.full(mat.shape[1 - axis], abs(dist.costs[0] - h) <= slack)
+    return np.abs(dist.costs[mat].mean(axis=axis) - h) <= slack
 
 
 def supersequence_count_exact(n: int, k: int, q: int) -> int:

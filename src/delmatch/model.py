@@ -9,7 +9,7 @@ Indices are 0-based throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,31 +87,36 @@ def _column_ids(d1, d2):
     """Label the columns of two integer matrices so that two columns get the
     same id iff they are equal entrywise over all rows (seed-batch columns,
     or transposed rows).  Ids are lexicographic ranks, from a sort of each
-    column packed into 64-bit words: (value - min) at bit_length(max - min)
-    bits per row, first row highest.  There is no hashing, so equality is
+    column packed into 64-bit words at bit_length(max - lo) bits per row,
+    first row highest: uint8 symbols as they are (lo = 0), other integers
+    as value - min.  Each word is one integer dot product of its rows with
+    the powers of two of their places.  There is no hashing, so equality is
     exact."""
     (rows, n), k = d1.shape, d2.shape[1]
     if rows == 0 or n + k == 0:  # no columns, or no rows to tell columns apart
         return np.zeros(n, dtype=np.int64), np.zeros(k, dtype=np.int64)
     # Each matrix apart: uint64 beside int64 would concatenate to float64.
-    ends = [int(f()) for d in (d1, d2) if d.size for f in (d.min, d.max)]
-    lo, bits = min(ends), max(1, (max(ends) - min(ends)).bit_length())
+    mats = [d for d in (d1, d2) if d.size]
+    raw = all(d.dtype == np.uint8 for d in mats)
+    lo = 0 if raw else min(int(d.min()) for d in mats)
+    bits = max(1, (max(int(d.max()) for d in mats) - lo).bit_length())
     if bits > 64:
         raise ValueError("symbols must span less than 2^64")
     words = -(-rows // (64 // bits))
-    per = -(-rows // words)  # rows per word; zero rows pad the last word
-    shifts = np.arange(bits * (per - 1), -1, -bits, dtype=np.uint64)[:, None]
+    per = -(-rows // words)  # rows per word; the last word may hold fewer
+    powers = np.left_shift(np.uint64(1), np.arange(bits * (per - 1), -1, -bits,
+                                                   dtype=np.uint64))
     keys = np.empty((words, n + k), dtype=np.uint64)
     for start, d in ((0, d1), (n, d2)):
         for c in range(0, d.shape[1], 1024):  # column blocks keep temporaries small
             part = d[:, c:c + 1024]
-            block = np.zeros((words * per, part.shape[1]), dtype=np.uint64)
-            # uint64 arithmetic wraps, so value - lo is exact for int64 and uint64
-            np.subtract(part, np.uint64(lo % 2 ** 64), out=block[:rows],
-                        dtype=np.uint64, casting="unsafe")
-            block = block.reshape(words, per, -1)
-            block <<= shifts
-            keys[:, start + c:start + c + part.shape[1]] = block.sum(axis=1, dtype=np.uint64)
+            if not raw:  # uint64 arithmetic wraps: value - lo is exact for int64 and uint64
+                part = np.subtract(part, np.uint64(lo % 2 ** 64), dtype=np.uint64,
+                                   casting="unsafe")
+            for w in range(words):
+                rows_w = part[w * per:(w + 1) * per]
+                keys[w, start + c:start + c + part.shape[1]] = np.dot(
+                    powers[:rows_w.shape[0]], rows_w)
     # Sort, then number each run of equal neighbours.
     order = np.argsort(keys[0]) if words == 1 else np.lexsort(keys[::-1])
     ranked = keys[:, order]
@@ -123,9 +128,19 @@ def _column_ids(d1, d2):
 
 @dataclass(frozen=True)
 class Distribution:
-    """A pmf over the symbol alphabet {0, ..., q-1}."""
+    """A pmf over the symbol alphabet {0, ..., q-1}.
+
+    Its constants are computed once, here, and kept out of eq, hash, repr and
+    pickles: entropy (Shannon, in bits), costs (per-symbol -log2 p, +inf at
+    zero-probability symbols, read-only), edges (the normalised cdf's first
+    q - 1 entries, which _symbols compares draws with, read-only) and
+    is_uniform()."""
 
     probabilities: tuple
+    entropy: float = field(init=False, repr=False, compare=False)
+    costs: np.ndarray = field(init=False, repr=False, compare=False)
+    edges: np.ndarray = field(init=False, repr=False, compare=False)
+    _uniform: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         probs = tuple(float(p) for p in self.probabilities)
@@ -141,6 +156,24 @@ class Distribution:
         total = sum(probs)
         if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
+        p = np.asarray(probs)
+        costs = np.full(p.shape, np.inf)
+        costs[p > 0.0] = -np.log2(p[p > 0.0])
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
+        for name, value in (
+                ("entropy", float(sum(-x * math.log2(x) for x in probs if x > 0.0))),
+                ("costs", _frozen(costs, np.float64, "costs")),
+                ("edges", _frozen(cdf[:-1], np.float64, "edges")),
+                ("_uniform", all(x == probs[0] for x in probs))):
+            object.__setattr__(self, name, value)
+
+    def __getstate__(self):
+        return {"probabilities": self.probabilities}
+
+    def __setstate__(self, state):
+        object.__setattr__(self, "probabilities", state["probabilities"])
+        self.__post_init__()
 
     @property
     def alphabet_size(self) -> int:
@@ -157,15 +190,7 @@ class Distribution:
         return cls((1.0 / q,) * q)
 
     def is_uniform(self) -> bool:
-        return all(p == self.probabilities[0] for p in self.probabilities)
-
-    def neg_log2(self) -> np.ndarray:
-        """Per-symbol -log2 p; +inf at zero-probability symbols."""
-        p = np.asarray(self.probabilities, dtype=float)
-        out = np.full(p.shape, np.inf)
-        nz = p > 0.0
-        out[nz] = -np.log2(p[nz])
-        return out
+        return self._uniform
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,11 +351,9 @@ def _symbols(dist: Distribution, shape, seed: int, *path: int) -> np.ndarray:
     This is numpy's Generator.choice(q, size=shape, p=...) recomputed byte
     for byte, as a test checks: each symbol is the number of normalised cdf
     entries at or below its uniform draw, counted by q - 1 comparisons."""
-    cdf = np.cumsum(dist.probabilities)
-    cdf /= cdf[-1]
     draws = _rng(seed, *path).random(shape)
-    out = np.zeros(shape, dtype=np.uint8)
-    for edge in cdf[:-1]:
+    out = (draws >= dist.edges[0]).view(np.uint8)
+    for edge in dist.edges[1:]:
         out += (draws >= edge).view(np.uint8)
     return out
 

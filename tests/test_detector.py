@@ -344,6 +344,16 @@ def test_column_ids_are_lexicographic_ranks(batch):
     assert ids1.tolist() + ids2.tolist() == [rank[c] for c in columns]
 
 
+@settings(max_examples=100, deadline=None)
+@given(_label_inputs())
+def test_column_ids_ignore_memory_order(batch):
+    d1, d2 = batch
+    want = _column_ids(d1, d2)
+    for got in (_column_ids(np.ascontiguousarray(d1), np.ascontiguousarray(d2)),
+                _column_ids(np.asfortranarray(d1), np.asfortranarray(d2))):
+        assert [ids.tolist() for ids in got] == [ids.tolist() for ids in want]
+
+
 def test_batch_entries_must_be_integers():
     assert count_embeddings([[1, 2]], [[]]) == 1  # an empty list reads as float
     assert count_embeddings([[0., 1.]], [[1.]]) == 1  # integral floats are integers

@@ -998,6 +998,17 @@ def test_detect_slack_default_same_in_cli_and_library(tmp_path):
         assert "config.epsilon = 0.05\n" in (tmp_path / f"{out.name}.manifest.txt").read_text()
 
 
+def test_cli_long_uniform_columns_detected_at_epsilon_zero(tmp_path):
+    # every column of a uniform source is typical at epsilon = 0, however
+    # long: B = 100000 rows once left every column atypical (alpha 0)
+    out = tmp_path / "u5.csv"
+    assert cli.main(["simulate-detect", "--dist", "uniform:5", "--n", "4", "--B", "100000",
+                     "--delta", "0.5", "--trials", "3", "--epsilon", "0",
+                     "--out", str(out)]) == 0
+    row = dict(zip(*(line.split(",") for line in out.read_text().splitlines())))
+    assert row["empirical_alpha"] == "1.000000" and row["theorem2_bound"] == "1.000000"
+
+
 def test_cli_config_key_spellings(tmp_path):
     cfgfile = tmp_path / "pipe.cfg"
     csvs = []
@@ -1040,6 +1051,30 @@ def test_cli_refuses_unread_config_keys(tmp_path, capsys, monkeypatch, command, 
     key = line.split("=")[0].strip().replace("-", "_")
     assert captured.out == ""
     assert captured.err == f"error: unknown config key(s) for {command[0]}: {key}\n"
+
+
+@pytest.mark.parametrize("command, text, problem", [
+    (["simulate-detect", "--B", "4", "--delta", "0.3"], "n = 8\n# note\nn = 16\n",
+     "3: n given again (first on line 1)"),
+    (["pipeline", "--n", "8", "--m", "16", "--delta", "0.2", "--B", "4"],
+     "detect-epsilon = 0.1\ndetect_epsilon = 0.2\n",
+     "2: detect_epsilon given again (first on line 1)"),
+    (["simulate-detect", "--n", "8", "--B", "4", "--delta", "0.3"], " = 5\n",
+     "1: empty key"),
+    (["simulate-detect", "--n", "8", "--B", "4", "--delta", "0.3"], "\nout =\n",
+     "2: empty value for out"),
+])
+def test_cli_refuses_repeated_or_empty_config_lines(tmp_path, capsys, monkeypatch,
+                                                    command, text, problem):
+    # a repeat would silently pick one of two values, an empty key reads as a
+    # blank name, and an empty out would print the CSV to stdout
+    monkeypatch.setattr(harness, "_sweep", _no_sweep)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text)
+    assert cli.main(command + ["--config", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cfgfile}:{problem}\n"
 
 
 class _ReadKeys(dict):

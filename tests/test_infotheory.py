@@ -3,12 +3,13 @@ from math import comb, log2
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from delmatch.infotheory import (entropy, binary_entropy, RateParams, achievable_rate,
                                  typicality_mask, supersequence_count_exact,
                                  supersequence_count_bound, min_seed_batch_size,
                                  detection_probability_bound)
-from delmatch.model import Distribution
+from delmatch.model import PROB_TOL, Distribution
 
 
 # -- entropy ---------------------------------------------------------------
@@ -167,6 +168,74 @@ def test_uniform_lines_typical_at_epsilon_zero_along_either_axis(q):
     assert typicality_mask(mat, dist, 0.0, axis=0).tolist() == [True] * 13
     assert all(_typical(row, dist, 0.0) for row in mat)
     assert typicality_mask(mat[:0], dist, 0.0, axis=0).tolist() == [True] * 13
+
+
+# uniform sources, and equal-probability lists whose sum is within PROB_TOL of 1
+_UNIFORM = [Distribution.uniform(q) for q in (2, 3, 5, 6, 7, 256)] + [
+    Distribution((p,) * q) for p, q in ((0.1, 10), (0.2, 5), (1 / 3, 3), (1 / 7, 7))]
+
+
+def test_uniform_sources_include_lists_off_by_rounding():
+    assert all(dist.is_uniform() for dist in _UNIFORM)
+    assert any(sum(dist.probabilities) != 1.0 for dist in _UNIFORM)
+    assert all(abs(sum(dist.probabilities) - 1.0) <= PROB_TOL for dist in _UNIFORM)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_UNIFORM), st.integers(0, 6), st.integers(0, 40),
+       st.sampled_from([0, 1]), st.sampled_from(["C", "F"]),
+       st.sampled_from([np.uint8, np.int64]), st.floats(1e-9, 0.5),
+       st.integers(0, 2 ** 32 - 1))
+@example(_UNIFORM[1], 5, 1, 0, "F", np.uint8, 1e-9, 0)   # columns of length 5, one column
+@example(_UNIFORM[1], 5, 1, 1, "C", np.uint8, 1e-9, 0)   # rows of length 1
+@example(_UNIFORM[2], 0, 3, 0, "C", np.int64, 0.5, 0)    # columns of length 0
+def test_uniform_typicality_equals_per_line_mean(dist, rows, cols, axis, order, dtype,
+                                                 eps, seed):
+    # the one comparison of a uniform source agrees with each line's mean
+    # cost wherever rounding cannot decide the comparison
+    q = dist.alphabet_size
+    mat = np.random.default_rng(seed).integers(0, q, (rows, cols)).astype(dtype)
+    mat = np.asarray(mat, order=order)
+    got = typicality_mask(mat, dist, eps, axis=axis)
+    assert got.dtype == bool and got.shape == (mat.shape[1 - axis],)
+    if mat.shape[axis] == 0:
+        assert got.all()
+        return
+    h = -sum(p * log2(p) for p in dist.probabilities)
+    score = -np.log2(np.asarray(dist.probabilities))[mat].mean(axis=axis)
+    gap = np.abs(score - h) - (eps + 1e-12 * max(1.0, h))
+    decided = np.abs(gap) > 1e-10
+    assert decided.all()  # every uniform line scores within rounding of H
+    assert got.tolist() == (gap <= 0).tolist()
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 256])
+def test_uniform_typicality_names_outside_symbols_like_the_general_path(q):
+    skewed = Distribution((0.6,) + (0.4 / (q - 1),) * (q - 1))
+    for mat, bad in ((np.array([[0, -3], [1, -1]]), -3),
+                     (np.array([[0, 1], [q + 1, q]], dtype=np.int16), q + 1),
+                     (np.array([[q, -1]]), q)):
+        for axis in (0, 1):
+            messages = []
+            for dist in (Distribution.uniform(q), skewed):
+                with pytest.raises(ValueError) as caught:
+                    typicality_mask(mat, dist, 0.1, axis=axis)
+                messages.append(str(caught.value))
+            assert messages == [f"symbol {bad} is outside the distribution's "
+                                f"alphabet [0, {q})"] * 2
+
+
+def test_long_uniform_columns_typical_at_epsilon_zero():
+    # A 100,000-row uniform:5 batch: each column's mean cost rounds about
+    # 3.9e-12 away from H, beyond the slack 1e-12 * H, but every column of a
+    # uniform source is exactly typical.
+    dist = Distribution.uniform(5)
+    batch = np.random.default_rng(5).integers(0, 5, (100_000, 4)).astype(np.uint8)
+    h = dist.entropy
+    means = -np.log2(np.asarray(dist.probabilities))[batch].mean(axis=0)
+    assert (np.abs(means - h) > 1e-12 * h).any()  # the per-line mean would miss
+    assert typicality_mask(batch, dist, 0.0, axis=0).tolist() == [True] * 4
+    assert typicality_mask(batch.T, dist, 0.0, axis=1).tolist() == [True] * 4
 
 
 def test_typicality_matches_direct_inequality():

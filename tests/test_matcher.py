@@ -151,7 +151,7 @@ def test_true_row_always_containment_candidate():
         keep[exp.detection.detected_indices] = False
         counts, _ = _experiment_counts(exp, MatcherConfig(epsilon=eps), dist)
         inv = np.argsort(exp.labeling.perm)
-        nl2 = dist.neg_log2()
+        nl2 = dist.costs
         for j, count in enumerate(counts.tolist()):
             true_row = c1.symbols[inv[j]][keep]
             assert is_subsequence(exp.c2.symbols[j], true_row)

@@ -1,3 +1,7 @@
+import hashlib
+import math
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -92,6 +96,52 @@ def test_symbols_equal_numpy_choice(dist, shape, seed, path):
     got = _symbols(dist, shape, seed, *path)
     assert got.dtype == np.uint8 and got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pmfs())
+@example(Distribution((0.0, 0.5, 0.0, 0.5, 0.0)))
+@example(Distribution.uniform(256))
+def test_distribution_constants_equal_their_formulas(dist):
+    p = dist.probabilities
+    assert dist.entropy == float(sum(-x * math.log2(x) for x in p if x > 0.0))
+    with np.errstate(divide="ignore"):
+        assert np.array_equal(dist.costs, -np.log2(np.asarray(p)))  # +inf at p = 0
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    assert dist.edges.tobytes() == cdf[:-1].tobytes()
+    assert dist.is_uniform() == all(x == p[0] for x in p)
+    for arr in (dist.costs, dist.edges):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize("dist", [Distribution.bernoulli(0.2), Distribution.uniform(7),
+                                  Distribution((0.0, 0.25, 0.75))])
+def test_distribution_compares_hashes_prints_and_pickles_by_probabilities(dist):
+    # the constants are derived, so they stay out of eq, hash, repr and pickles
+    p = dist.probabilities
+    assert dist == Distribution(p) and dist != Distribution.uniform(2)
+    assert hash(dist) == hash((p,))
+    assert repr(dist) == f"Distribution(probabilities={p!r})"
+    assert dist.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2] == {"probabilities": p}
+    copy = pickle.loads(pickle.dumps(dist))
+    assert copy == dist and copy.entropy == dist.entropy
+    assert copy.is_uniform() == dist.is_uniform()
+    for name in ("costs", "edges"):
+        assert np.array_equal(getattr(copy, name), getattr(dist, name))
+        assert not getattr(copy, name).flags.writeable
+
+
+def test_distribution_pickles_are_bytes_of_the_probabilities_alone():
+    # the sha256 of these pickles, at every protocol, from before the
+    # constants were stored
+    dists = (Distribution.bernoulli(0.3), Distribution.uniform(256),
+             Distribution((0.0, 0.25, 0.75)))
+    data = b"".join(pickle.dumps(d, protocol=p) for d in dists for p in range(6))
+    assert hashlib.sha256(data).hexdigest() == \
+        "47aace2219f2972ec3f37108ca5b3fe467ea7e26bb7826b81a36b8e0fb8e2d38"
 
 
 def test_distribution_helpers():

@@ -92,7 +92,7 @@ def typicality_mask(mat, dist: Distribution, epsilon: float, axis: int) -> np.nd
             or mat.dtype.kind == "i" and mat.min(initial=0) < 0):
         bad = mat[(mat < 0) | (mat >= q)][0]
         raise ValueError(f"symbol {bad} is outside the distribution's alphabet [0, {q})")
-    h = dist.entropy
+    h = entropy(dist)
     slack = epsilon + 1e-12 * max(1.0, h)
     if dist.is_uniform():
         return np.full(mat.shape[1 - axis], abs(dist.costs[0] - h) <= slack)

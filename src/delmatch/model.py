@@ -87,18 +87,17 @@ def _column_ids(d1, d2):
     """Label the columns of two integer matrices so that two columns get the
     same id iff they are equal entrywise over all rows (seed-batch columns,
     or transposed rows).  Ids are lexicographic ranks, from a sort of each
-    column packed into 64-bit words at bit_length(max - lo) bits per row,
-    first row highest: uint8 symbols as they are (lo = 0), other integers
-    as value - min.  Each word is one integer dot product of its rows with
-    the powers of two of their places.  There is no hashing, so equality is
-    exact."""
+    column packed into 64-bit words at bit_length(max - min) bits per row,
+    first row highest, each value stored as value - min.  Each word is one
+    integer dot product of its rows with the powers of two of their places,
+    less min times the sum of those powers.  There is no hashing, so
+    equality is exact."""
     (rows, n), k = d1.shape, d2.shape[1]
     if rows == 0 or n + k == 0:  # no columns, or no rows to tell columns apart
         return np.zeros(n, dtype=np.int64), np.zeros(k, dtype=np.int64)
     # Each matrix apart: uint64 beside int64 would concatenate to float64.
     mats = [d for d in (d1, d2) if d.size]
-    raw = all(d.dtype == np.uint8 for d in mats)
-    lo = 0 if raw else min(int(d.min()) for d in mats)
+    lo = min(int(d.min()) for d in mats)
     bits = max(1, (max(int(d.max()) for d in mats) - lo).bit_length())
     if bits > 64:
         raise ValueError("symbols must span less than 2^64")
@@ -110,13 +109,13 @@ def _column_ids(d1, d2):
     for start, d in ((0, d1), (n, d2)):
         for c in range(0, d.shape[1], 1024):  # column blocks keep temporaries small
             part = d[:, c:c + 1024]
-            if not raw:  # uint64 arithmetic wraps: value - lo is exact for int64 and uint64
-                part = np.subtract(part, np.uint64(lo % 2 ** 64), dtype=np.uint64,
-                                   casting="unsafe")
             for w in range(words):
-                rows_w = part[w * per:(w + 1) * per]
-                keys[w, start + c:start + c + part.shape[1]] = np.dot(
-                    powers[:rows_w.shape[0]], rows_w)
+                # uint64 arithmetic wraps, so the key is exact for int64 and
+                # uint64 alike: sum p * value - lo * sum p = sum p * (value - lo)
+                rows_w = part[w * per:(w + 1) * per].astype(np.uint64)
+                p = powers[:rows_w.shape[0]]
+                keys[w, start + c:start + c + part.shape[1]] = (
+                    np.dot(p, rows_w) - np.uint64(lo * int(p.sum()) % 2 ** 64))
     # Sort, then number each run of equal neighbours.
     order = np.argsort(keys[0]) if words == 1 else np.lexsort(keys[::-1])
     ranked = keys[:, order]

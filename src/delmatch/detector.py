@@ -110,19 +110,11 @@ def detect_f(batch: SeedBatch, dist: Distribution, epsilon: float) -> list:
     Inconclusive otherwise.  certain_verdict_masks decides the two exact
     posterior values without computing any posterior.
     """
-    deleted, retained = _verdict_masks(*_column_ids(batch.d1, batch.d2), batch.d1,
-                                       dist, epsilon)
-    return [Verdict.DELETED if dele else
-            Verdict.RETAINED if ret else Verdict.INCONCLUSIVE
-            for dele, ret in zip(deleted.tolist(), retained.tolist())]
-
-
-def _verdict_masks(ids1, ids2, d1, dist: Distribution, epsilon: float, retained=None):
-    """(Deleted, Retained) masks of detect_f from the column ids of d1 and d2:
-    certain and typical.  retained is _certain_masks' known embedding."""
-    certainly_deleted, certainly_retained = _certain_masks(ids1, ids2, retained)
-    typical = typicality_mask(d1, dist, epsilon, axis=0)
-    return certainly_deleted & typical, certainly_retained & typical
+    deleted, retained = _certain_masks(*_column_ids(batch.d1, batch.d2))
+    typical = typicality_mask(batch.d1, dist, epsilon, axis=0)
+    return [Verdict.DELETED if dele and typ else
+            Verdict.RETAINED if ret and typ else Verdict.INCONCLUSIVE
+            for dele, ret, typ in zip(deleted.tolist(), retained.tolist(), typical.tolist())]
 
 
 def detect_g(batch: SeedBatch, dist: Distribution, epsilon: float) -> list:
@@ -314,36 +306,44 @@ def detection_trials(dist: Distribution, n: int, B: int, delta: float,
     columns that are certainly deleted.  Returns (columns flagged Deleted,
     number of truly deleted columns), summed over the seeds; a Deleted verdict
     on a retained column raises RuntimeError.
-
-    The trials run as one instance, with one labelling and one certainty
-    pass: their batches side by side, and each trial's column ids offset so
-    that no column of one trial equals a column of another.  Every
-    embedding of the stacked d2 then maps each trial's retained columns
-    into that trial's own columns, so the stacked embeddings are the
-    product of the trials' own, and every mask entry equals its per-trial
-    value.
     """
-    count, cols = len(seeds), len(seeds) * n
+    cols = len(seeds) * n
     d1 = np.empty((B, cols), dtype=np.uint8)
     deleted = np.empty(cols, dtype=bool)
     for t, seed in enumerate(seeds):
         d1[:, t * n:(t + 1) * n] = _symbols(dist, (B, n), seed, _TRIAL_STREAM_BATCH)
         deleted[t * n:(t + 1) * n] = trial_deletions(seed, n, delta)
+    return int(_sound_deletions(d1, deleted, dist, epsilon, seeds).sum()), int(deleted.sum())
+
+
+def _sound_deletions(d1, deleted, dist: Distribution, epsilon: float, seeds):
+    """detect_f's Deleted mask over the seed batches d1 of trials whose
+    true deletion flags are the bool mask deleted, side by side with equal
+    widths, one per trial seed: one labelling and one certainty pass.
+    Each trial's column ids are offset so that no column of one trial
+    equals a column of another.  Every embedding of the stacked d2 then
+    maps each trial's retained columns into that trial's own columns, so
+    every mask entry equals its per-trial value.  A Deleted verdict on a
+    retained column raises RuntimeError naming its trial seed.
+    """
+    cols = d1.shape[1]
     ids1, _ = _column_ids(d1, d1[:, :0])
     # Ids are ranks below cols, so with trial t's offset t * cols they stay
     # below cols^2, and the certainty keys id * (K+1) + t below about
     # cols^3: 2^45 for a sweep chunk's at most 2^15 columns.
-    ids1 += np.repeat(np.arange(count, dtype=np.int64) * cols, n)
+    ids1 += np.repeat(np.arange(len(seeds), dtype=np.int64) * cols, cols // len(seeds))
     # A retained column is the same column in d2, so d2 needs no labelling,
-    # and the retained columns are an embedding to start the scans from.
+    # and the retained columns are an embedding to start the scans from;
+    # the masks do not depend on which embedding the scans start from.
     retained = ~deleted
-    flagged, _ = _verdict_masks(ids1, ids1[retained], d1, dist, epsilon, retained)
+    certain, _ = _certain_masks(ids1, ids1[retained], retained)
+    flagged = certain & typicality_mask(d1, dist, epsilon, axis=0)
     # Deleted verdicts are certainty claims, hence always true deletions.
     false_verdicts = flagged & retained
     if false_verdicts.any():
         raise RuntimeError("detector reported a retained column as deleted (trial seed "
-                           f"{seeds[int(false_verdicts.argmax()) // n]})")
-    return int(flagged.sum()), int(deleted.sum())
+                           f"{seeds[int(false_verdicts.argmax()) * len(seeds) // cols]})")
+    return flagged
 
 
 def verdicts_to_csv(verdicts, posteriors) -> str:

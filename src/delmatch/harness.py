@@ -2,8 +2,9 @@
 
 Seeding scheme: every trial draws from
     trial_seed = SeedSequence([master_seed, point_index, trial_index])
-and splits further into fixed streams (database, channel, batch, evaluation),
-so results are byte-identical regardless of worker count or scheduling.
+and splits further into fixed streams (a matching trial's database,
+channel, batch and evaluation; a detection trial's batch and deletion), so
+results are byte-identical regardless of worker count or scheduling.
 Trials run in chunks of consecutive trials of one grid point, and a chunk
 of detection trials shares one labelling and one certainty pass; sums, and
 so CSVs, are the same for any chunking.
@@ -35,7 +36,8 @@ from .matcher import (MatcherConfig, default_epsilon, match_counts, count_mismat
 from .detector import (Verdict, detect_f, detect_g, detection_trials,
                        count_embeddings, brute_force_embeddings, posterior_deletions,
                        brute_force_posterior, certain_verdict_masks, trial_deletions,
-                       _certain_masks)
+                       _certain_masks, _sound_deletions, _TRIAL_STREAM_BATCH,
+                       _TRIAL_STREAM_DELETION)
 
 # Desk-scale guard on one trial's work, fixed and checked before any trial
 # (_guarded_cells): m*n materialized cells of a matching trial (m ~ 2^16 rows
@@ -54,6 +56,11 @@ STREAM_DATABASE = 0
 STREAM_CHANNEL = 1
 STREAM_BATCH = 2
 STREAM_EVAL = 3
+
+# Each sweep's streams inside one trial seed, as its manifest names them.
+_MATCH_STREAMS = ((STREAM_DATABASE, "database"), (STREAM_CHANNEL, "channel"),
+                  (STREAM_BATCH, "batch"), (STREAM_EVAL, "eval"))
+_DETECT_STREAMS = ((_TRIAL_STREAM_BATCH, "batch"), (_TRIAL_STREAM_DELETION, "deletion"))
 
 
 class ConfigError(ValueError):
@@ -204,13 +211,8 @@ def _match_trial(args):
     detected = exp.detection.detected_indices
     if B:
         batch = extract_seed_batch(exp, B, derive_seed(trial_seed, STREAM_BATCH))
-        verdicts = detect_f(batch, dist, detect_epsilon)
-        detected = [j for j, v in enumerate(verdicts) if v is Verdict.DELETED]
-        # Deleted verdicts are certainty claims, hence always true deletions.
-        false_verdicts = [j for j in detected if not exp.deletion.flags[j]]
-        if false_verdicts:
-            raise RuntimeError(f"detector reported retained columns {false_verdicts} "
-                               f"as deleted (trial seed {trial_seed})")
+        detected = np.flatnonzero(_sound_deletions(
+            batch.d1, exp.deletion.flags.astype(bool), dist, detect_epsilon, [trial_seed]))
         scored = np.delete(scored, perm[batch.source_rows])
         observed = observed[scored]
     _, rows = match_counts(exp.c1, observed, detected,
@@ -321,14 +323,15 @@ class _HalfWidth:
 
 
 def _run_sweep(command: str, cfg: ExperimentConfig, grid, specs, point, to_csv,
-               slacks) -> list:
+               slacks, streams) -> list:
     """The loop every Monte Carlo command shares: run the trials of each grid
     point, pool them into a rate with a Wilson interval, emit when cfg.out.
 
     specs[i] is grid[i]'s (work, cells) for _sweep.  Work returns
     (successes, total, *more); point(grid[i], sums, estimate) builds the
     result from those summed over trials, estimate = (rate, ci_low, ci_high).
-    slacks are the resolved typicality slacks as (key, value) pairs.
+    slacks are the resolved typicality slacks as (key, value) pairs, and
+    streams the work's (stream id, name) pairs inside one trial seed.
     """
     started = time.time()
     totals, seed_log = _sweep(specs, cfg.trials, cfg.master_seed, cfg.threads)
@@ -337,7 +340,7 @@ def _run_sweep(command: str, cfg: ExperimentConfig, grid, specs, point, to_csv,
               for key, sums in zip(grid, totals)]
     if cfg.out:
         _emit(cfg.out, command, to_csv(points), _cfg_echo(cfg, slacks), cfg.master_seed,
-              tuple(seed_log), time.time() - started)
+              tuple(seed_log), time.time() - started, streams)
     return points
 
 
@@ -439,7 +442,7 @@ def run_simulate_match(cfg: ExperimentConfig) -> list:
                           *sums, *estimate, mode)
 
     return _run_sweep("simulate-match", cfg, grid, specs, point, match_csv,
-                      [("epsilon", epsilon)])
+                      [("epsilon", epsilon)], _MATCH_STREAMS)
 
 
 def match_csv(points) -> str:
@@ -495,7 +498,7 @@ def run_simulate_detect(cfg: ExperimentConfig) -> list:
                            detection_probability_bound(*key, cfg.delta, h, epsilon))
 
     return _run_sweep("simulate-detect", cfg, grid, specs, point, detect_csv,
-                      [("epsilon", epsilon)])
+                      [("epsilon", epsilon)], _DETECT_STREAMS)
 
 
 def detect_csv(points) -> str:
@@ -526,7 +529,8 @@ def run_pipeline(cfg: ExperimentConfig) -> list:
                           *sums, *estimate, "materialized")
 
     return _run_sweep("pipeline", cfg, grid, specs, point, pipeline_csv,
-                      [("epsilon", epsilon), ("detect_epsilon", detect_eps)])
+                      [("epsilon", epsilon), ("detect_epsilon", detect_eps)],
+                      _MATCH_STREAMS)
 
 
 def pipeline_csv(points) -> str:
@@ -736,7 +740,7 @@ def csv_text(header: str, rows) -> str:
 
 
 def _emit(out: str, command: str, text: str, config_echo,
-          master_seed, trial_seeds, elapsed: float) -> None:
+          master_seed, trial_seeds, elapsed: float, streams=()) -> None:
     data = text.encode()
     digest = hashlib.sha256(data).hexdigest()
     lines = [
@@ -749,8 +753,8 @@ def _emit(out: str, command: str, text: str, config_echo,
     ]
     if master_seed is not None:
         lines.append("seed_rule = trial_seed = SeedSequence([master_seed, point_index, "
-                     "trial_index]) -> uint64; streams: 0 database, 1 channel, 2 batch, "
-                     "3 eval")
+                     "trial_index]) -> uint64; streams: "
+                     + ", ".join(f"{stream} {name}" for stream, name in streams))
         lines.append(f"master_seed = {master_seed}")
     lines.extend(f"config.{k} = {v}" for k, v in config_echo)
     lines.extend(f"trial_seed.{p}.{t} = {s}" for p, t, s in trial_seeds)

@@ -8,7 +8,7 @@ pure function, safe for unrestricted concurrent use.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, comb, log2
+from math import ceil, comb, inf, log2
 
 import numpy as np
 
@@ -155,10 +155,15 @@ def detection_probability_bound(n: int, B: int, delta: float,
     """Analytic lower bound 1 - eps - n 2^(-B(H-eps)) (1-delta) on the
     probability that a truly deleted column is flagged Deleted.
 
-    May be negative (a trivial bound); reported as-is.
+    May be negative (a trivial bound); reported as-is, and as -inf when
+    2^(B(eps-H)) overflows a float, the bound then being below -1.8e308.
     """
     if B < 1:
         raise ValueError("batch size must be >= 1")
     check_range("delta", delta, hi=1.0)
     check_range("epsilon", epsilon)
-    return 1.0 - epsilon - n * 2.0 ** (-B * (entropy_bits - epsilon)) * (1.0 - delta)
+    try:
+        power = 2.0 ** (-B * (entropy_bits - epsilon))
+    except OverflowError:
+        return -inf
+    return 1.0 - epsilon - n * power * (1.0 - delta)

@@ -255,8 +255,10 @@ def match_all(c1: Database, c2_rows, detected, cfg: MatcherConfig,
 def count_mismatches(rows, perm, observed) -> int:
     """Observed rows not matched to their true source row.  rows[j] is the
     c1 row matched to the j-th observed row, or -1 (match_counts' rows);
-    observed[j] is that row's c2 index, and perm maps c1 rows to c2 rows."""
-    rows, observed = np.asarray(rows, dtype=np.int64), np.asarray(observed)
+    observed[j] is that row's c2 index, and perm maps c1 rows to c2 rows.
+    Both must be integers; any other value (0.9, NaN) is a ValueError."""
+    rows = _exact_cast(rows, np.int64, "matched rows")
+    observed = _exact_cast(observed, np.int64, "observed rows")
     if rows.shape != observed.shape:
         raise ValueError(f"{rows.size} matched rows for {observed.size} observed rows")
     if rows.size and (rows.min() < -1 or rows.max() >= len(perm)):

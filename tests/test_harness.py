@@ -11,7 +11,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from delmatch import detector, harness
 from delmatch.detector import Verdict, detect_f, detection_trials
@@ -23,7 +23,7 @@ from delmatch.harness import (ExperimentConfig, ConfigError, run_rates, run_simu
 from delmatch.infotheory import entropy
 from delmatch.matcher import MatcherConfig, match_all, match_counts
 from delmatch.model import (Distribution, sample_database, apply_deletion_channel,
-                            extract_seed_batch, derive_seed)
+                            extract_seed_batch, derive_seed, _channel_pattern)
 from delmatch import cli
 
 BERN = Distribution.bernoulli(0.5)
@@ -342,22 +342,6 @@ def test_detection_chunk_peak_allocation_within_budget(monkeypatch, n, b):
     assert peak <= budget, (len(seeds), peak, budget)
 
 
-def test_simulate_detect_rejects_false_deleted_verdict(monkeypatch):
-    # a Deleted verdict on a retained column is a fault, not a count: it
-    # names the seed of the first trial with one
-    real = detector._certain_masks
-
-    def lying_masks(ids1, ids2, retained=None):
-        deleted, kept = real(ids1, ids2, retained)
-        deleted[np.argmax(retained)] = True
-        return deleted, kept
-    monkeypatch.setattr(detector, "_certain_masks", lying_masks)
-    seeds = [derive_seed(3, 0, t) for t in range(5)]
-    first = next(s for s in seeds if not detector.trial_deletions(s, 16, 0.5).all())
-    with pytest.raises(RuntimeError, match=f"as deleted \\(trial seed {first}\\)"):
-        run_simulate_detect(_detect_cfg((16,), (8,), 0.5, 0.05, 5, 3))
-
-
 def test_simulate_detect_requires_deletions():
     with pytest.raises(RuntimeError):
         run_simulate_detect(_detect_cfg((8,), (4,), 0.0, 0.05, 5, 3))
@@ -400,13 +384,44 @@ def test_pipeline_more_seeds_help():
     assert hi.mismatch_rate <= lo.mismatch_rate + 0.02
 
 
-def test_match_trial_rejects_false_deleted_verdict(monkeypatch):
-    # delta = 0 deletes nothing, so any Deleted verdict is false
-    def lying_detector(batch, dist, epsilon):
-        return [Verdict.DELETED] + [Verdict.RETAINED] * (batch.n - 1)
-    monkeypatch.setattr(harness, "detect_f", lying_detector)
-    with pytest.raises(RuntimeError, match="as deleted"):
-        _match_trial((BERN, 8, 16, 0.0, 0.0, 4, 0.1, 0.1, 123))
+@pytest.mark.parametrize("run, cfg, deletions", [
+    (run_simulate_detect, _detect_cfg((16,), (8,), 0.5, 0.05, 5, 3),
+     lambda seed: detector.trial_deletions(seed, 16, 0.5)),
+    (run_pipeline, _match_cfg(alpha=None, batch_sizes=(4,), n_values=(16,), delta=0.5,
+                              rate=None, m=32, trials=5, master_seed=3),
+     lambda seed: _channel_pattern(16, 0.5, 0.0,
+                                   derive_seed(seed, harness.STREAM_CHANNEL))[0]),
+], ids=["simulate-detect", "pipeline"])
+def test_seeded_sweeps_reject_false_deleted_verdict(monkeypatch, run, cfg, deletions):
+    # a Deleted verdict on a retained column is a fault, not a count: both
+    # seeded sweeps name the seed of the first trial with one
+    real = detector._certain_masks
+
+    def lying_masks(ids1, ids2, retained=None):
+        deleted, kept = real(ids1, ids2, retained)
+        deleted[np.argmax(retained)] = True
+        return deleted, kept
+    monkeypatch.setattr(detector, "_certain_masks", lying_masks)
+    seeds = [derive_seed(3, 0, t) for t in range(5)]
+    first = next(s for s in seeds if not deletions(s).all())
+    with pytest.raises(RuntimeError, match=f"as deleted \\(trial seed {first}\\)"):
+        run(cfg)
+
+
+def test_match_trial_detects_like_detect_f_at_the_pipeline_shape():
+    # pipeline-hidden's shape, beyond the property tests' m <= 40, n <= 12:
+    # the scans from the known embedding flag as many columns as detect_f
+    dist = Distribution((0.4, 0.3, 0.2, 0.1))
+    eps = 0.1 * entropy(dist)
+    found = []
+    for seed in (derive_seed(5, 0, t) for t in range(3)):
+        c1 = sample_database(dist, 2048, 32, derive_seed(seed, harness.STREAM_DATABASE))
+        exp = apply_deletion_channel(c1, 0.3, 0.0,
+                                     derive_seed(seed, harness.STREAM_CHANNEL))
+        batch = extract_seed_batch(exp, 4, derive_seed(seed, harness.STREAM_BATCH))
+        found.append(detect_f(batch, dist, eps).count(Verdict.DELETED))
+        assert _match_trial((dist, 32, 2048, 0.3, 0.0, 4, eps, eps, seed))[2] == found[-1]
+    assert sum(found) > 0
 
 
 def test_pipeline_batch_guard():
@@ -864,12 +879,12 @@ def test_cli_sweep_exit_0_prints_its_csv_header(capsys, args):
     assert captured.out.startswith(to_csv([])) and captured.err == ""
 
 
-class _Planned(Exception):
-    """Stands in for a sweep's trials; no exception the CLI maps to an exit code."""
-
-
-def _plan_only(points, trials, master_seed, threads):
-    raise _Planned([cells for _, cells in points])
+def test_cli_detect_bound_past_the_float_range_prints_minus_inf(capsys):
+    # a slack of 100 switches the typicality gate off; 2^(16 * 99) overflows
+    assert cli.main(["simulate-detect", "--dist", "bern:0.5", "--n", "64", "--B", "16",
+                     "--delta", "0.3", "--trials", "3", "--epsilon", "100"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["theorem2_bound"] == "-inf"
 
 
 def _list_of(*values):
@@ -884,7 +899,7 @@ _GOOD = {
                                "uniform:256", "0.7,0.2,0.1", "0,1"]),
     "--n": _list_of(*_SIZES),
     "--delta": st.sampled_from(["0", "0.2", "0.5", "0.95"]),
-    "--epsilon": st.sampled_from(["0", "0.05", "0.3"]),
+    "--epsilon": st.sampled_from(["0", "0.05", "0.3", "100"]),
     "--trials": st.sampled_from(["1", "2", "200"]),
     "--seed": st.sampled_from(["0", str(2 ** 64 - 1)]),
     "--threads": st.sampled_from(["1", "2", "20000"]),
@@ -892,7 +907,7 @@ _GOOD = {
     "--m": st.sampled_from(["1", "16", "600", "65537", str(2 ** 40), str(2 ** 512)]),
     "--alpha": st.sampled_from(["0", "0.5", "1"]),
     "--B": _list_of("0", "1", "4", "16", "2048", str(10 ** 8)),
-    "--detect-epsilon": st.sampled_from(["0", "0.05", "0.3"]),
+    "--detect-epsilon": st.sampled_from(["0", "0.05", "0.3", "100"]),
 }
 _BAD = st.sampled_from(["", "-1", "0", "nan", "inf", "-inf", "1e400", "x", "8,", "1e3",
                         "2.5", str(2 ** 64), str(2 ** 513), "uniform:257", "0.5,0.6"])
@@ -929,22 +944,34 @@ def _sweep_argv(draw):
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_sweep_argv())
+@example(drawn=(["simulate-detect", "--dist=bern:0.5", "--n=64", "--B=16", "--delta=0.3",
+                 "--epsilon=100", "--trials=3"], []))  # 2^(B(eps - H)) overflows a float
 def test_cli_sweeps_refuse_or_plan_work_within_the_guard(tmp_path, monkeypatch, drawn):
     # every argv either exits 2 (1 for an all-retained detection point) with
     # one error line and no stdout, or plans only points within the guard
+    # and, from their sums, exits 0 with its CSV on stdout
     argv, lines = drawn
-    monkeypatch.setattr(harness, "_sweep", _plan_only)
+    planned = []
+
+    def zero_sums(points, trials, master_seed, threads):
+        # stands in for the trials: each point's sums are zeros of its
+        # worker's arity, so the points and the CSV are built from them
+        planned.append([cells for _, cells in points])
+        return [(0,) * (2 if work.func is detection_trials else 4) for work, _ in points], []
+    monkeypatch.setattr(harness, "_sweep", zero_sums)
     if lines:
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("".join(f"{line}\n" for line in lines))
         argv = argv + ["--config", str(cfgfile)]
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-    except _Planned as planned:
-        (cells,) = planned.args
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if planned:
+        (cells,) = planned
         assert cells and max(cells) <= CELL_GUARD, argv
+        _, to_csv, _ = cli.SWEEPS[argv[0]]
+        assert code == 0 and out.getvalue().startswith(to_csv([])), argv
+        assert err.getvalue() == "", argv
         return
     assert code == 2 or (code == 1 and "no columns were deleted" in err.getvalue()), argv
     assert out.getvalue() == "", argv
@@ -953,7 +980,8 @@ def test_cli_sweeps_refuse_or_plan_work_within_the_guard(tmp_path, monkeypatch, 
 
 def test_cli_detect_manifest_echoes_its_own_keys(tmp_path):
     # simulate-detect shares the sweep config but has no matcher, so its
-    # echo carries the detector slack as epsilon and no matcher-only key
+    # echo carries the detector slack as epsilon and no matcher-only key,
+    # and its seed rule names a detection trial's two streams
     out = tmp_path / "detect.csv"
     assert cli.main(["simulate-detect", "--dist", "bern:0.5", "--n", "16,32",
                      "--B", "8", "--delta", "0.5", "--trials", "3",
@@ -963,6 +991,8 @@ def test_cli_detect_manifest_echoes_its_own_keys(tmp_path):
                   if line.startswith("config."))
     assert config == {"dist": "0.5,0.5", "n": "16,32", "B": "8", "delta": "0.5",
                       "epsilon": "0.05", "trials": "3"}
+    assert ("seed_rule = trial_seed = SeedSequence([master_seed, point_index, trial_index])"
+            " -> uint64; streams: 0 batch, 1 deletion") in manifest
 
 
 @pytest.mark.parametrize("args", [

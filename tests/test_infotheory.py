@@ -1,5 +1,5 @@
 from itertools import product
-from math import comb, log2
+from math import comb, inf, log2
 
 import numpy as np
 import pytest
@@ -370,5 +370,10 @@ def test_detection_bound_rejects_bad_delta(bad):
 
 
 def test_detection_bound_can_be_negative():
-    # a trivial bound is reported as-is, not clipped to [0, 1]
+    # a trivial bound is reported as-is, not clipped to [0, 1], and as -inf
+    # once 2^(B(eps-H)) overflows a float
     assert detection_probability_bound(256, 2, 0.25, 1.0, 0.05) < 0.0
+    assert detection_probability_bound(64, 8, 0.3, 1.0, 100.0) == pytest.approx(
+        -99.0 - 64 * 2.0 ** 792 * 0.7)
+    assert detection_probability_bound(64, 16, 0.3, 1.0, 100.0) == -inf
+    assert detection_probability_bound(4, 3000, 0.5, binary_entropy(0.05), 0.9) == -inf

@@ -550,9 +550,15 @@ def test_mismatch_rate_trivials():
 
 
 def test_mismatch_rate_guards():
-    # count_mismatches refuses rows and observed of different lengths and a
-    # row outside [-1, len(perm)); no observed row is no mismatch
+    # count_mismatches refuses rows and observed of different lengths, a
+    # row outside [-1, len(perm)) and a row index a cast would change (0.9
+    # is not row 0, the true source here); no observed row is no mismatch
     perm = np.arange(2)
+    for bad in ([0.9], [math.nan]):
+        with pytest.raises(ValueError, match="matched rows must be integers"):
+            count_mismatches(bad, perm, [0])
+        with pytest.raises(ValueError, match="observed rows must be integers"):
+            count_mismatches([0], perm, bad)
     for rows, observed in (([], [0]), ([-1], [0, 1]), ([0, 1], [0])):
         with pytest.raises(ValueError, match="observed rows"):
             count_mismatches(rows, perm, observed)

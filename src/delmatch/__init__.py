@@ -12,6 +12,17 @@ start and perfbench import; everything else is imported from its module
 
 __version__ = "0.1.0"
 
+import os
+
+# delmatch makes no BLAS call (its one np.dot is on integer keys), so numpy is
+# loaded with a one-thread OpenBLAS, whose default worker would only spin.
+# OpenBLAS reads the variable once, at load, so it is removed at once: child
+# processes never see it, and a value the user set is kept.
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    import numpy
+    del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .model import (Distribution, SeedBatch, sample_database, apply_deletion_channel,
                     extract_seed_batch)
 from .infotheory import entropy, RateParams, achievable_rate, min_seed_batch_size

@@ -709,7 +709,10 @@ def run_oracle_check(master_seed: int = 0, cases: int = 400) -> OracleReport:
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.6f}"
+    # Six decimals below 1e15. From there on a double keeps at most one of
+    # them, and a fixed-point field would grow with the magnitude (a Theorem 2
+    # bound can be as low as -1.8e308), so the exponent form is used.
+    return f"{x:.6f}" if abs(x) < 1e15 else f"{x:.6e}"
 
 
 def _dist_echo(dist: Distribution) -> str:

@@ -20,7 +20,7 @@ from delmatch.harness import (ExperimentConfig, ConfigError, run_rates, run_simu
                               parse_distribution, parse_float_grid, parse_int_list,
                               parse_config_file, _match_trial,
                               _virtual_match_trial, CELL_GUARD)
-from delmatch.infotheory import entropy
+from delmatch.infotheory import entropy, detection_probability_bound
 from delmatch.matcher import MatcherConfig, match_all, match_counts
 from delmatch.model import (Distribution, sample_database, apply_deletion_channel,
                             extract_seed_batch, derive_seed, _channel_pattern)
@@ -885,6 +885,18 @@ def test_cli_detect_bound_past_the_float_range_prints_minus_inf(capsys):
                      "--delta", "0.3", "--trials", "3", "--epsilon", "100"]) == 0
     header, row = capsys.readouterr().out.splitlines()
     assert dict(zip(header.split(","), row.split(",")))["theorem2_bound"] == "-inf"
+
+
+def test_cli_detect_huge_bound_prints_in_exponent_form(capsys):
+    # at B = 8 the bound's term n 2^(8 * 99) (1 - delta) is finite, so the
+    # bound is about -1.2e240; six decimals would spell out all 241 digits
+    assert cli.main(["simulate-detect", "--dist", "bern:0.5", "--n", "64", "--B", "8",
+                     "--delta", "0.3", "--trials", "3", "--epsilon", "100"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    field = dict(zip(header.split(","), row.split(",")))["theorem2_bound"]
+    bound = detection_probability_bound(64, 8, 0.3, entropy(BERN), 100)
+    assert len(field) <= 20
+    assert float(field) == pytest.approx(bound, rel=1e-6)
 
 
 def _list_of(*values):

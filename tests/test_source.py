@@ -1,6 +1,8 @@
 """Rules over the package source as a whole."""
 
 import ast
+import json
+import os
 import re
 import subprocess
 import sys
@@ -17,6 +19,67 @@ def test_no_assert_statements_in_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# numpy routines that OpenBLAS computes on float arrays
+_BLAS_NAMES = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot", "linalg"}
+
+
+def _uses_blas(node) -> bool:
+    if isinstance(node, (ast.BinOp, ast.AugAssign)):
+        return isinstance(node.op, ast.MatMult)
+    if isinstance(node, ast.Attribute):
+        return node.attr in _BLAS_NAMES
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return any(_BLAS_NAMES & set(alias.name.split(".")) for alias in node.names)
+    return False
+
+
+def test_no_blas_backed_call_in_package():
+    # The package loads numpy with a one-thread OpenBLAS, which costs nothing
+    # only while no code calls into BLAS. The one dot allowed is on the uint64
+    # column keys of model._column_ids, which numpy computes without BLAS.
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = {id(node) for func in ast.walk(tree) if path.name == "model.py"
+                   and isinstance(func, ast.FunctionDef) and func.name == "_column_ids"
+                   for node in ast.walk(func)
+                   if isinstance(node, ast.Attribute) and node.attr == "dot"}
+        found += [f"{path.relative_to(PACKAGE)}:{node.lineno}" for node in ast.walk(tree)
+                  if _uses_blas(node) and id(node) not in allowed]
+    assert found == []
+
+
+def _after_import(openblas_threads):
+    """Import delmatch in a fresh interpreter whose OPENBLAS_NUM_THREADS is
+    openblas_threads (None: unset). Return its OS thread count then (None
+    without /proc/self/task) and its OPENBLAS_NUM_THREADS."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    code = ("import json, os, delmatch\n"
+            "task = '/proc/self/task'\n"
+            "print(json.dumps([len(os.listdir(task)) if os.path.isdir(task) else None,\n"
+            "                  os.environ.get('OPENBLAS_NUM_THREADS')]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_starts_no_openblas_thread_and_leaves_the_environment():
+    threads, variable = _after_import(None)
+    assert variable is None
+    # on one CPU OpenBLAS starts no worker anyway, so the count shows nothing
+    if threads is not None and os.cpu_count() > 1:
+        assert threads == 1
+
+
+def test_import_keeps_the_users_openblas_threads():
+    assert _after_import("3")[1] == "3"
 
 
 def _names_from_delmatch(source: str, filename: str) -> set:

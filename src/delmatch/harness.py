@@ -16,7 +16,7 @@ import hashlib
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
 from math import expm1, isqrt, log1p, log2, sqrt
@@ -69,6 +69,22 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Configuration
+
+
+# The keys each command reads besides out: its flags and config keys, in the
+# order its manifest echoes them.  A sweep's key is the ExperimentConfig
+# field of that name, or of its FIELDS entry, and its runner refuses any
+# other field that is set.
+READS = {
+    "rates": ("dist", "deltas", "alphas"),
+    "simulate-match": ("dist", "n", "delta", "trials", "rate", "m", "alpha", "epsilon",
+                       "seed", "threads"),
+    "simulate-detect": ("dist", "n", "delta", "trials", "B", "epsilon", "seed", "threads"),
+    "pipeline": ("dist", "n", "delta", "trials", "rate", "m", "B", "epsilon",
+                 "detect_epsilon", "seed", "threads"),
+    "oracle-check": ("seed", "cases"),
+}
+FIELDS = {"n": "n_values", "seed": "master_seed", "B": "batch_sizes"}
 
 
 def parse_distribution(spec: str) -> Distribution:
@@ -130,9 +146,12 @@ class ExperimentConfig:
     """One sweep description: simulate-match, simulate-detect or pipeline.
 
     At most one of rate/m fixes the row count (m = round(2^(n*rate)) when the
-    rate is given); the matching sweeps need one, detection alone refuses
-    both.  Exactly one of alpha/batch_sizes picks the side-information
-    mode (detection probability vs. seed rows).
+    rate is given); the matching sweeps need one.  Exactly one of
+    alpha/batch_sizes picks the side-information mode (detection
+    probability vs. seed rows).  epsilon is the matcher's typicality slack,
+    or simulate-detect's detector's; detect_epsilon is the pipeline's
+    detector's.  A runner refuses a field that its command does not read
+    (READS).
     """
 
     dist: Distribution
@@ -322,6 +341,16 @@ class _HalfWidth:
         return (self.ci_high - self.ci_low) / 2.0
 
 
+def _refuse_unread(command: str, cfg: ExperimentConfig) -> None:
+    """A set field that command does not read would be echoed to a manifest
+    that does not replay."""
+    read = {FIELDS.get(key, key) for key in READS[command]} | {"out"}
+    unread = [f.name for f in fields(cfg)
+              if f.name not in read and getattr(cfg, f.name) is not None]
+    if unread:
+        raise ConfigError(f"{command} does not read {', '.join(unread)}")
+
+
 def _run_sweep(command: str, cfg: ExperimentConfig, grid, specs, point, to_csv,
                slacks, streams) -> list:
     """The loop every Monte Carlo command shares: run the trials of each grid
@@ -330,7 +359,7 @@ def _run_sweep(command: str, cfg: ExperimentConfig, grid, specs, point, to_csv,
     specs[i] is grid[i]'s (work, cells) for _sweep.  Work returns
     (successes, total, *more); point(grid[i], sums, estimate) builds the
     result from those summed over trials, estimate = (rate, ci_low, ci_high).
-    slacks are the resolved typicality slacks as (key, value) pairs, and
+    slacks maps each typicality slack key to its resolved value, and
     streams the work's (stream id, name) pairs inside one trial seed.
     """
     started = time.time()
@@ -339,8 +368,8 @@ def _run_sweep(command: str, cfg: ExperimentConfig, grid, specs, point, to_csv,
                                 *wilson_interval(sums[0], sums[1])))
               for key, sums in zip(grid, totals)]
     if cfg.out:
-        _emit(cfg.out, command, to_csv(points), _cfg_echo(cfg, slacks), cfg.master_seed,
-              tuple(seed_log), time.time() - started, streams)
+        _emit(cfg.out, command, to_csv(points), _cfg_echo(command, cfg, slacks),
+              cfg.master_seed, tuple(seed_log), time.time() - started, streams)
     return points
 
 
@@ -420,10 +449,7 @@ def _choose_match_mode(cfg: ExperimentConfig, m: int, n: int) -> str:
 
 def run_simulate_match(cfg: ExperimentConfig) -> list:
     """Monte Carlo mismatch rates for the given-alpha side-information mode."""
-    if cfg.alpha is None:
-        raise ConfigError("simulate-match needs the given-alpha mode")
-    if cfg.detect_epsilon is not None:  # refused like an unread CLI key
-        raise ConfigError("simulate-match does not read detect_epsilon")
+    _refuse_unread("simulate-match", cfg)
     epsilon = cfg.matcher_epsilon()
     grid = [(n, m, _choose_match_mode(cfg, m, n))
             for n in cfg.n_values for m in [cfg.resolve_m(n)]]
@@ -442,7 +468,7 @@ def run_simulate_match(cfg: ExperimentConfig) -> list:
                           *sums, *estimate, mode)
 
     return _run_sweep("simulate-match", cfg, grid, specs, point, match_csv,
-                      [("epsilon", epsilon)], _MATCH_STREAMS)
+                      {"epsilon": epsilon}, _MATCH_STREAMS)
 
 
 def match_csv(points) -> str:
@@ -470,16 +496,11 @@ class DetectPoint(_HalfWidth):
 def run_simulate_detect(cfg: ExperimentConfig) -> list:
     """Empirical detection probability next to the analytic bound, per (n, B).
 
-    There is no matcher: the slack is cfg.detect_epsilon, 0.05 when unset,
-    and rate, m and epsilon are refused."""
-    if cfg.batch_sizes is None:
-        raise ConfigError("simulate-detect needs the seeded(B) mode")
-    unread = [key for key in ("rate", "m", "epsilon") if getattr(cfg, key) is not None]
-    if unread:
-        raise ConfigError(f"simulate-detect does not read {', '.join(unread)}")
+    There is no matcher: the detector's slack is cfg.epsilon, 0.05 when unset."""
+    _refuse_unread("simulate-detect", cfg)
     if min(cfg.batch_sizes, default=1) < 1:
         raise ConfigError(f"batch size {min(cfg.batch_sizes)} must be >= 1")
-    epsilon = 0.05 if cfg.detect_epsilon is None else cfg.detect_epsilon
+    epsilon = 0.05 if cfg.epsilon is None else cfg.epsilon
     h = entropy(cfg.dist)
     grid = [(n, b) for n in cfg.n_values for b in cfg.batch_sizes]
     specs = [(partial(detection_trials, cfg.dist, n, b, cfg.delta, epsilon),
@@ -498,7 +519,7 @@ def run_simulate_detect(cfg: ExperimentConfig) -> list:
                            detection_probability_bound(*key, cfg.delta, h, epsilon))
 
     return _run_sweep("simulate-detect", cfg, grid, specs, point, detect_csv,
-                      [("epsilon", epsilon)], _DETECT_STREAMS)
+                      {"epsilon": epsilon}, _DETECT_STREAMS)
 
 
 def detect_csv(points) -> str:
@@ -509,8 +530,7 @@ def detect_csv(points) -> str:
 
 def run_pipeline(cfg: ExperimentConfig) -> list:
     """Seeds -> certainty verdicts -> detected set -> match the remaining rows."""
-    if cfg.batch_sizes is None:
-        raise ConfigError("pipeline needs the seeded(B) mode")
+    _refuse_unread("pipeline", cfg)
     epsilon = cfg.matcher_epsilon()
     detect_eps = cfg.detector_epsilon()
     grid = [(n, b) for n in cfg.n_values for b in cfg.batch_sizes]
@@ -529,8 +549,7 @@ def run_pipeline(cfg: ExperimentConfig) -> list:
                           *sums, *estimate, "materialized")
 
     return _run_sweep("pipeline", cfg, grid, specs, point, pipeline_csv,
-                      [("epsilon", epsilon), ("detect_epsilon", detect_eps)],
-                      _MATCH_STREAMS)
+                      {"epsilon": epsilon, "detect_epsilon": detect_eps}, _MATCH_STREAMS)
 
 
 def pipeline_csv(points) -> str:
@@ -719,21 +738,15 @@ def _dist_echo(dist: Distribution) -> str:
     return ",".join(repr(p) for p in dist.probabilities)
 
 
-def _cfg_echo(cfg: ExperimentConfig, slacks) -> list:
-    """The manifest's config.* lines: the fields that are set, then the
-    resolved slacks, so that the lines replay as a config file."""
-    echo = [("dist", _dist_echo(cfg.dist)),
-            ("n", ",".join(str(n) for n in cfg.n_values)),
-            ("delta", repr(cfg.delta)), ("trials", str(cfg.trials))]
-    if cfg.rate is not None:
-        echo.append(("rate", repr(cfg.rate)))
-    if cfg.m is not None:
-        echo.append(("m", str(cfg.m)))
-    if cfg.alpha is not None:
-        echo.append(("alpha", repr(cfg.alpha)))
-    if cfg.batch_sizes is not None:
-        echo.append(("B", ",".join(str(b) for b in cfg.batch_sizes)))
-    return echo + [(key, repr(value)) for key, value in slacks]
+def _cfg_echo(command: str, cfg: ExperimentConfig, slacks: dict) -> list:
+    """The manifest's config.* lines: the command's keys that are set, in
+    READS order, with the slacks as resolved, so that the lines replay as a
+    config file.  The seed has its own line; threads do not change a CSV."""
+    values = ((key, slacks.get(key, getattr(cfg, FIELDS.get(key, key))))
+              for key in READS[command] if key not in ("seed", "threads"))
+    return [(key, _dist_echo(v) if isinstance(v, Distribution)
+             else ",".join(map(str, v)) if isinstance(v, (tuple, list)) else str(v))
+            for key, v in values if v is not None]
 
 
 def csv_text(header: str, rows) -> str:

@@ -98,7 +98,7 @@ def test_c06_detection_bound_never_violated():
     for delta in (0.25, 0.5):
         rows += run_simulate_detect(ExperimentConfig(
             BERN, (16, 64, 256), delta, trials=500, master_seed=MASTER_SEED,
-            batch_sizes=(8, 16, 24), detect_epsilon=0.05, threads=THREADS))
+            batch_sizes=(8, 16, 24), epsilon=0.05, threads=THREADS))
     margins = []
     for p in rows:
         slack = p.empirical_alpha + p.ci_half_width - p.bound

@@ -504,7 +504,7 @@ def _detect_points(n, batch_sizes, delta, trials, epsilon, seed):
     """The simulate-detect sweep's points over bern(0.5) batches."""
     return run_simulate_detect(ExperimentConfig(
         Distribution.bernoulli(0.5), (n,), delta, trials, seed,
-        batch_sizes=batch_sizes, detect_epsilon=epsilon))
+        batch_sizes=batch_sizes, epsilon=epsilon))
 
 
 def test_empirical_detection_probability_runs():

@@ -258,7 +258,7 @@ def test_simulate_match_csv(tmp_path):
 
 def _detect_cfg(n_values, batch_sizes, delta, epsilon, trials, master_seed, **over):
     return ExperimentConfig(BERN, n_values, delta, trials, master_seed,
-                            batch_sizes=batch_sizes, detect_epsilon=epsilon, **over)
+                            batch_sizes=batch_sizes, epsilon=epsilon, **over)
 
 
 def test_simulate_detect_deterministic_and_bounded():
@@ -596,7 +596,7 @@ def test_cli_rejects_uniform_alphabet_out_of_range(capsys, q):
     assert cli.main(["rates", "--dist", f"uniform:{q}", "--deltas", "0.4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: bad distribution spec 'uniform:{q}': "
+    assert captured.err == (f"error: --dist: bad distribution spec 'uniform:{q}': "
                             f"alphabet size must be in [2, 256], got {q}\n")
 
 
@@ -923,11 +923,13 @@ _GOOD = {
 }
 _BAD = st.sampled_from(["", "-1", "0", "nan", "inf", "-inf", "1e400", "x", "8,", "1e3",
                         "2.5", str(2 ** 64), str(2 ** 513), "uniform:257", "0.5,0.6"])
-_COMMAND_FLAGS = {
-    "simulate-match": ["--dist", "--n", "--delta", "--alpha", "--epsilon"],
-    "simulate-detect": ["--dist", "--n", "--delta", "--B", "--epsilon"],
-    "pipeline": ["--dist", "--n", "--delta", "--B", "--epsilon", "--detect-epsilon"],
-}
+# A clean draw's values in place of those: sizes that fit the guard at any
+# n, batch sizes that both seeded sweeps take, a delta that deletes, and a
+# slack at its ends.  B = 16 at slack 100 takes the bound's
+# 2^(B(epsilon - H)) past a float; Hypothesis tries a list's first value first.
+_CLEAN = {"--n": _list_of("1", "8", "64"), "--B": _list_of("16", "1"),
+          "--delta": st.sampled_from(["0.2", "0.5", "0.95"]),
+          "--epsilon": st.sampled_from(["100", "0"])}
 _CONFIG_LINES = st.lists(st.sampled_from(
     ["override_guards = yes", "eval_rows = 7", "detect_epsilon = 0.1", "alpha = 0.5",
      "B = 4", "rate = 0.2", "m = 16", "n = 8", "delta = 0.3", "cases = 3",
@@ -936,18 +938,22 @@ _CONFIG_LINES = st.lists(st.sampled_from(
 
 @st.composite
 def _sweep_argv(draw):
-    """A sweep command's argv from its grammar, with at most two of its
-    flags corrupted (a bad value, or left out) or config file lines added."""
-    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
-    flags = _COMMAND_FLAGS[command] + ["--trials", "--seed", "--threads"]
-    if command != "simulate-detect":  # one of the two sets the row count
-        flags.append(draw(st.sampled_from(["--rate", "--m"])))
-    corrupt = draw(st.sets(st.sampled_from(flags + ["--rate", "--m", "--config"]),
-                           max_size=2))
+    """A sweep command's argv from its grammar, the flags cli.READS lists.
+    About one draw in two is clean, with _CLEAN's values; the others have
+    at most two of their flags corrupted (a bad value, or left out) or
+    config file lines added."""
+    command = draw(st.sampled_from(sorted(cli.SWEEPS)))
+    keys = [key for key in cli.READS[command] if key not in ("rate", "m")]
+    if "rate" in cli.READS[command]:  # one of the two sets the row count
+        keys.append(draw(st.sampled_from(["rate", "m"])))
+    flags = ["--" + key.replace("_", "-") for key in keys]
+    corrupt = draw(st.just(set()) | st.sets(
+        st.sampled_from(flags + ["--rate", "--m", "--config"]), min_size=1, max_size=2))
+    good = _GOOD if corrupt else _GOOD | _CLEAN
     argv = [command]
     for flag in dict.fromkeys(flags + sorted(corrupt - {"--config"})):
         if flag not in corrupt:
-            argv.append(f"{flag}={draw(_GOOD[flag])}")
+            argv.append(f"{flag}={draw(good[flag])}")
         elif draw(st.booleans()):
             argv.append(f"{flag}={draw(_BAD | _GOOD[flag])}")
     return argv, draw(_CONFIG_LINES) if "--config" in corrupt else []
@@ -1119,6 +1125,15 @@ def test_cli_refuses_repeated_or_empty_config_lines(tmp_path, capsys, monkeypatc
     assert captured.err == f"error: {cfgfile}:{problem}\n"
 
 
+def test_cli_refuses_an_empty_out_flag(capsys, monkeypatch):
+    # as the config line 'out =' is: an empty --out would print the CSV to
+    # stdout and write no file
+    monkeypatch.setattr(harness, "_sweep", _no_sweep)
+    assert cli.main(["simulate-detect", "--n", "8", "--B", "4", "--delta", "0.3",
+                     "--trials", "2", "--out="]) == 2
+    assert capsys.readouterr() == ("", "error: --out: empty path\n")
+
+
 class _ReadKeys(dict):
     """An empty config map that records every key a command reads; a key
     some command requires reads as a valid value."""
@@ -1173,7 +1188,7 @@ def test_cli_refuses_a_flag_its_command_does_not_read(capsys, monkeypatch, argv)
 @pytest.mark.parametrize("runner, field, value", [
     (run_simulate_detect, "rate", 0.2),
     (run_simulate_detect, "m", 100),
-    (run_simulate_detect, "epsilon", 0.2),  # its one slack is detect_epsilon
+    (run_simulate_detect, "detect_epsilon", 0.2),  # its one slack is epsilon
     (run_simulate_match, "detect_epsilon", 0.1),  # no detector
 ], ids=lambda value: getattr(value, "__name__", str(value)))
 def test_library_runner_refuses_a_field_it_does_not_read(monkeypatch, runner, field, value):

@@ -107,14 +107,33 @@ def test_package_exports_exactly_the_names_its_users_import():
 
 
 def test_readme_config_keys_are_the_keys_the_cli_reads():
-    # the README's key list is every key cli.py reads through _get, and no other
-    cli = PACKAGE / "cli.py"
-    read = {node.args[2].value for node in ast.walk(ast.parse(cli.read_text(), str(cli)))
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_get"}
+    # the README's key list is the CLI's key table, and the table holds
+    # exactly the keys some command reads
+    from delmatch import cli
+    assert set(cli.KEYS) == {key for keys in cli.READS.values() for key in keys} | {"out"}
     readme = (PACKAGE.parents[1] / "README.md").read_text()
     listed = re.search(r"Keys\s+mirror the flag names:(.*?)\.\s", readme, re.S)
     assert listed, "README lists no config keys"
-    assert sorted(re.findall(r"`([^`]+)`", listed.group(1))) == sorted(read)
+    assert sorted(re.findall(r"`([^`]+)`", listed.group(1))) == sorted(cli.KEYS)
+
+
+def test_readme_synopsis_names_each_commands_own_flags():
+    # the CLI synopsis leaves out --config and --out, which every command
+    # takes, and the sweeps' --trials, --seed and --threads, which the
+    # paragraph after it names
+    from delmatch import cli
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n+```\n(.*?)```", readme, re.S)
+    assert block, "README has no CLI synopsis"
+    named = {}
+    for line in block.group(1).splitlines():
+        if line.startswith("delmatch "):
+            command = line.split()[1]
+        named.setdefault(command, set()).update(re.findall(r"--([\w-]+)", line))
+    trio = {"trials", "seed", "threads"}
+    assert named == {command: {key.replace("_", "-") for key in keys
+                               if command not in cli.SWEEPS or key not in trio}
+                     for command, keys in cli.READS.items()}
 
 
 def test_failing_property_fails_only_itself(tmp_path):

@@ -7,15 +7,17 @@ channel, batch and evaluation; a detection trial's batch and deletion), so
 results are byte-identical regardless of worker count or scheduling.
 Trials run in chunks of consecutive trials of one grid point, and a chunk
 of detection trials shares one labelling and one certainty pass; sums, and
-so CSVs, are the same for any chunking.
+so CSVs, are the same for any chunking.  A sweep's chunks run on its own
+process and on children it forks, which inherit their chunks and send back
+only pickled results (_sweep); no executor is imported.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import partial
@@ -211,7 +213,7 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Per-trial workers (top-level so a process pool can pickle them)
+# Per-trial workers
 
 
 def _match_trial(args):
@@ -285,19 +287,93 @@ def _run_chunk(chunk):
     return work(seeds), seeds
 
 
+def _child(chunks, fd: int):
+    """A forked worker's whole life: run chunks and write (True, results),
+    or (False, the exception raised), pickled to fd.  It never returns into
+    its caller's frames and leaves by os._exit, so it flushes no buffer it
+    inherited; an exception that cannot be pickled leaves no result."""
+    code = 1
+    try:
+        try:
+            result = True, list(map(_run_chunk, chunks))
+        except BaseException as exc:
+            result = False, exc
+        with open(fd, "wb") as pipe:
+            pipe.write(pickle.dumps(result))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _collected(worker: int, data: bytes, status: int) -> list:
+    """A child's results from what it wrote and its wait status: its
+    exception raised again, or a one-line RuntimeError if it was killed or
+    left no result that can be read."""
+    if os.WIFSIGNALED(status):
+        import signal  # only a failed sweep needs it
+        signum = os.WTERMSIG(status)
+        raise RuntimeError(f"sweep worker {worker} was killed by signal {signum} "
+                           f"({signal.Signals(signum).name})")
+    try:
+        ok, value = pickle.loads(data)
+    except Exception:  # nothing written, or an exception that does not unpickle
+        raise RuntimeError(f"sweep worker {worker} exited with status "
+                           f"{os.waitstatus_to_exitcode(status)} and no result") from None
+    if ok:
+        return value
+    raise value
+
+
+def _pooled(chunks, workers: int) -> list:
+    """Every chunk's result, in chunk order, from `workers` processes: this
+    one runs chunks[0::workers] while each of workers - 1 forked children w
+    runs chunks[w::workers], inherited through the fork, and sends back one
+    pickled list.  On every exit path no child is left: one that has not
+    been reaped is killed and reaped."""
+    results = [None] * len(chunks)
+    children, pipes = [], []
+    try:
+        for w in range(1, workers):
+            fd, end = os.pipe()
+            pipes.append(open(fd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(chunks[w::workers], end)
+            finally:
+                os.close(end)
+            children.append(pid)
+        results[0::workers] = map(_run_chunk, chunks[0::workers])
+        for w, pipe in enumerate(pipes, 1):
+            data = pipe.read()
+            _, status = os.waitpid(children[w - 1], 0)
+            children[w - 1] = None
+            results[w::workers] = _collected(w, data, status)
+        return results
+    finally:
+        if any(children):
+            import signal  # only a failed sweep needs it
+            for pid in filter(None, children):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
 def _sweep(points, trials: int, master_seed: int, threads: int):
-    """Run every trial of every grid point, on one process pool of at most
-    threads workers when threads > 1.
+    """Run every trial of every grid point on W = min(threads, chunks, CPUs)
+    processes, this one among them; W is 1 where os.fork does not exist.
 
     points[pidx] = (work, cells): trial t of point pidx has seed
     derive_seed(master_seed, pidx, t) and `cells` symbols of input.  A
     point's trials run in chunks of consecutive trials, at most CHUNK_CELLS
     cells and ceil(trials / min(threads, CPUs)) trials each but never less
-    than one trial.  A chunk is sent as (point, first trial, end): it derives
-    its own seeds where it runs, and work(seeds) returns its results summed
-    field by field.  The serial path and the pool run the same chunks.
-    Returns each point's sums and the (point, trial, seed) log for the
-    manifest, assembled in chunk order from the seeds the chunks return.
+    than one trial.  A chunk is (point, first trial, end): it derives its
+    own seeds where it runs, and work(seeds) returns its results summed
+    field by field.  The W - 1 workers are forked all at once and run their
+    chunks with nothing sent to them (_pooled); W = 1 runs the same chunks
+    here.  Returns each point's sums and the (point, trial, seed) log for
+    the manifest, assembled in chunk order from the seeds the chunks return.
     """
     cpus = os.cpu_count() or 1
     chunks = []
@@ -305,17 +381,10 @@ def _sweep(points, trials: int, master_seed: int, threads: int):
         size = max(1, min(CHUNK_CELLS // cells, -(-trials // min(threads, cpus))))
         chunks += [(work, master_seed, pidx, first, min(first + size, trials))
                    for first in range(0, trials, size)]
-    if threads <= 1 or len(chunks) <= 1:
-        results = list(map(_run_chunk, chunks))
-    else:
-        # The pool forks all its workers at once: no more than can be busy.
-        workers = min(threads, len(chunks), cpus)
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_run_chunk, chunks,
-                                  chunksize=max(1, len(chunks) // (workers * 8))))
+    workers = min(threads, len(chunks), cpus) if hasattr(os, "fork") else 1
     per_point = [[] for _ in points]
     seed_log = []
-    for (_, _, pidx, first, _), (sums, seeds) in zip(chunks, results):
+    for (_, _, pidx, first, _), (sums, seeds) in zip(chunks, _pooled(chunks, workers)):
         per_point[pidx].append(sums)
         seed_log += [(pidx, first + i, seed) for i, seed in enumerate(seeds)]
     return [_field_sums(r) for r in per_point], seed_log
@@ -400,8 +469,8 @@ def run_rates(dist: Distribution, deltas, alphas, out: str = None) -> list:
     if out:
         _emit(out, "rates", rates_csv(points),
               config_echo=[("dist", _dist_echo(dist)),
-                           ("deltas", ",".join(_fmt(d) for d in deltas)),
-                           ("alphas", ",".join(_fmt(a) for a in alphas))],
+                           ("deltas", ",".join(map(str, deltas))),
+                           ("alphas", ",".join(map(str, alphas)))],
               master_seed=None, trial_seeds=(), elapsed=time.time() - started)
     return points
 

@@ -5,6 +5,8 @@ import errno
 import hashlib
 import io
 import math
+import os
+import signal
 import time
 import tracemalloc
 import types
@@ -270,21 +272,29 @@ def test_simulate_detect_deterministic_and_bounded():
         assert p.empirical_alpha + p.ci_half_width >= p.bound
 
 
+def _count_forks(monkeypatch) -> list:
+    """Patch os.fork to record each call; the list grows in this process only."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
 def test_sweep_runs_every_point_on_one_pool(monkeypatch):
-    pools = []
-    real_pool = harness.ProcessPoolExecutor
-
-    def counting_pool(*args, **kwargs):
-        pools.append(kwargs)
-        return real_pool(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", counting_pool)
-    detect = run_simulate_detect(_detect_cfg((16, 24), (4, 8), 0.5, 0.05, 10, 3, threads=2))
-    assert len(pools) == 1
+    # 3 workers at 4 CPUs: this process and one set of 2 forks per sweep
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    forks = _count_forks(monkeypatch)
+    detect = run_simulate_detect(_detect_cfg((16, 24), (4, 8), 0.5, 0.05, 10, 3, threads=3))
+    assert len(forks) == 2
     # one materialized and one closed-form point in the same pool
     mixed = _match_cfg(n_values=(8, 120), trials=4)
-    match = run_simulate_match(dataclasses.replace(mixed, threads=2))
-    assert len(pools) == 2
+    match = run_simulate_match(dataclasses.replace(mixed, threads=3))
+    assert len(forks) == 4
     monkeypatch.undo()
     assert [p.mode for p in match] == ["materialized", "virtual"]
     assert match == run_simulate_match(mixed)
@@ -835,36 +845,116 @@ def test_cli_has_no_guard_override(capsys):
 
 def test_sweep_pool_has_no_more_workers_than_cpus_or_chunks(tmp_path, monkeypatch):
     # the pool forks all its workers at once, so --threads is an upper bound;
-    # the stand-in pool runs the chunks in this process
-    sizes, mapped = [], []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            items = list(items)
-            mapped.append(len(items))
-            return map(fn, items)
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+    # this process is one of the workers, so W workers are W - 1 forks
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    forks = _count_forks(monkeypatch)
     args = ["simulate-detect", "--n", "8", "--B", "4", "--delta", "0.3", "--seed", "2"]
-    outs = []
+    outs, counts = [], []
     for trials, threads in (("40", "1"), ("40", "4"), ("40", "20000"), ("3", "20000")):
         out = tmp_path / f"{trials}-{threads}.csv"
         assert cli.main(args + ["--trials", trials, "--threads", threads,
                                 "--out", str(out)]) == 0
         outs.append(out.read_bytes())
+        counts.append(len(forks))
+        forks.clear()
     # chunks are sized for the 4 CPUs, not for 20000 threads; 3 trials are 3 chunks
-    assert (sizes, mapped) == ([4, 4, 3], [4, 4, 3])
+    assert counts[0] == 0
+    assert counts[1:] == [3, 3, 2]
     assert outs[0] == outs[1] == outs[2]
+
+
+# 4 trials at 2 CPUs: 2 chunks, trials 0-1 in this process, 2-3 in one child
+_FAILING_SWEEP = ["simulate-detect", "--n", "8", "--B", "4", "--delta", "0.5",
+                  "--trials", "4", "--seed", "2"]
+
+
+def _fail_in_chunks(monkeypatch, fail):
+    """Make each chunk of _FAILING_SWEEP call fail(its trial indices, whether
+    it runs in a forked child) before its work."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    trial_of = {derive_seed(2, 0, t): t for t in range(4)}
+    test_pid = os.getpid()
+    real = harness.detection_trials
+
+    def work(*args):
+        fail({trial_of[seed] for seed in args[-1]}, os.getpid() != test_pid)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "detection_trials", work)
+
+
+def _run_failing_sweep(capfd, threads):
+    code = cli.main(_FAILING_SWEEP + ["--threads", str(threads)])
+    captured = capfd.readouterr()
+    with pytest.raises(ChildProcessError):  # no child is left, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("exc, code", [(RuntimeError, 1), (ValueError, 2)])
+def test_worker_exception_fails_the_sweep_as_it_does_serially(tmp_path, capfd, monkeypatch,
+                                                              exc, code):
+    where = tmp_path / "where"
+
+    def fail(trials, in_child):
+        if 3 in trials:
+            where.write_text("child" if in_child else "parent")
+            raise exc("trial 3 failed")
+
+    _fail_in_chunks(monkeypatch, fail)
+    for threads, runs_in in ((1, "parent"), (2, "child")):
+        assert _run_failing_sweep(capfd, threads) == (code, "", "error: trial 3 failed\n")
+        assert where.read_text() == runs_in
+
+
+class _Unpicklable(RuntimeError):
+    def __reduce__(self):
+        raise TypeError("cannot pickle")
+
+
+def _sigkill(trials, in_child):
+    if 3 in trials:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _sigterm(trials, in_child):
+    if 3 in trials:
+        os.kill(os.getpid(), signal.SIGTERM)
+
+
+def _unpicklable(trials, in_child):
+    if 3 in trials:
+        raise _Unpicklable("trial 3 failed")
+
+
+@pytest.mark.parametrize("fail, message", [
+    (_sigkill, "sweep worker 1 was killed by signal 9 (SIGKILL)"),
+    (_sigterm, "sweep worker 1 was killed by signal 15 (SIGTERM)"),
+    (_unpicklable, "sweep worker 1 exited with status 1 and no result"),
+], ids=["sigkill", "sigterm", "unpicklable"])
+def test_worker_that_leaves_no_result_is_one_error_line(capfd, monkeypatch, fail, message):
+    _fail_in_chunks(monkeypatch, fail)
+    assert _run_failing_sweep(capfd, 2) == (1, "", f"error: {message}\n")
+
+
+def test_failing_parent_kills_and_reaps_its_workers(capfd, monkeypatch):
+    # the child would sleep for a minute; the parent's own chunk fails first
+    def fail(trials, in_child):
+        if in_child:
+            time.sleep(60)
+        raise RuntimeError("parent chunk failed")
+
+    _fail_in_chunks(monkeypatch, fail)
+    started = time.perf_counter()
+    assert _run_failing_sweep(capfd, 2) == (1, "", "error: parent chunk failed\n")
+    assert time.perf_counter() - started < 30
+
+
+def test_sweep_without_fork_runs_serially(monkeypatch):
+    cfg = _detect_cfg((16,), (4, 8), 0.5, 0.05, 10, 3)
+    serial = run_simulate_detect(cfg)
+    monkeypatch.delattr(os, "fork")
+    assert run_simulate_detect(dataclasses.replace(cfg, threads=4)) == serial
 
 
 @pytest.mark.parametrize("args", [
@@ -1033,6 +1123,20 @@ def test_manifest_config_echo_replays_to_same_csv(tmp_path, args):
     assert again.read_bytes() == first.read_bytes()
 
 
+def test_rates_manifest_replays_to_same_csv(tmp_path):
+    # the grid is echoed in full: six decimals of 0.1234567891 give another rate
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    assert cli.main(["rates", "--deltas", "0.1234567891,0.3", "--alphas", "0.5",
+                     "--out", str(first)]) == 0
+    manifest = (tmp_path / "first.csv.manifest.txt").read_text().splitlines()
+    assert "config.deltas = 0.1234567891,0.3" in manifest
+    cfgfile = tmp_path / "replay.cfg"
+    cfgfile.write_text("".join(line[len("config."):] + "\n" for line in manifest
+                               if line.startswith("config.")))
+    assert cli.main(["rates", "--config", str(cfgfile), "--out", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+
+
 def test_detect_slack_default_same_in_cli_and_library(tmp_path):
     # Neither sets the slack: both use simulate-detect's default, 0.05.
     cli_out, lib_out = tmp_path / "cli.csv", tmp_path / "lib.csv"
@@ -1147,6 +1251,67 @@ class _ReadKeys(dict):
     def pop(self, key, default=None):
         self.read.add(key)
         return self.REQUIRED.get(key, default)
+
+
+def _parsed(parse, argv):
+    """(exit code or the Namespace, stdout, stderr) of parse(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+_USAGE_ERRORS = [
+    [], ["bogus"], ["-h", "rates"], ["rates", "--trials", "5"], ["rates", "--deltas"],
+    ["simulate-match", "--n", "8", "extra"], ["simulate-match", "--bogus", "1"],
+    ["simulate-detect", "--B"], ["simulate-detect", "--n", "--B", "4"],
+    ["pipeline", "--d", "0.3"], ["pipeline", "--n=8", "--m"],
+    ["oracle-check", "--seed", "-x"], ["oracle-check", "--cases", "4", "--"],
+]
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["--help"]]
+                         + [[command, flag] for command in cli.COMMANDS
+                            for flag in ("-h", "--help", "--he")]
+                         + [[command, "--config", "x", "--help"] for command in cli.COMMANDS]
+                         + _USAGE_ERRORS, ids=" ".join)
+def test_cli_help_and_usage_errors_are_the_full_parsers(argv):
+    # main reads a plain argv itself; every other one, and so every help
+    # text and usage error, comes from the full parser, byte for byte
+    full = _parsed(lambda a: cli.build_parser().parse_args(a), argv)
+    assert isinstance(full[0], int)
+    assert _parsed(cli.main, argv) == full
+
+
+_ARGV_TOKENS = st.sampled_from(
+    sorted({cli._flag(key) for key in cli.KEYS} | {"--config"})
+    + ["--thr", "--d", "--n=8", "-h", "--help", "--", "-", "", "-1", "-x", "8", "0.5",
+       "bern:0.5", "0,4", "a b", "=", "rates", "pipeline"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(cli.COMMANDS) + ["bogus"]),
+       st.lists(_ARGV_TOKENS, max_size=8))
+def test_plain_argv_reads_as_the_full_parser_reads_it(command, rest):
+    argv = [command] + rest
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        assert _parsed(lambda a: cli.build_parser().parse_args(a), argv) == (plain, "", "")
+
+
+def test_plain_argv_of_every_command_is_read_without_the_parser(monkeypatch, capsys):
+    # each of a command's flags once, with a value, reads as the full parser
+    # reads it, and main builds no parser for such an argv
+    for command in cli.COMMANDS:
+        argv = [command] + [x for key in ("config",) + cli.READS[command] + ("out",)
+                            for x in (cli._flag(key), "1")]
+        assert cli._plain_args(argv) == cli.build_parser().parse_args(argv)
+    monkeypatch.setattr(cli, "build_parser", None)
+    assert cli.main(["rates", "--deltas", "0.1", "--alphas", "0.5"]) == 0
+    assert capsys.readouterr().out.startswith("delta,alpha,rate,regime_ok\n")
 
 
 def test_cli_flags_are_exactly_the_config_keys_each_command_reads(monkeypatch, capsys):

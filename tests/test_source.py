@@ -82,6 +82,21 @@ def test_import_keeps_the_users_openblas_threads():
     assert _after_import("3")[1] == "3"
 
 
+def test_cli_import_loads_no_process_pool():
+    # the sweeps fork their own workers, so no process loads an executor,
+    # nor the socket, logging and subprocess modules multiprocessing brings
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    code = ("import json, sys, delmatch.cli\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.split('.')[0] in ('concurrent', 'multiprocessing'))))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def _names_from_delmatch(source: str, filename: str) -> set:
     """Every name imported by `from delmatch import ...` in source."""
     return {alias.name for node in ast.walk(ast.parse(source, filename))

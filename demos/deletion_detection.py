@@ -14,7 +14,7 @@ Equivalent CLI for the last table:
 
 import numpy as np
 
-from delmatch import (Distribution, SeedBatch, ExperimentConfig, sample_database,
+from delmatch import (Distribution, SeedBatch, sample_database,
                       apply_deletion_channel, extract_seed_batch,
                       count_embeddings, posterior_deletions, detect_f, detect_g,
                       verdicts_to_csv, min_seed_batch_size, run_simulate_detect,
@@ -68,8 +68,7 @@ print()
 
 # --- empirical detection probability vs. the analytic lower bound -----------
 # One simulate-detect sweep: 150 trials per batch size, detector slack 0.05.
-cfg = ExperimentConfig(dist, n_values=(n,), delta=delta, trials=150,
-                       master_seed=99, batch_sizes=(6, 10, 14))
-for p in run_simulate_detect(cfg):
+for p in run_simulate_detect(dist=dist, n=(n,), delta=delta, trials=150, seed=99,
+                             B=(6, 10, 14)):
     print(f"B = {p.B:2d}: empirical {p.empirical_alpha:.4f} "
           f"[{p.ci_low:.4f}, {p.ci_high:.4f}]  bound {p.bound:+.4f}")

@@ -14,7 +14,7 @@ Equivalent CLI:  delmatch simulate-match --dist bern:0.5 --n 32 --rate 0.15 \
 
 import numpy as np
 
-from delmatch import (Distribution, ExperimentConfig, MatcherConfig,
+from delmatch import (Distribution, MatcherConfig,
                       sample_database, apply_deletion_channel, match_counts,
                       count_mismatches, default_epsilon, run_simulate_match)
 
@@ -42,11 +42,9 @@ print()
 # Below the achievable-rate boundary the mismatch rate falls as n grows;
 # each point pools 200 independent experiments.
 for n_cols in (16, 24, 32):
-    cfg_run = ExperimentConfig(dist=dist, n_values=(n_cols,), delta=0.3,
-                               trials=200, master_seed=2024, rate=0.15,
-                               alpha=0.5, threads=2)
-    (point,) = run_simulate_match(cfg_run)
-    print(f"n = {n_cols:3d}  m = {cfg_run.resolve_m(n_cols):3d}  "
+    (point,) = run_simulate_match(dist=dist, n=(n_cols,), delta=0.3, trials=200,
+                                  seed=2024, rate=0.15, alpha=0.5, threads=2)
+    print(f"n = {n_cols:3d}  m = {round(2 ** (0.15 * n_cols)):3d}  "
           f"mismatch = {point.mismatch_rate:.4f} "
           f"(+/- {point.ci_half_width:.4f})")
 
@@ -55,8 +53,7 @@ print()
 # --- and above the boundary matching collapses ------------------------------
 # At R = 1.2 bits/column, m = round(2^(1.2 n)) dwarfs the m*n work guard;
 # the runner switches to the exact closed-form collision mode.
-cfg_over = ExperimentConfig(dist=dist, n_values=(32,), delta=0.3, trials=200,
-                            master_seed=2024, rate=1.2, alpha=0.5, threads=2)
-(point,) = run_simulate_match(cfg_over)
-print(f"overloaded: R = 1.2, n = 32, m = {cfg_over.resolve_m(32)} "
+(point,) = run_simulate_match(dist=dist, n=(32,), delta=0.3, trials=200, seed=2024,
+                              rate=1.2, alpha=0.5, threads=2)
+print(f"overloaded: R = 1.2, n = 32, m = {round(2 ** (1.2 * 32))} "
       f"-> mismatch = {point.mismatch_rate:.4f} ({point.mode} mode)")

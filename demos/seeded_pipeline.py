@@ -11,14 +11,12 @@ Equivalent CLI:  delmatch pipeline --dist bern:0.5 --n 32 --m 48 \
                      --delta 0.3 --B 0,4,8,16 --out pipeline.csv
 """
 
-from delmatch import Distribution, ExperimentConfig, run_pipeline
+from delmatch import Distribution, run_pipeline
 
 dist = Distribution.bernoulli(0.5)
 
-cfg = ExperimentConfig(dist=dist, n_values=(32,), delta=0.3, trials=150,
-                       master_seed=515, m=48, batch_sizes=(0, 4, 8, 16),
-                       threads=2)
-points = run_pipeline(cfg)
+points = run_pipeline(dist=dist, n=(32,), delta=0.3, trials=150, seed=515, m=48,
+                      B=(0, 4, 8, 16), threads=2)
 
 print("seeds  detected-deletions  mismatch-rate")
 for p in points:

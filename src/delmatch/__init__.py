@@ -30,4 +30,4 @@ from .matcher import (MatchStatus, MatchOutcome, MatcherConfig, default_epsilon,
                       match_all, match_counts, count_mismatches)
 from .detector import (Verdict, count_embeddings, posterior_deletions, detect_f, detect_g,
                        certain_verdict_masks, detection_trial, verdicts_to_csv)
-from .harness import ExperimentConfig, run_simulate_match, run_simulate_detect, run_pipeline
+from .harness import run_simulate_match, run_simulate_detect, run_pipeline

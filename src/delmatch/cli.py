@@ -9,14 +9,14 @@ or file error.  Without --out, data commands print the CSV to stdout.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 
-from .harness import (READS, FIELDS, ConfigError, ExperimentConfig, parse_config_file,
-                      parse_distribution, parse_float_grid, parse_int_list,
-                      run_rates, run_simulate_match, run_simulate_detect,
-                      run_pipeline, run_oracle_check, write_atomic,
-                      rates_csv, match_csv, detect_csv, pipeline_csv)
+from .harness import (ConfigError, parse_config_file, parse_distribution, parse_float_grid,
+                      parse_int_list, run_rates, run_simulate_match, run_simulate_detect,
+                      run_pipeline, run_oracle_check, rates_csv, match_csv, detect_csv,
+                      pipeline_csv)
 
 
 def _out_path(path: str) -> str:
@@ -31,120 +31,100 @@ def _out_path(path: str) -> str:
     return path
 
 
-REQUIRED = object()  # the default of a key with none
-
-# Per key (see harness.READS for who reads it): its conversion, default and
-# flag help.  A flag has no type: _read converts a flag and a config line
-# alike.
+# Per key: its conversion and its flag help.  A flag has no type: _read
+# converts a flag and a config line alike.  A key's default is its runner's
+# parameter default, which the help states as "(default X)", or as
+# "(command default X)" for one command's own.
 KEYS = {
-    "dist": (parse_distribution, "bern:0.5", "bern:p | uniform:q | p0,p1,..."),
-    "deltas": (parse_float_grid, "0:0.95:20", "comma list or start:stop:count grid"),
-    "alphas": (parse_float_grid, "0,0.25,0.5,0.75,1",
-               "comma list of detection probabilities"),
-    "n": (parse_int_list, REQUIRED, "comma list of column counts"),
-    "delta": (float, REQUIRED, "column deletion probability"),
-    "trials": (int, "100", "Monte Carlo trials per grid point (default 100)"),
-    "rate": (float, None, "growth rate R; m = round(2^(n R))"),
-    "m": (int, None, "explicit row count (alternative to --rate)"),
-    "alpha": (float, REQUIRED, "deletion detection probability"),
-    "B": (parse_int_list, REQUIRED, "comma list of seed batch sizes"),
-    "epsilon": (float, None, "typicality slack (default 0.1 * H(X); "
-                             "simulate-detect's detector: 0.05)"),
-    "detect_epsilon": (float, None, "typicality slack for the detector "
-                                    "(defaults to --epsilon)"),
-    "seed": (int, "0", "64-bit master seed (default 0)"),
-    "threads": (int, "1", "at most this many worker processes (default 1)"),
-    "cases": (int, "400", "random cases per suite (default 400)"),
-    "out": (_out_path, None, "output CSV path (default: print to stdout)"),
+    "dist": (parse_distribution, "bern:p | uniform:q | p0,p1,... (default bern:0.5)"),
+    "deltas": (parse_float_grid,
+               "comma list or start:stop:count grid (default 0:0.95:20)"),
+    "alphas": (parse_float_grid,
+               "comma list of detection probabilities (default 0,0.25,0.5,0.75,1)"),
+    "n": (parse_int_list, "comma list of column counts"),
+    "delta": (float, "column deletion probability"),
+    "trials": (int, "Monte Carlo trials per grid point (default 100)"),
+    "rate": (float, "growth rate R; m = round(2^(n R))"),
+    "m": (int, "explicit row count (alternative to --rate)"),
+    "alpha": (float, "deletion detection probability"),
+    "B": (parse_int_list, "comma list of seed batch sizes"),
+    "epsilon": (float, "typicality slack of the matcher (default 0.1 * H(X)), or of "
+                       "simulate-detect's detector (simulate-detect default 0.05)"),
+    "detect_epsilon": (float, "typicality slack for the detector "
+                              "(defaults to --epsilon)"),
+    "seed": (int, "64-bit master seed (default 0)"),
+    "threads": (int, "at most this many worker processes (default 1)"),
+    "cases": (int, "random cases per suite (default 400)"),
+    "out": (_out_path, "output CSV path (default: print to stdout)"),
 }
+
+# Per command: its runner, whose keyword parameters are the keys it reads;
+# its CSV table (None: it prints a check report); the line printed per point
+# after writing --out; and its line in `delmatch --help`.
+COMMANDS = {
+    "rates": (run_rates, rates_csv, None,
+              "achievable-rate table over a (delta, alpha) grid"),
+    "simulate-match": (run_simulate_match, match_csv,
+                       "n={0.n} m_eval={0.evaluated} mode={0.mode} "
+                       "mismatch_rate={0.mismatch_rate:.6f}",
+                       "mismatch rate of the matching scheme under given-alpha side "
+                       "information"),
+    "simulate-detect": (run_simulate_detect, detect_csv, None,
+                        "empirical deletion-detection probability vs the analytic bound"),
+    "pipeline": (run_pipeline, pipeline_csv,
+                 "n={0.n} B={0.B} detected_fraction={0.detected_fraction:.6f} "
+                 "mismatch_rate={0.mismatch_rate:.6f}",
+                 "end to end: seed rows -> detected deletions -> match the remaining rows"),
+    "oracle-check": (run_oracle_check, None, None,
+                     "exhaustive small-instance verification of the exact counting "
+                     "machinery"),
+}
+
+# The keys each command reads besides out, which every command reads: its
+# runner's parameters, in the order its manifest echoes them.
+READS = {command: tuple(key for key in inspect.signature(runner).parameters if key != "out")
+         for command, (runner, *_) in COMMANDS.items()}
 
 
 def _read(args, cfgmap) -> dict:
-    """Each key the command reads: its flag, else its config line, else its
-    default, converted, by its ExperimentConfig or runner parameter name.  A
-    conversion error names the option, and a config key left over was never
-    read: misspelt, or not this command's."""
+    """Each key the command's runner takes: its flag, else its config line,
+    converted, else the runner's default.  A conversion error names the
+    option, and a config key left over was never read: misspelt, or not
+    this command's."""
     values = {}
-    for key in READS[args.command] + ("out",):
-        conv, default, _ = KEYS[key]
-        val = cfgmap.pop(key, default)
+    for key, param in inspect.signature(COMMANDS[args.command][0]).parameters.items():
+        text = cfgmap.pop(key, None)
         if getattr(args, key) is not None:
-            val = getattr(args, key)
-        option = _flag(key)
-        if val is REQUIRED:
-            raise ConfigError(f"missing required option {option}")
+            text = getattr(args, key)
+        if text is None and param.default is param.empty:
+            raise ConfigError(f"missing required option {_flag(key)}")
         try:
-            values[FIELDS.get(key, key)] = None if val is None else conv(val)
+            values[key] = param.default if text is None else KEYS[key][0](text)
         except ValueError as exc:  # ConfigError included
-            raise ConfigError(f"{option}: {exc}") from exc
+            raise ConfigError(f"{_flag(key)}: {exc}") from exc
     if cfgmap:
         raise ConfigError(f"unknown config key(s) for {args.command}: "
                           + ", ".join(sorted(cfgmap)))
     return values
 
 
-def cmd_rates(args, cfgmap) -> int:
-    dist, deltas, alphas, out = _read(args, cfgmap).values()
-    points = run_rates(dist, deltas, alphas, out)
-    if out:
-        print(f"wrote {len(points)} rate points to {out}")
-    else:
-        print(rates_csv(points), end="")
+def _run(args, cfgmap) -> int:
+    """Call the command's runner with the keys it reads and print what it
+    made: its check report, its CSV, or after writing --out, a line per point."""
+    runner, to_csv, point_line, _ = COMMANDS[args.command]
+    values = _read(args, cfgmap)
+    result, out = runner(**values), values["out"]
+    if to_csv is None:
+        print(result.text, end="")
+        return 0 if result.passed else 1
+    if not out:
+        print(to_csv(result), end="")
+        return 0
+    print(f"wrote {len(result)} points to {out}")
+    if point_line:
+        for p in result:
+            print("  " + point_line.format(p))
     return 0
-
-
-# Per sweep command: runner, CSV table, and the line printed per point
-# after writing --out.
-SWEEPS = {
-    "simulate-match": (run_simulate_match, match_csv,
-                       "n={0.n} m_eval={0.evaluated} mode={0.mode} "
-                       "mismatch_rate={0.mismatch_rate:.6f}"),
-    "simulate-detect": (run_simulate_detect, detect_csv, None),
-    "pipeline": (run_pipeline, pipeline_csv,
-                 "n={0.n} B={0.B} detected_fraction={0.detected_fraction:.6f} "
-                 "mismatch_rate={0.mismatch_rate:.6f}"),
-}
-
-
-def cmd_sweep(args, cfgmap) -> int:
-    runner, to_csv, point_line = SWEEPS[args.command]
-    cfg = ExperimentConfig(**_read(args, cfgmap))
-    points = runner(cfg)
-    if cfg.out:
-        print(f"wrote {len(points)} points to {cfg.out}")
-        if point_line:
-            for p in points:
-                print("  " + point_line.format(p))
-    else:
-        print(to_csv(points), end="")
-    return 0
-
-
-def cmd_oracle_check(args, cfgmap) -> int:
-    seed, cases, out = _read(args, cfgmap).values()
-    report = run_oracle_check(seed, cases)
-    lines = [f"{'ok  ' if ok else 'FAIL'} {name}" for name, ok in report.suites]
-    lines += [f"counterexample: {msg}" for msg in report.failures]
-    lines.append("oracle-check: " + ("all suites passed" if report.passed
-                                     else f"{len(report.failures)} failure(s)"))
-    print("\n".join(lines))
-    if out:
-        write_atomic(out, ("\n".join(lines) + "\n").encode())
-    return 0 if report.passed else 1
-
-
-# Per command: its handler and its line in `delmatch --help`.
-COMMANDS = {
-    "rates": (cmd_rates, "achievable-rate table over a (delta, alpha) grid"),
-    "simulate-match": (cmd_sweep, "mismatch rate of the matching scheme under "
-                                  "given-alpha side information"),
-    "simulate-detect": (cmd_sweep, "empirical deletion-detection probability vs "
-                                   "the analytic bound"),
-    "pipeline": (cmd_sweep, "end to end: seed rows -> detected deletions -> "
-                            "match the remaining rows"),
-    "oracle-check": (cmd_oracle_check, "exhaustive small-instance verification "
-                                       "of the exact counting machinery"),
-}
 
 
 def _flag(key: str) -> str:
@@ -159,12 +139,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "experiments, and brute-force oracle checks.")
     sub = parser.add_subparsers(dest="command", required=True)
     # A command takes exactly the flags whose keys it reads.
-    for command, (func, text) in COMMANDS.items():
+    for command, (*_, text) in COMMANDS.items():
         p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="flat key = value config file")
         for key in READS[command] + ("out",):
-            p.add_argument(_flag(key), help=KEYS[key][2])
-        p.set_defaults(func=func)
+            p.add_argument(_flag(key), help=KEYS[key][1])
     return parser
 
 
@@ -183,7 +162,7 @@ def _plain_args(argv: list):
         if flag not in keys or value.startswith("-"):
             return None
         values[keys[flag]] = value
-    return argparse.Namespace(command=argv[0], func=COMMANDS[argv[0]][0], **values)
+    return argparse.Namespace(command=argv[0], **values)
 
 
 def main(argv=None) -> int:
@@ -194,7 +173,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfgmap = parse_config_file(args.config) if args.config else {}
-        return args.func(args, cfgmap)
+        return _run(args, cfgmap)
     except (ValueError, OSError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ import hashlib
 import os
 import pickle
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import expm1, isqrt, log1p, log2, sqrt
@@ -71,22 +71,6 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # Configuration
-
-
-# The keys each command reads besides out: its flags and config keys, in the
-# order its manifest echoes them.  A sweep's key is the ExperimentConfig
-# field of that name, or of its FIELDS entry, and its runner refuses any
-# other field that is set.
-READS = {
-    "rates": ("dist", "deltas", "alphas"),
-    "simulate-match": ("dist", "n", "delta", "trials", "rate", "m", "alpha", "epsilon",
-                       "seed", "threads"),
-    "simulate-detect": ("dist", "n", "delta", "trials", "B", "epsilon", "seed", "threads"),
-    "pipeline": ("dist", "n", "delta", "trials", "rate", "m", "B", "epsilon",
-                 "detect_epsilon", "seed", "threads"),
-    "oracle-check": ("seed", "cases"),
-}
-FIELDS = {"n": "n_values", "seed": "master_seed", "B": "batch_sizes"}
 
 
 def parse_distribution(spec: str) -> Distribution:
@@ -143,73 +127,47 @@ def parse_config_file(path: str) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One sweep description: simulate-match, simulate-detect or pipeline.
+def _check_sweep(*, n, delta, trials, seed, threads, rate=None, m=None, alpha=None,
+                 B=None, epsilon=None, detect_epsilon=None, **_) -> None:
+    """The checks every sweep makes of its runner's arguments before any
+    trial, in the order that picks the one error reported when several
+    values are bad.  At most one of rate/m fixes the row count."""
+    if rate is not None and m is not None:
+        raise ConfigError("at most one of rate/m may be given")
+    if not n or any(cols < 1 for cols in n):
+        raise ConfigError("n values must be positive")
+    check_range("delta", delta, hi=1.0, error=ConfigError)
+    if alpha is not None:
+        check_range("alpha", alpha, hi=1.0, closed=True, error=ConfigError)
+    if B is not None and min(B, default=-1) < 0:
+        raise ConfigError("batch sizes must be a non-empty list of values >= 0")
+    if trials < 1:
+        raise ConfigError("trials must be >= 1")
+    check_range("seed", seed, hi=2 ** 64, error=ConfigError)
+    if threads < 1:
+        raise ConfigError("threads must be >= 1")
+    if m is not None and not 1 <= m <= 2 ** 512:
+        raise ConfigError("m must be >= 1 and <= 2^512")
+    for name, value in (("rate", rate), ("epsilon", epsilon),
+                        ("detect_epsilon", detect_epsilon)):
+        if value is not None:
+            check_range(name, value, error=ConfigError)
 
-    At most one of rate/m fixes the row count (m = round(2^(n*rate)) when the
-    rate is given); the matching sweeps need one.  Exactly one of
-    alpha/batch_sizes picks the side-information mode (detection
-    probability vs. seed rows).  epsilon is the matcher's typicality slack,
-    or simulate-detect's detector's; detect_epsilon is the pipeline's
-    detector's.  A runner refuses a field that its command does not read
-    (READS).
-    """
 
-    dist: Distribution
-    n_values: tuple
-    delta: float
-    trials: int
-    master_seed: int
-    rate: float = None
-    m: int = None
-    alpha: float = None
-    batch_sizes: tuple = None
-    epsilon: float = None
-    detect_epsilon: float = None
-    out: str = None
-    threads: int = 1
+def resolve_m(n: int, rate, m) -> int:
+    """The row count at n columns: m, or round(2^(n*rate)) when the rate is
+    given."""
+    if m is not None:
+        return m
+    if rate is None:
+        raise ConfigError("one of rate/m must be given")
+    if n * rate > 512:
+        raise ConfigError(f"2^({n}*{rate}) is beyond any supported size")
+    return max(1, round(2.0 ** (n * rate)))
 
-    def __post_init__(self):
-        if self.rate is not None and self.m is not None:
-            raise ConfigError("at most one of rate/m may be given")
-        if (self.alpha is None) == (self.batch_sizes is None):
-            raise ConfigError("exactly one of alpha/batch_sizes must be given")
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            raise ConfigError("n values must be positive")
-        check_range("delta", self.delta, hi=1.0, error=ConfigError)
-        if self.alpha is not None:
-            check_range("alpha", self.alpha, hi=1.0, closed=True, error=ConfigError)
-        if self.batch_sizes is not None and min(self.batch_sizes, default=-1) < 0:
-            raise ConfigError("batch sizes must be a non-empty list of values >= 0")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        check_range("seed", self.master_seed, hi=2 ** 64, error=ConfigError)
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
-        if self.m is not None and not 1 <= self.m <= 2 ** 512:
-            raise ConfigError("m must be >= 1 and <= 2^512")
-        for name in ("rate", "epsilon", "detect_epsilon"):
-            if getattr(self, name) is not None:
-                check_range(name, getattr(self, name), error=ConfigError)
 
-    def resolve_m(self, n: int) -> int:
-        if self.m is not None:
-            return self.m
-        if self.rate is None:
-            raise ConfigError("one of rate/m must be given")
-        if n * self.rate > 512:
-            raise ConfigError(f"2^({n}*{self.rate}) is beyond any supported size")
-        return max(1, round(2.0 ** (n * self.rate)))
-
-    def rate_for(self, n: int) -> float:
-        return self.rate if self.rate is not None else log2(self.m) / n
-
-    def matcher_epsilon(self) -> float:
-        return self.epsilon if self.epsilon is not None else default_epsilon(self.dist)
-
-    def detector_epsilon(self) -> float:
-        return self.detect_epsilon if self.detect_epsilon is not None else self.matcher_epsilon()
+def rate_for(n: int, rate, m) -> float:
+    return rate if rate is not None else log2(m) / n
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +290,8 @@ def _pooled(chunks, workers: int) -> list:
     been reaped is killed and reaped."""
     results = [None] * len(chunks)
     children, pipes = [], []
+    if workers > 1:  # loaded once here, not once in each child
+        import numpy.random  # noqa: F401
     try:
         for w in range(1, workers):
             fd, end = os.pipe()
@@ -410,40 +370,34 @@ class _HalfWidth:
         return (self.ci_high - self.ci_low) / 2.0
 
 
-def _refuse_unread(command: str, cfg: ExperimentConfig) -> None:
-    """A set field that command does not read would be echoed to a manifest
-    that does not replay."""
-    read = {FIELDS.get(key, key) for key in READS[command]} | {"out"}
-    unread = [f.name for f in fields(cfg)
-              if f.name not in read and getattr(cfg, f.name) is not None]
-    if unread:
-        raise ConfigError(f"{command} does not read {', '.join(unread)}")
-
-
-def _run_sweep(command: str, cfg: ExperimentConfig, grid, specs, point, to_csv,
-               slacks, streams) -> list:
+def _run_sweep(command: str, keys: dict, grid, specs, point, to_csv, streams) -> list:
     """The loop every Monte Carlo command shares: run the trials of each grid
-    point, pool them into a rate with a Wilson interval, emit when cfg.out.
+    point, pool them into a rate with a Wilson interval, emit when keys["out"].
 
-    specs[i] is grid[i]'s (work, cells) for _sweep.  Work returns
-    (successes, total, *more); point(grid[i], sums, estimate) builds the
-    result from those summed over trials, estimate = (rate, ci_low, ci_high).
-    slacks maps each typicality slack key to its resolved value, and
-    streams the work's (stream id, name) pairs inside one trial seed.
+    keys are the runner's arguments, its slacks resolved.  specs[i] is
+    grid[i]'s (work, cells) for _sweep.  Work returns (successes, total,
+    *more); point(grid[i], sums, estimate) builds the result from those
+    summed over trials, estimate = (rate, ci_low, ci_high).  streams are the
+    work's (stream id, name) pairs inside one trial seed.
     """
     started = time.time()
-    totals, seed_log = _sweep(specs, cfg.trials, cfg.master_seed, cfg.threads)
+    totals, seed_log = _sweep(specs, keys["trials"], keys["seed"], keys["threads"])
     points = [point(key, sums, (sums[0] / sums[1] if sums[1] else 0.0,
                                 *wilson_interval(sums[0], sums[1])))
               for key, sums in zip(grid, totals)]
-    if cfg.out:
-        _emit(cfg.out, command, to_csv(points), _cfg_echo(command, cfg, slacks),
-              cfg.master_seed, tuple(seed_log), time.time() - started, streams)
+    if keys["out"]:
+        _emit(keys["out"], command, to_csv(points), _cfg_echo(keys), keys["seed"],
+              tuple(seed_log), time.time() - started, streams)
     return points
 
 
 # ---------------------------------------------------------------------------
 # Runners
+#
+# A runner's keyword parameters are the keys its command reads, in the order
+# its manifest echoes them, each with its one default; the CLI reads them
+# from its signature.  Each runner takes its arguments, slacks resolved, as
+# keys = dict(locals()) before it assigns any other name.
 
 
 @dataclass(frozen=True)
@@ -460,18 +414,17 @@ def rates_csv(points) -> str:
     return csv_text("delta,alpha,rate,regime_ok", rows)
 
 
-def run_rates(dist: Distribution, deltas, alphas, out: str = None) -> list:
+def run_rates(*, dist=Distribution.bernoulli(0.5), deltas=parse_float_grid("0:0.95:20"),
+              alphas=(0.0, 0.25, 0.5, 0.75, 1.0), out=None) -> list:
     """Achievable-rate table over a (delta, alpha) grid."""
+    keys = dict(locals())
     started = time.time()
     points = [RatePoint(d, a, achievable_rate(RateParams(dist, d, a)),
                         RateParams(dist, d, a).regime_ok)
               for a in alphas for d in deltas]
     if out:
-        _emit(out, "rates", rates_csv(points),
-              config_echo=[("dist", _dist_echo(dist)),
-                           ("deltas", ",".join(map(str, deltas))),
-                           ("alphas", ",".join(map(str, alphas)))],
-              master_seed=None, trial_seeds=(), elapsed=time.time() - started)
+        _emit(out, "rates", rates_csv(points), _cfg_echo(keys), master_seed=None,
+              trial_seeds=(), elapsed=time.time() - started)
     return points
 
 
@@ -510,34 +463,36 @@ def _guarded_cells(name: str, size: int, n: int) -> int:
     return cells
 
 
-def _choose_match_mode(cfg: ExperimentConfig, m: int, n: int) -> str:
+def _choose_match_mode(dist: Distribution, m: int, n: int) -> str:
     """'virtual', the exact closed form, beyond the m*n guard for a uniform
     distribution; 'materialized' otherwise."""
-    return "virtual" if m * n > CELL_GUARD and cfg.dist.is_uniform() else "materialized"
+    return "virtual" if m * n > CELL_GUARD and dist.is_uniform() else "materialized"
 
 
-def run_simulate_match(cfg: ExperimentConfig) -> list:
-    """Monte Carlo mismatch rates for the given-alpha side-information mode."""
-    _refuse_unread("simulate-match", cfg)
-    epsilon = cfg.matcher_epsilon()
-    grid = [(n, m, _choose_match_mode(cfg, m, n))
-            for n in cfg.n_values for m in [cfg.resolve_m(n)]]
+def run_simulate_match(*, dist=Distribution.bernoulli(0.5), n, delta, trials=100, rate=None,
+                       m=None, alpha, epsilon=None, seed=0, threads=1, out=None) -> list:
+    """Monte Carlo mismatch rates for the given-alpha side-information mode,
+    at each column count in n; one of rate/m fixes the row count."""
+    epsilon = default_epsilon(dist) if epsilon is None else epsilon
+    keys = dict(locals())
+    _check_sweep(**keys)
+    grid = [(cols, rows, _choose_match_mode(dist, rows, cols))
+            for cols in n for rows in [resolve_m(cols, rate, m)]]
     # The closed form sums up to n + 1 terms of up to n * log2(q) bits.
     specs = [(partial(_trial_by_trial, _match_trial,
-                      (cfg.dist, n, m, cfg.delta, cfg.alpha, 0, epsilon, None)),
-              _guarded_cells("m", m, n))
+                      (dist, cols, rows, delta, alpha, 0, epsilon, None)),
+              _guarded_cells("m", rows, cols))
              if mode == "materialized" else
-             (partial(_trial_by_trial, _virtual_match_trial,
-                      (cfg.dist, n, m, cfg.delta, cfg.alpha)), _guarded_cells("n", n, n))
-             for n, m, mode in grid]
+             (partial(_trial_by_trial, _virtual_match_trial, (dist, cols, rows, delta, alpha)),
+              _guarded_cells("n", cols, cols))
+             for cols, rows, mode in grid]
 
     def point(key, sums, estimate):
-        n, _, mode = key
-        return MatchPoint(n, 0, cfg.rate_for(n), cfg.delta, cfg.alpha, cfg.trials,
+        cols, _, mode = key
+        return MatchPoint(cols, 0, rate_for(cols, rate, m), delta, alpha, trials,
                           *sums, *estimate, mode)
 
-    return _run_sweep("simulate-match", cfg, grid, specs, point, match_csv,
-                      {"epsilon": epsilon}, _MATCH_STREAMS)
+    return _run_sweep("simulate-match", keys, grid, specs, point, match_csv, _MATCH_STREAMS)
 
 
 def match_csv(points) -> str:
@@ -562,33 +517,34 @@ class DetectPoint(_HalfWidth):
     bound: float
 
 
-def run_simulate_detect(cfg: ExperimentConfig) -> list:
+def run_simulate_detect(*, dist=Distribution.bernoulli(0.5), n, delta, trials=100, B,
+                        epsilon=0.05, seed=0, threads=1, out=None) -> list:
     """Empirical detection probability next to the analytic bound, per (n, B).
 
-    There is no matcher: the detector's slack is cfg.epsilon, 0.05 when unset."""
-    _refuse_unread("simulate-detect", cfg)
-    if min(cfg.batch_sizes, default=1) < 1:
-        raise ConfigError(f"batch size {min(cfg.batch_sizes)} must be >= 1")
-    epsilon = 0.05 if cfg.epsilon is None else cfg.epsilon
-    h = entropy(cfg.dist)
-    grid = [(n, b) for n in cfg.n_values for b in cfg.batch_sizes]
-    specs = [(partial(detection_trials, cfg.dist, n, b, cfg.delta, epsilon),
-              _guarded_cells("B", b, n)) for n, b in grid]
+    There is no matcher: epsilon is the detector's slack."""
+    keys = dict(locals())
+    _check_sweep(**keys)
+    if min(B, default=1) < 1:
+        raise ConfigError(f"batch size {min(B)} must be >= 1")
+    h = entropy(dist)
+    grid = [(cols, b) for cols in n for b in B]
+    specs = [(partial(detection_trials, dist, cols, b, delta, epsilon),
+              _guarded_cells("B", b, cols)) for cols, b in grid]
 
     # Refuse an all-retained point before any trial; any() stops at its
     # first deletion.
-    for pidx, (n, b) in enumerate(grid):
-        if not any(trial_deletions(derive_seed(cfg.master_seed, pidx, t), n, cfg.delta).any()
-                   for t in range(cfg.trials)):
-            raise RuntimeError(f"no columns were deleted in any trial at (n={n}, "
+    for pidx, (cols, b) in enumerate(grid):
+        if not any(trial_deletions(derive_seed(seed, pidx, t), cols, delta).any()
+                   for t in range(trials)):
+            raise RuntimeError(f"no columns were deleted in any trial at (n={cols}, "
                                f"B={b}); estimate undefined (delta too small?)")
 
     def point(key, sums, estimate):
-        return DetectPoint(*key, cfg.delta, epsilon, cfg.trials, *sums, *estimate,
-                           detection_probability_bound(*key, cfg.delta, h, epsilon))
+        return DetectPoint(*key, delta, epsilon, trials, *sums, *estimate,
+                           detection_probability_bound(*key, delta, h, epsilon))
 
-    return _run_sweep("simulate-detect", cfg, grid, specs, point, detect_csv,
-                      {"epsilon": epsilon}, _DETECT_STREAMS)
+    return _run_sweep("simulate-detect", keys, grid, specs, point, detect_csv,
+                      _DETECT_STREAMS)
 
 
 def detect_csv(points) -> str:
@@ -597,28 +553,30 @@ def detect_csv(points) -> str:
     return csv_text("n,B,empirical_alpha,CI,theorem2_bound", rows)
 
 
-def run_pipeline(cfg: ExperimentConfig) -> list:
-    """Seeds -> certainty verdicts -> detected set -> match the remaining rows."""
-    _refuse_unread("pipeline", cfg)
-    epsilon = cfg.matcher_epsilon()
-    detect_eps = cfg.detector_epsilon()
-    grid = [(n, b) for n in cfg.n_values for b in cfg.batch_sizes]
+def run_pipeline(*, dist=Distribution.bernoulli(0.5), n, delta, trials=100, rate=None, m=None,
+                 B, epsilon=None, detect_epsilon=None, seed=0, threads=1, out=None) -> list:
+    """Seeds -> certainty verdicts -> detected set -> match the remaining rows.
+    The detector's slack is the matcher's unless detect_epsilon is given."""
+    epsilon = default_epsilon(dist) if epsilon is None else epsilon
+    detect_epsilon = epsilon if detect_epsilon is None else detect_epsilon
+    keys = dict(locals())
+    _check_sweep(**keys)
+    grid = [(cols, b) for cols in n for b in B]
     specs = []
-    for n, b in grid:
-        m = cfg.resolve_m(n)
-        if b >= m:
-            raise ConfigError(f"batch size {b} must be < m = {m}")
+    for cols, b in grid:
+        rows = resolve_m(cols, rate, m)
+        if b >= rows:
+            raise ConfigError(f"batch size {b} must be < m = {rows}")
         specs.append((partial(_trial_by_trial, _match_trial,
-                              (cfg.dist, n, m, cfg.delta, 0.0, b, epsilon, detect_eps)),
-                      _guarded_cells("m", m, n)))
+                              (dist, cols, rows, delta, 0.0, b, epsilon, detect_epsilon)),
+                      _guarded_cells("m", rows, cols)))
 
     def point(key, sums, estimate):
-        n, b = key
-        return MatchPoint(n, b, cfg.rate_for(n), cfg.delta, 0.0, cfg.trials,
+        cols, b = key
+        return MatchPoint(cols, b, rate_for(cols, rate, m), delta, 0.0, trials,
                           *sums, *estimate, "materialized")
 
-    return _run_sweep("pipeline", cfg, grid, specs, point, pipeline_csv,
-                      {"epsilon": epsilon, "detect_epsilon": detect_eps}, _MATCH_STREAMS)
+    return _run_sweep("pipeline", keys, grid, specs, point, pipeline_csv, _MATCH_STREAMS)
 
 
 def pipeline_csv(points) -> str:
@@ -640,6 +598,15 @@ class OracleReport:
     @property
     def passed(self) -> bool:
         return not self.failures
+
+    @property
+    def text(self) -> str:
+        """The report: a line per suite, each counterexample, the verdict."""
+        lines = [f"{'ok  ' if ok else 'FAIL'} {name}" for name, ok in self.suites]
+        lines += [f"counterexample: {msg}" for msg in self.failures]
+        lines.append("oracle-check: " + ("all suites passed" if self.passed
+                                         else f"{len(self.failures)} failure(s)"))
+        return "\n".join(lines) + "\n"
 
 
 def _random_instance(rng, n_max=12, consistent=True):
@@ -774,22 +741,24 @@ def check_fast_kernel(cases: int, seed: int) -> list:
     return failures
 
 
-def run_oracle_check(master_seed: int = 0, cases: int = 400) -> OracleReport:
+def run_oracle_check(*, seed=0, cases=400, out=None) -> OracleReport:
     """Run every brute-force equivalence suite; counterexamples are collected
-    verbatim."""
+    verbatim, and the report's text is written to out when given."""
     if cases < 1:
         raise ConfigError(f"cases must be >= 1, got {cases}")
-    check_range("seed", master_seed, hi=2 ** 64, error=ConfigError)
+    check_range("seed", seed, hi=2 ** 64, error=ConfigError)
     suites = [
-        ("embedding counts vs enumeration", check_counting(cases, master_seed)),
-        ("posteriors: fb = Bayes enumeration", check_posteriors(cases, master_seed)),
-        ("supersequence count and bound", check_supersequence(master_seed)),
-        ("g-Deleted subset of f-Deleted", check_g_subset_f(cases, master_seed)),
-        ("boolean kernel vs exact posteriors", check_fast_kernel(cases, master_seed)),
+        ("embedding counts vs enumeration", check_counting(cases, seed)),
+        ("posteriors: fb = Bayes enumeration", check_posteriors(cases, seed)),
+        ("supersequence count and bound", check_supersequence(seed)),
+        ("g-Deleted subset of f-Deleted", check_g_subset_f(cases, seed)),
+        ("boolean kernel vs exact posteriors", check_fast_kernel(cases, seed)),
     ]
     failures = [msg for _, fails in suites for msg in fails]
-    return OracleReport([(name, len(fails) == 0) for name, fails in suites],
-                        failures)
+    report = OracleReport([(name, len(fails) == 0) for name, fails in suites], failures)
+    if out:
+        write_atomic(out, report.text.encode())
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -807,15 +776,15 @@ def _dist_echo(dist: Distribution) -> str:
     return ",".join(repr(p) for p in dist.probabilities)
 
 
-def _cfg_echo(command: str, cfg: ExperimentConfig, slacks: dict) -> list:
-    """The manifest's config.* lines: the command's keys that are set, in
-    READS order, with the slacks as resolved, so that the lines replay as a
-    config file.  The seed has its own line; threads do not change a CSV."""
-    values = ((key, slacks.get(key, getattr(cfg, FIELDS.get(key, key))))
-              for key in READS[command] if key not in ("seed", "threads"))
+def _cfg_echo(keys: dict) -> list:
+    """The manifest's config.* lines: a runner's arguments that are set, in
+    its signature's order and with its slacks resolved, so that the lines
+    replay as a config file.  The seed has its own line, threads do not
+    change a CSV, and out is the CSV itself."""
     return [(key, _dist_echo(v) if isinstance(v, Distribution)
              else ",".join(map(str, v)) if isinstance(v, (tuple, list)) else str(v))
-            for key, v in values if v is not None]
+            for key, v in keys.items()
+            if v is not None and key not in ("seed", "threads", "out")]
 
 
 def csv_text(header: str, rows) -> str:

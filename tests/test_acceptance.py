@@ -9,7 +9,7 @@ from math import log2
 import pytest
 from scipy.stats import fisher_exact
 
-from delmatch import Distribution, RateParams, achievable_rate, entropy, ExperimentConfig
+from delmatch import Distribution, RateParams, achievable_rate, entropy
 from delmatch.infotheory import binary_entropy
 from delmatch.harness import (run_simulate_match, run_simulate_detect, check_counting,
                               check_posteriors, check_supersequence, check_g_subset_f)
@@ -96,9 +96,9 @@ def test_c06_detection_bound_never_violated():
     started = time.time()
     rows = []
     for delta in (0.25, 0.5):
-        rows += run_simulate_detect(ExperimentConfig(
-            BERN, (16, 64, 256), delta, trials=500, master_seed=MASTER_SEED,
-            batch_sizes=(8, 16, 24), epsilon=0.05, threads=THREADS))
+        rows += run_simulate_detect(dist=BERN, n=(16, 64, 256), delta=delta, trials=500,
+                                    seed=MASTER_SEED, B=(8, 16, 24), epsilon=0.05,
+                                    threads=THREADS)
     margins = []
     for p in rows:
         slack = p.empirical_alpha + p.ci_half_width - p.bound
@@ -121,20 +121,17 @@ def test_c07_g_implies_f():
 
 def test_c08_matching_trend_and_failure_regime():
     started = time.time()
-    cfg = ExperimentConfig(dist=BERN, n_values=(16, 32), delta=0.2, trials=500,
-                           master_seed=MASTER_SEED, rate=0.25 * (1 - 0.2),
-                           alpha=1.0, threads=THREADS)
-    p16, p32 = run_simulate_match(cfg)
+    p16, p32 = run_simulate_match(dist=BERN, n=(16, 32), delta=0.2, trials=500,
+                                  seed=MASTER_SEED, rate=0.25 * (1 - 0.2), alpha=1.0,
+                                  threads=THREADS)
     table = [[p16.mismatches, p16.evaluated - p16.mismatches],
              [p32.mismatches, p32.evaluated - p32.mismatches]]
     res = fisher_exact(table, alternative="greater")
     assert p16.mismatch_rate > p32.mismatch_rate
     assert res.pvalue < 0.01
 
-    over = ExperimentConfig(dist=BERN, n_values=(32,), delta=0.2, trials=500,
-                            master_seed=MASTER_SEED, rate=1.2 * entropy(BERN),
-                            alpha=1.0, threads=THREADS)
-    (pf,) = run_simulate_match(over)
+    (pf,) = run_simulate_match(dist=BERN, n=(32,), delta=0.2, trials=500, seed=MASTER_SEED,
+                               rate=1.2 * entropy(BERN), alpha=1.0, threads=THREADS)
     assert pf.mismatch_rate >= 0.9
     elapsed = time.time() - started
     assert elapsed < 600.0
@@ -215,9 +212,8 @@ def test_c11_rate_threshold_between_no_and_partial_detection():
     assert max(n_values) * rate <= 512  # m = 2^(nR) stays within the closed form
     trends = {}
     for alpha, rising in ((0.0, True), (0.5, False)):
-        points = run_simulate_match(ExperimentConfig(
-            BERN, n_values, 0.2, trials=200, master_seed=MASTER_SEED, rate=rate,
-            alpha=alpha))
+        points = run_simulate_match(dist=BERN, n=n_values, delta=0.2, trials=200,
+                                    seed=MASTER_SEED, rate=rate, alpha=alpha)
         assert all(p.mode == "virtual" for p in points)
         for a, b in zip(points, points[1:]):
             table = [[a.mismatches, a.evaluated - a.mismatches],

@@ -12,7 +12,7 @@ from delmatch.detector import (Verdict, InconsistentBatchError, GuardExceededErr
                                detect_g, certain_verdict_masks, detection_trial,
                                detection_trials, verdicts_to_csv, _brute_force_patterns,
                                _certain_masks, _column_ids, _greedy_scan)
-from delmatch.harness import (ExperimentConfig, run_simulate_detect, wilson_interval,
+from delmatch.harness import (run_simulate_detect, wilson_interval,
                               _random_instance)
 from delmatch.infotheory import detection_probability_bound, typicality_mask
 from delmatch.model import (Distribution, SeedBatch, sample_database,
@@ -502,9 +502,8 @@ def test_certainty_keys_refuse_int64_overflow():
 
 def _detect_points(n, batch_sizes, delta, trials, epsilon, seed):
     """The simulate-detect sweep's points over bern(0.5) batches."""
-    return run_simulate_detect(ExperimentConfig(
-        Distribution.bernoulli(0.5), (n,), delta, trials, seed,
-        batch_sizes=batch_sizes, epsilon=epsilon))
+    return run_simulate_detect(dist=Distribution.bernoulli(0.5), n=(n,), delta=delta,
+                               trials=trials, seed=seed, B=batch_sizes, epsilon=epsilon)
 
 
 def test_empirical_detection_probability_runs():
@@ -538,8 +537,8 @@ def test_all_retained_point_refused_before_any_trial(monkeypatch):
     monkeypatch.setattr(harness, "detection_trials", counting)
     with pytest.raises(RuntimeError, match=r"no columns were deleted in any trial "
                                            r"at \(n=1, B=64\)"):
-        run_simulate_detect(ExperimentConfig(
-            Distribution.bernoulli(0.5), (4096, 1), 0.002, 300, 4, batch_sizes=(64,)))
+        run_simulate_detect(dist=Distribution.bernoulli(0.5), n=(4096, 1), delta=0.002,
+                            trials=300, seed=4, B=(64,))
     assert calls == []
 
 

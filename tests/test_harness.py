@@ -1,7 +1,7 @@
 import argparse
 import contextlib
-import dataclasses
 import errno
+import functools
 import hashlib
 import io
 import math
@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from delmatch import detector, harness
 from delmatch.detector import Verdict, detect_f, detection_trials
-from delmatch.harness import (ExperimentConfig, ConfigError, run_rates, run_simulate_match,
+from delmatch.harness import (ConfigError, run_rates, run_simulate_match,
                               run_simulate_detect, run_pipeline, run_oracle_check,
                               parse_distribution, parse_float_grid, parse_int_list,
                               parse_config_file, _match_trial,
@@ -29,6 +29,8 @@ from delmatch.model import (Distribution, sample_database, apply_deletion_channe
 from delmatch import cli
 
 BERN = Distribution.bernoulli(0.5)
+# The commands that run Monte Carlo trials.
+SWEEPS = sorted(command for command, keys in cli.READS.items() if "trials" in keys)
 
 
 # -- configuration -----------------------------------------------------------
@@ -62,49 +64,50 @@ def test_parse_config_file(tmp_path):
         parse_config_file(str(bad))
 
 
-def test_experiment_config_validation():
-    base = dict(dist=BERN, n_values=(16,), delta=0.2, trials=10, master_seed=0)
+def test_experiment_config_validation(monkeypatch):
+    monkeypatch.setattr(harness, "_sweep", _no_sweep)
+    base = dict(dist=BERN, n=(16,), delta=0.2, trials=10, seed=0)
     # neither rate nor m suits detection alone; a matching sweep needs one
     with pytest.raises(ConfigError, match="rate/m"):
-        ExperimentConfig(**base, alpha=1.0).resolve_m(16)
+        run_simulate_match(**base, alpha=1.0)
     with pytest.raises(ConfigError, match="rate/m"):
-        run_simulate_match(_match_cfg(rate=None))
+        run_simulate_match(**_match_cfg(rate=None))
     with pytest.raises(ConfigError, match="rate/m"):
-        run_pipeline(_match_cfg(rate=None, alpha=None, batch_sizes=(2,)))
-    with pytest.raises(ConfigError):
-        ExperimentConfig(**base, rate=0.2, m=9, alpha=1.0)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(**base, rate=0.2)  # no side-info mode
-    with pytest.raises(ConfigError):
-        ExperimentConfig(**base, rate=0.2, alpha=1.0, batch_sizes=(4,))
+        run_pipeline(**_pipe_cfg(rate=None, B=(2,)))
+    with pytest.raises(ConfigError, match="at most one of rate/m"):
+        run_simulate_match(**base, rate=0.2, m=9, alpha=1.0)
+    # a sweep's side information is its runner's: alpha, or B
+    with pytest.raises(TypeError, match="missing 1 required keyword-only argument: 'alpha'"):
+        run_simulate_match(**base, rate=0.2)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'B'"):
+        run_simulate_match(**base, rate=0.2, alpha=1.0, B=(4,))
     with pytest.raises(ConfigError, match="non-empty"):
-        ExperimentConfig(**base, batch_sizes=())
+        run_simulate_detect(**base, B=())
     for threads in (0, -4):
         with pytest.raises(ConfigError, match="threads must be >= 1"):
-            ExperimentConfig(**base, batch_sizes=(4,), threads=threads)
-    cfg = ExperimentConfig(**base, rate=0.2, alpha=1.0)
-    assert cfg.resolve_m(16) == round(2 ** 3.2) == 9
-    assert cfg.resolve_m(32) == 84
-    cfg_m = ExperimentConfig(**base, m=64, alpha=1.0)
-    assert cfg_m.rate_for(16) == pytest.approx(6 / 16)
+            run_simulate_detect(**base, B=(4,), threads=threads)
+    assert harness.resolve_m(16, 0.2, None) == round(2 ** 3.2) == 9
+    assert harness.resolve_m(32, 0.2, None) == 84
+    assert harness.rate_for(16, None, 64) == pytest.approx(6 / 16)
 
 
 # -- rates ---------------------------------------------------------------------
 
 def test_rates_no_deletion_gives_entropy():
-    points = run_rates(Distribution.bernoulli(0.3), [0.0], [0.0, 0.5, 1.0])
+    points = run_rates(dist=Distribution.bernoulli(0.3), deltas=[0.0], alphas=[0.0, 0.5, 1.0])
     for p in points:
         assert p.rate == pytest.approx(entropy(Distribution.bernoulli(0.3)), abs=1e-12)
 
 
 def test_rates_erasure_point():
-    (p,) = run_rates(BERN, [0.5], [1.0])
+    (p,) = run_rates(dist=BERN, deltas=[0.5], alphas=[1.0])
     assert p.rate == pytest.approx(0.5, abs=1e-12)
     assert p.regime_ok is False  # boundary: needs delta strictly below 1 - 1/q
 
 
 def test_rates_twenty_fold_gap():
-    points = {("%.2f" % p.alpha): p.rate for p in run_rates(BERN, [0.4], [0.0, 1.0])}
+    points = {("%.2f" % p.alpha): p.rate
+              for p in run_rates(dist=BERN, deltas=[0.4], alphas=[0.0, 1.0])}
     assert points["1.00"] / points["0.00"] == pytest.approx(20.7, abs=0.1)
 
 
@@ -113,7 +116,7 @@ def test_rates_csv_and_manifest(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "time", types.SimpleNamespace(
         time=lambda: next(clock), strftime=time.strftime, gmtime=time.gmtime))
     out = tmp_path / "rates.csv"
-    run_rates(BERN, [0.0, 0.4], [0.0, 1.0], str(out))
+    run_rates(dist=BERN, deltas=[0.0, 0.4], alphas=[0.0, 1.0], out=str(out))
     lines = out.read_text().splitlines()
     assert lines[0] == "delta,alpha,rate,regime_ok"
     assert lines[1] == "0.000000,0.000000,1.000000,true"
@@ -130,40 +133,49 @@ def test_rates_csv_and_manifest(tmp_path, monkeypatch):
 # -- simulate-match ---------------------------------------------------------------
 
 def _match_cfg(**over):
-    base = dict(dist=BERN, n_values=(16,), delta=0.2, trials=30, master_seed=11,
-                rate=0.2, alpha=1.0)
-    base.update(over)
-    return ExperimentConfig(**base)
+    """simulate-match's keys: a base case, with over's changes."""
+    return dict(dict(dist=BERN, n=(16,), delta=0.2, trials=30, seed=11, rate=0.2,
+                     alpha=1.0), **over)
+
+
+def _pipe_cfg(**over):
+    """pipeline's keys: _match_cfg's base case without alpha, with over's
+    changes, which include B."""
+    return {key: value for key, value in _match_cfg(**over).items() if key != "alpha"}
 
 
 def test_simulate_match_deterministic_across_threads():
-    a = run_simulate_match(_match_cfg(threads=1))
-    b = run_simulate_match(_match_cfg(threads=4))
+    a = run_simulate_match(**_match_cfg(threads=1))
+    b = run_simulate_match(**_match_cfg(threads=4))
     assert a == b
 
 
 def test_simulate_match_low_rate_mostly_correct():
-    (p,) = run_simulate_match(_match_cfg(n_values=(24,), trials=60))
+    (p,) = run_simulate_match(**_match_cfg(n=(24,), trials=60))
     assert p.mode == "materialized"
     assert p.mismatch_rate <= 0.05
 
 
 def test_simulate_match_needs_alpha():
-    with pytest.raises(ConfigError):
-        run_simulate_match(_match_cfg(alpha=None, batch_sizes=(4,)))
+    keys = _pipe_cfg(B=(4,))
+    with pytest.raises(TypeError, match="unexpected keyword argument 'B'"):
+        run_simulate_match(**keys)
+    del keys["B"]
+    with pytest.raises(TypeError, match="missing 1 required keyword-only argument: 'alpha'"):
+        run_simulate_match(**keys)
 
 
 def test_simulate_match_guard_refusal():
     cfg = _match_cfg(dist=Distribution((0.7, 0.2, 0.1)), rate=None, m=2 ** 18,
-                     n_values=(64,))
+                     n=(64,))
     with pytest.raises(ConfigError, match="guard"):
-        run_simulate_match(cfg)
+        run_simulate_match(**cfg)
 
 
 def test_virtual_mode_engages_beyond_guard():
-    cfg = _match_cfg(rate=None, m=2 ** 18, n_values=(64,), trials=5)
+    cfg = _match_cfg(rate=None, m=2 ** 18, n=(64,), trials=5)
     assert 2 ** 18 * 64 > CELL_GUARD
-    (p,) = run_simulate_match(cfg)
+    (p,) = run_simulate_match(**cfg)
     assert p.mode == "virtual"
     assert p.evaluated == 5 * harness.EVAL_ROWS
 
@@ -247,7 +259,7 @@ def test_virtual_trial_detects_and_deletes_like_materialized(m, n, delta, alpha,
 
 def test_simulate_match_csv(tmp_path):
     out = tmp_path / "match.csv"
-    run_simulate_match(_match_cfg(out=str(out)))
+    run_simulate_match(**_match_cfg(out=str(out)))
     lines = out.read_text().splitlines()
     assert lines[0] == "n,R,delta,alpha,trials,mismatch_rate,CI"
     assert len(lines) == 2
@@ -258,14 +270,15 @@ def test_simulate_match_csv(tmp_path):
 
 # -- simulate-detect ---------------------------------------------------------------
 
-def _detect_cfg(n_values, batch_sizes, delta, epsilon, trials, master_seed, **over):
-    return ExperimentConfig(BERN, n_values, delta, trials, master_seed,
-                            batch_sizes=batch_sizes, epsilon=epsilon, **over)
+def _detect_cfg(n, B, delta, epsilon, trials, seed, **over):
+    """simulate-detect's keys over bern(0.5) batches."""
+    return dict(dist=BERN, n=n, delta=delta, trials=trials, B=B, epsilon=epsilon,
+                seed=seed, **over)
 
 
 def test_simulate_detect_deterministic_and_bounded():
-    pts1 = run_simulate_detect(_detect_cfg((16,), (8, 16), 0.5, 0.05, 50, 3, threads=1))
-    pts4 = run_simulate_detect(_detect_cfg((16,), (8, 16), 0.5, 0.05, 50, 3, threads=4))
+    pts1 = run_simulate_detect(**_detect_cfg((16,), (8, 16), 0.5, 0.05, 50, 3, threads=1))
+    pts4 = run_simulate_detect(**_detect_cfg((16,), (8, 16), 0.5, 0.05, 50, 3, threads=4))
     assert pts1 == pts4
     for p in pts1:
         assert 0.0 <= p.empirical_alpha <= 1.0
@@ -289,16 +302,16 @@ def test_sweep_runs_every_point_on_one_pool(monkeypatch):
     # 3 workers at 4 CPUs: this process and one set of 2 forks per sweep
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     forks = _count_forks(monkeypatch)
-    detect = run_simulate_detect(_detect_cfg((16, 24), (4, 8), 0.5, 0.05, 10, 3, threads=3))
+    detect = run_simulate_detect(**_detect_cfg((16, 24), (4, 8), 0.5, 0.05, 10, 3, threads=3))
     assert len(forks) == 2
     # one materialized and one closed-form point in the same pool
-    mixed = _match_cfg(n_values=(8, 120), trials=4)
-    match = run_simulate_match(dataclasses.replace(mixed, threads=3))
+    mixed = _match_cfg(n=(8, 120), trials=4)
+    match = run_simulate_match(**mixed, threads=3)
     assert len(forks) == 4
     monkeypatch.undo()
     assert [p.mode for p in match] == ["materialized", "virtual"]
-    assert match == run_simulate_match(mixed)
-    assert detect == run_simulate_detect(_detect_cfg((16, 24), (4, 8), 0.5, 0.05, 10, 3))
+    assert match == run_simulate_match(**mixed)
+    assert detect == run_simulate_detect(**_detect_cfg((16, 24), (4, 8), 0.5, 0.05, 10, 3))
 
 
 @pytest.mark.parametrize("command", [
@@ -338,7 +351,7 @@ def test_detection_chunk_peak_allocation_within_budget(monkeypatch, n, b):
         chunks.append(args[-1])
         return 0, 1
     monkeypatch.setattr(harness, "detection_trials", record)
-    run_simulate_detect(_detect_cfg((n,), (b,), 0.3, 0.05, 100, 5))
+    run_simulate_detect(**_detect_cfg((n,), (b,), 0.3, 0.05, 100, 5))
     seeds = max(chunks, key=len)
     cols = min(2 ** 15 // (b * n), 100) * n
     budget = cols * b + b * n * 8 + 4 * cols * 8 + 4 * 36 * cols + 64 * 1024
@@ -354,12 +367,12 @@ def test_detection_chunk_peak_allocation_within_budget(monkeypatch, n, b):
 
 def test_simulate_detect_requires_deletions():
     with pytest.raises(RuntimeError):
-        run_simulate_detect(_detect_cfg((8,), (4,), 0.0, 0.05, 5, 3))
+        run_simulate_detect(**_detect_cfg((8,), (4,), 0.0, 0.05, 5, 3))
 
 
 def test_simulate_detect_csv(tmp_path):
     out = tmp_path / "detect.csv"
-    run_simulate_detect(_detect_cfg((16,), (8,), 0.5, 0.05, 20, 3, out=str(out)))
+    run_simulate_detect(**_detect_cfg((16,), (8,), 0.5, 0.05, 20, 3, out=str(out)))
     lines = out.read_text().splitlines()
     assert lines[0] == "n,B,empirical_alpha,CI,theorem2_bound"
 
@@ -367,9 +380,8 @@ def test_simulate_detect_csv(tmp_path):
 # -- pipeline -----------------------------------------------------------------------
 
 def test_pipeline_reduces_to_simulate_match_at_b0():
-    match_pts = run_simulate_match(_match_cfg(alpha=0.0, delta=0.3, trials=40))
-    pipe_pts = run_pipeline(_match_cfg(alpha=None, batch_sizes=(0,), delta=0.3,
-                                       trials=40))
+    match_pts = run_simulate_match(**_match_cfg(alpha=0.0, delta=0.3, trials=40))
+    pipe_pts = run_pipeline(**_pipe_cfg(B=(0,), delta=0.3, trials=40))
     (mp,), (pp,) = match_pts, pipe_pts
     assert (mp.mismatches, mp.evaluated) == (pp.mismatches, pp.evaluated)
     assert mp.mismatch_rate == pp.mismatch_rate
@@ -377,19 +389,17 @@ def test_pipeline_reduces_to_simulate_match_at_b0():
 
 
 def test_pipeline_detects_and_matches():
-    cfg = _match_cfg(alpha=None, batch_sizes=(8,), delta=0.3, n_values=(20,),
-                     rate=None, m=24, trials=30)
-    (p,) = run_pipeline(cfg)
+    cfg = _pipe_cfg(B=(8,), delta=0.3, n=(20,), rate=None, m=24, trials=30)
+    (p,) = run_pipeline(**cfg)
     assert p.evaluated == 30 * (24 - 8)
     assert 0.0 <= p.detected_fraction <= 1.0
     assert p.deleted_cols > 0
 
 
 def test_pipeline_more_seeds_help():
-    common = dict(alpha=None, delta=0.3, n_values=(24,), rate=None, m=32,
-                  trials=40, master_seed=5)
-    lo = run_pipeline(_match_cfg(batch_sizes=(0,), **common))[0]
-    hi = run_pipeline(_match_cfg(batch_sizes=(16,), **common))[0]
+    common = dict(delta=0.3, n=(24,), rate=None, m=32, trials=40, seed=5)
+    lo = run_pipeline(**_pipe_cfg(B=(0,), **common))[0]
+    hi = run_pipeline(**_pipe_cfg(B=(16,), **common))[0]
     assert hi.detected_fraction >= lo.detected_fraction
     assert hi.mismatch_rate <= lo.mismatch_rate + 0.02
 
@@ -397,8 +407,8 @@ def test_pipeline_more_seeds_help():
 @pytest.mark.parametrize("run, cfg, deletions", [
     (run_simulate_detect, _detect_cfg((16,), (8,), 0.5, 0.05, 5, 3),
      lambda seed: detector.trial_deletions(seed, 16, 0.5)),
-    (run_pipeline, _match_cfg(alpha=None, batch_sizes=(4,), n_values=(16,), delta=0.5,
-                              rate=None, m=32, trials=5, master_seed=3),
+    (run_pipeline, _pipe_cfg(B=(4,), n=(16,), delta=0.5, rate=None, m=32, trials=5,
+                             seed=3),
      lambda seed: _channel_pattern(16, 0.5, 0.0,
                                    derive_seed(seed, harness.STREAM_CHANNEL))[0]),
 ], ids=["simulate-detect", "pipeline"])
@@ -415,7 +425,7 @@ def test_seeded_sweeps_reject_false_deleted_verdict(monkeypatch, run, cfg, delet
     seeds = [derive_seed(3, 0, t) for t in range(5)]
     first = next(s for s in seeds if not deletions(s).all())
     with pytest.raises(RuntimeError, match=f"as deleted \\(trial seed {first}\\)"):
-        run(cfg)
+        run(**cfg)
 
 
 def test_match_trial_detects_like_detect_f_at_the_pipeline_shape():
@@ -435,14 +445,14 @@ def test_match_trial_detects_like_detect_f_at_the_pipeline_shape():
 
 
 def test_pipeline_batch_guard():
-    cfg = _match_cfg(alpha=None, batch_sizes=(9,), rate=0.2)  # m = 9 at n = 16
+    cfg = _pipe_cfg(B=(9,), rate=0.2)  # m = 9 at n = 16
     with pytest.raises(ConfigError, match="batch"):
-        run_pipeline(cfg)
+        run_pipeline(**cfg)
 
 
 def test_simulate_match_single_row_trivial():
     # R = 0 gives m = 1; with a uniform alphabet the lone row always matches
-    (p,) = run_simulate_match(_match_cfg(rate=0.0, trials=20))
+    (p,) = run_simulate_match(**_match_cfg(rate=0.0, trials=20))
     assert p.evaluated == 20
     assert p.mismatch_rate == 0.0
 
@@ -452,8 +462,8 @@ def test_simulate_detect_double_log_batch_trend():
     estimates = []
     for n in (16, 64, 256):
         b = 2 * int(math.log2(n))
-        (p,) = run_simulate_detect(_detect_cfg((n,), (b,), 0.5, 0.05, 150, 77,
-                                               threads=4))
+        (p,) = run_simulate_detect(**_detect_cfg((n,), (b,), 0.5, 0.05, 150, 77,
+                                                 threads=4))
         estimates.append(p.empirical_alpha)
     assert estimates[0] <= estimates[1] <= estimates[2]
     assert estimates[2] >= 0.99
@@ -461,8 +471,8 @@ def test_simulate_detect_double_log_batch_trend():
 
 def test_simulate_match_overload_rate_tends_to_one():
     # above-entropy growth rate: collisions dominate and worsen with n
-    cfg = _match_cfg(rate=1.2, n_values=(16, 24, 32), trials=100)
-    pts = run_simulate_match(cfg)
+    cfg = _match_cfg(rate=1.2, n=(16, 24, 32), trials=100)
+    pts = run_simulate_match(**cfg)
     assert all(p.mode == "virtual" for p in pts)
     rates = [p.mismatch_rate for p in pts]
     assert rates[0] <= rates[1] <= rates[2]
@@ -471,9 +481,8 @@ def test_simulate_match_overload_rate_tends_to_one():
 
 def test_pipeline_mismatch_nonincreasing_in_seeds():
     # m = 9 at (n = 32, R = 0.1), so seed batches up to B = 8 are possible
-    common = dict(alpha=None, delta=0.3, n_values=(32,), rate=0.1, trials=200,
-                  master_seed=31, threads=4)
-    rates = [run_pipeline(_match_cfg(batch_sizes=(b,), **common))[0].mismatch_rate
+    common = dict(delta=0.3, n=(32,), rate=0.1, trials=200, seed=31, threads=4)
+    rates = [run_pipeline(**_pipe_cfg(B=(b,), **common))[0].mismatch_rate
              for b in (0, 2, 4, 8)]
     assert all(later <= earlier + 0.05 for earlier, later in zip(rates, rates[1:]))
     assert rates[-1] < rates[0]
@@ -482,7 +491,7 @@ def test_pipeline_mismatch_nonincreasing_in_seeds():
 # -- oracle check ---------------------------------------------------------------------
 
 def test_oracle_check_passes():
-    report = run_oracle_check(master_seed=1, cases=120)
+    report = run_oracle_check(seed=1, cases=120)
     assert report.passed
     assert len(report.suites) == 5
 
@@ -614,6 +623,14 @@ def _no_sweep(*args):
     raise AssertionError("trials ran")
 
 
+def _stub(monkeypatch, command, result):
+    """Make command's runner a stub that returns result(); it keeps the
+    runner's signature, from which the CLI reads the command's keys."""
+    runner, *rest = cli.COMMANDS[command]
+    monkeypatch.setitem(cli.COMMANDS, command,
+                        (functools.wraps(runner)(lambda **keys: result()), *rest))
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
 @pytest.mark.parametrize("command", [
     ["simulate-match", "--n", "8", "--m", "16", "--delta", "0.2", "--alpha", "1"],
@@ -708,15 +725,15 @@ class _FullDisk:
 
 def test_emit_failed_write_leaves_previous_output(tmp_path, monkeypatch):
     out = tmp_path / "detect.csv"
-    run_simulate_detect(_detect_cfg((16,), (8,), 0.5, 0.05, 5, 3, out=str(out)))
+    run_simulate_detect(**_detect_cfg((16,), (8,), 0.5, 0.05, 5, 3, out=str(out)))
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     monkeypatch.setattr(harness, "open", _FullDisk, raising=False)
     with pytest.raises(OSError):
-        run_simulate_detect(_detect_cfg((16,), (8,), 0.5, 0.05, 5, 4, out=str(out)))
+        run_simulate_detect(**_detect_cfg((16,), (8,), 0.5, 0.05, 5, 4, out=str(out)))
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     with pytest.raises(OSError):
-        run_simulate_detect(_detect_cfg((16,), (8,), 0.5, 0.05, 5, 4,
-                                        out=str(tmp_path / "new.csv")))
+        run_simulate_detect(**_detect_cfg((16,), (8,), 0.5, 0.05, 5, 4,
+                                          out=str(tmp_path / "new.csv")))
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
@@ -795,10 +812,9 @@ def test_cli_detect_refuses_batch_cells_beyond_the_guard(capsys, monkeypatch):
     assert captured.err == (f"error: B*n = 800000000 exceeds the work guard "
                             f"{CELL_GUARD}; reduce B to <= {CELL_GUARD // 8} at n = 8\n")
     # B*n at the guard itself is planned
-    cfg = ExperimentConfig(dist=Distribution.bernoulli(0.5), n_values=(8,), delta=0.5,
-                           trials=1, master_seed=0, batch_sizes=(CELL_GUARD // 8,))
     with pytest.raises(AssertionError, match="trials ran"):
-        run_simulate_detect(cfg)
+        run_simulate_detect(dist=Distribution.bernoulli(0.5), n=(8,), delta=0.5, trials=1,
+                            seed=0, B=(CELL_GUARD // 8,))
 
 
 @pytest.mark.parametrize("args, message", [
@@ -824,12 +840,11 @@ def test_cli_refuses_work_beyond_the_guard(capsys, monkeypatch, args, message):
 def test_work_guard_admits_its_own_size(monkeypatch):
     monkeypatch.setattr(harness, "_sweep", _no_sweep)
     side = math.isqrt(CELL_GUARD)
-    for cfg in (_match_cfg(dist=Distribution.uniform(2), rate=0.2, n_values=(side,)),
-                _match_cfg(rate=None, m=CELL_GUARD // 64, n_values=(64,)),
-                _match_cfg(rate=None, m=CELL_GUARD // 64, n_values=(64,), alpha=None,
-                           batch_sizes=(4,))):
+    for cfg in (_match_cfg(dist=Distribution.uniform(2), rate=0.2, n=(side,)),
+                _match_cfg(rate=None, m=CELL_GUARD // 64, n=(64,)),
+                _pipe_cfg(rate=None, m=CELL_GUARD // 64, n=(64,), B=(4,))):
         with pytest.raises(AssertionError, match="trials ran"):
-            (run_simulate_match if cfg.alpha is not None else run_pipeline)(cfg)
+            (run_simulate_match if "alpha" in cfg else run_pipeline)(**cfg)
 
 
 def test_cli_has_no_guard_override(capsys):
@@ -838,7 +853,7 @@ def test_cli_has_no_guard_override(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --override-guards" in captured.err
-    for command in cli.SWEEPS:
+    for command in SWEEPS:
         cli.main([command, "--help"])
         assert "override" not in capsys.readouterr().out
 
@@ -952,9 +967,9 @@ def test_failing_parent_kills_and_reaps_its_workers(capfd, monkeypatch):
 
 def test_sweep_without_fork_runs_serially(monkeypatch):
     cfg = _detect_cfg((16,), (4, 8), 0.5, 0.05, 10, 3)
-    serial = run_simulate_detect(cfg)
+    serial = run_simulate_detect(**cfg)
     monkeypatch.delattr(os, "fork")
-    assert run_simulate_detect(dataclasses.replace(cfg, threads=4)) == serial
+    assert run_simulate_detect(**{**cfg, "threads": 4}) == serial
 
 
 @pytest.mark.parametrize("args", [
@@ -964,7 +979,7 @@ def test_sweep_without_fork_runs_serially(monkeypatch):
 ], ids=lambda args: args[0])
 def test_cli_sweep_exit_0_prints_its_csv_header(capsys, args):
     assert cli.main(args + ["--delta", "0.5", "--trials", "3"]) == 0
-    _, to_csv, _ = cli.SWEEPS[args[0]]
+    _, to_csv, *_ = cli.COMMANDS[args[0]]
     captured = capsys.readouterr()
     assert captured.out.startswith(to_csv([])) and captured.err == ""
 
@@ -1032,7 +1047,7 @@ def _sweep_argv(draw):
     About one draw in two is clean, with _CLEAN's values; the others have
     at most two of their flags corrupted (a bad value, or left out) or
     config file lines added."""
-    command = draw(st.sampled_from(sorted(cli.SWEEPS)))
+    command = draw(st.sampled_from(SWEEPS))
     keys = [key for key in cli.READS[command] if key not in ("rate", "m")]
     if "rate" in cli.READS[command]:  # one of the two sets the row count
         keys.append(draw(st.sampled_from(["rate", "m"])))
@@ -1077,7 +1092,7 @@ def test_cli_sweeps_refuse_or_plan_work_within_the_guard(tmp_path, monkeypatch, 
     if planned:
         (cells,) = planned
         assert cells and max(cells) <= CELL_GUARD, argv
-        _, to_csv, _ = cli.SWEEPS[argv[0]]
+        _, to_csv, *_ = cli.COMMANDS[argv[0]]
         assert code == 0 and out.getvalue().startswith(to_csv([])), argv
         assert err.getvalue() == "", argv
         return
@@ -1142,8 +1157,8 @@ def test_detect_slack_default_same_in_cli_and_library(tmp_path):
     cli_out, lib_out = tmp_path / "cli.csv", tmp_path / "lib.csv"
     assert cli.main(["simulate-detect", "--n", "16", "--B", "4", "--delta", "0.3",
                      "--trials", "5", "--seed", "1", "--out", str(cli_out)]) == 0
-    (p,) = run_simulate_detect(ExperimentConfig(BERN, (16,), 0.3, 5, 1,
-                                                batch_sizes=(4,), out=str(lib_out)))
+    (p,) = run_simulate_detect(dist=BERN, n=(16,), delta=0.3, trials=5, seed=1, B=(4,),
+                               out=str(lib_out))
     assert p.epsilon == 0.05
     assert cli_out.read_bytes() == lib_out.read_bytes()
     for out in (cli_out, lib_out):
@@ -1195,7 +1210,7 @@ def test_cli_config_key_spellings(tmp_path):
 def test_cli_refuses_unread_config_keys(tmp_path, capsys, monkeypatch, command, line):
     monkeypatch.setattr(harness, "_sweep", _no_sweep)
     monkeypatch.setattr(harness, "check_counting", _no_sweep)
-    monkeypatch.setattr(cli, "run_rates", _no_sweep)
+    _stub(monkeypatch, "rates", _no_sweep)
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"{line}\n")
     assert cli.main(command + ["--config", str(cfgfile)]) == 2
@@ -1318,10 +1333,9 @@ def test_cli_flags_are_exactly_the_config_keys_each_command_reads(monkeypatch, c
     # A flag nothing reads would be accepted and ignored, where the same key
     # as a config line is refused.  The runners are stubs: no trial runs.
     monkeypatch.setattr(harness, "_sweep", _no_sweep)
-    monkeypatch.setattr(cli, "SWEEPS", {command: (lambda cfg: [], to_csv, line)
-                                        for command, (_, to_csv, line) in cli.SWEEPS.items()})
-    monkeypatch.setattr(cli, "run_rates", lambda *args: [])
-    monkeypatch.setattr(cli, "run_oracle_check", lambda *args: harness.OracleReport([], []))
+    for command in cli.COMMANDS:
+        _stub(monkeypatch, command, list)
+    _stub(monkeypatch, "oracle-check", lambda: harness.OracleReport([], []))
     parser = cli.build_parser()
     (commands,) = [action.choices for action in parser._actions
                    if isinstance(action, argparse._SubParsersAction)]
@@ -1329,7 +1343,7 @@ def test_cli_flags_are_exactly_the_config_keys_each_command_reads(monkeypatch, c
     for command, sub in commands.items():
         cfgmap = _ReadKeys()
         args = parser.parse_args([command])
-        assert args.func(args, cfgmap) == 0, command
+        assert cli._run(args, cfgmap) == 0, command
         flags = {action.dest for action in sub._actions} - {"help", "config"}
         assert sorted(flags) == sorted(cfgmap.read), command
         every |= cfgmap.read
@@ -1342,7 +1356,7 @@ def test_cli_flags_are_exactly_the_config_keys_each_command_reads(monkeypatch, c
     ["oracle-check", "--trials", "5"], ["oracle-check", "--threads", "2"],
 ], ids=" ".join)
 def test_cli_refuses_a_flag_its_command_does_not_read(capsys, monkeypatch, argv):
-    monkeypatch.setattr(cli, "run_rates", _no_sweep)
+    _stub(monkeypatch, "rates", _no_sweep)
     monkeypatch.setattr(harness, "check_counting", _no_sweep)
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
@@ -1357,29 +1371,29 @@ def test_cli_refuses_a_flag_its_command_does_not_read(capsys, monkeypatch, argv)
     (run_simulate_match, "detect_epsilon", 0.1),  # no detector
 ], ids=lambda value: getattr(value, "__name__", str(value)))
 def test_library_runner_refuses_a_field_it_does_not_read(monkeypatch, runner, field, value):
-    # An ignored field would be echoed to a manifest that does not replay.
+    # An ignored key would be echoed to a manifest that does not replay.
     monkeypatch.setattr(harness, "_sweep", _no_sweep)
-    cfg = (_detect_cfg((16,), (4,), 0.3, None, 5, 1) if runner is run_simulate_detect
+    cfg = (_detect_cfg((16,), (4,), 0.3, 0.05, 5, 1) if runner is run_simulate_detect
            else _match_cfg())
-    with pytest.raises(ConfigError, match=f"does not read {field}$"):
-        runner(dataclasses.replace(cfg, **{field: value}))
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'$"):
+        runner(**cfg, **{field: value})
 
 
 @pytest.mark.parametrize("command, cfg", [
     ("simulate-match", _match_cfg(trials=6, alpha=0.5, epsilon=0.3)),
     ("simulate-detect", _detect_cfg((16, 32), (8,), 0.5, 0.1, 6, 11)),
-    ("pipeline", _match_cfg(rate=None, m=40, delta=0.3, alpha=None, batch_sizes=(0, 4),
-                            detect_epsilon=0.2, trials=6)),
+    ("pipeline", _pipe_cfg(rate=None, m=40, delta=0.3, B=(0, 4), detect_epsilon=0.2,
+                           trials=6)),
 ], ids=lambda value: value if isinstance(value, str) else "cfg")
 def test_library_manifest_replays_through_the_cli(tmp_path, command, cfg):
-    runner, _, _ = cli.SWEEPS[command]
+    runner = cli.COMMANDS[command][0]
     first, again = tmp_path / "lib.csv", tmp_path / "cli.csv"
-    runner(dataclasses.replace(cfg, out=str(first)))
+    runner(**cfg, out=str(first))
     manifest = (tmp_path / "lib.csv.manifest.txt").read_text().splitlines()
     cfgfile = tmp_path / "replay.cfg"
     cfgfile.write_text("".join(line[len("config."):] + "\n" for line in manifest
                                if line.startswith("config.")))
-    assert cli.main([command, "--config", str(cfgfile), "--seed", str(cfg.master_seed),
+    assert cli.main([command, "--config", str(cfgfile), "--seed", str(cfg["seed"]),
                      "--out", str(again)]) == 0
     assert again.read_bytes() == first.read_bytes()
 

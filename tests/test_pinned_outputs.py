@@ -58,7 +58,7 @@ CORPUS = {
     "oracle-check": ("oracle-check --cases 200 --seed 3",
                      "e905326fdb81ff2b1043827e58a3d87cfe9ca4aee7d3bccd695e1d24a73db2d8"),
 }
-SWEEPS = {name for name, (argv, _) in CORPUS.items() if argv.split()[0] in cli.SWEEPS}
+SWEEPS = {name for name, (argv, _) in CORPUS.items() if "trials" in cli.READS[argv.split()[0]]}
 
 
 def _stdout_sha256(argv: str) -> str:

@@ -1,6 +1,7 @@
 """Rules over the package source as a whole."""
 
 import ast
+import inspect
 import json
 import os
 import re
@@ -97,6 +98,54 @@ def test_cli_import_loads_no_process_pool():
     assert json.loads(proc.stdout) == []
 
 
+def test_sweep_forks_after_numpy_random_is_loaded():
+    # a sweep of several workers loads numpy.random before it forks, so its
+    # children inherit the module instead of each importing it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    code = ("import json, os, sys\n"
+            "from delmatch import cli\n"
+            "os.cpu_count = lambda: 2\n"
+            "loaded, fork = [], os.fork\n"
+            "def recording_fork():\n"
+            "    loaded.append('numpy.random' in sys.modules)\n"
+            "    return fork()\n"
+            "os.fork = recording_fork\n"
+            "code = cli.main('pipeline --n 16 --m 64 --B 0,2 --delta 0.3 --trials 4 "
+            "--threads 2'.split())\n"
+            "print(json.dumps([code, loaded]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, [True]]
+
+
+def test_runner_parameters_are_keys_with_the_defaults_their_help_states():
+    # A runner's parameters are its command's keys, keyword-only.  A key's
+    # help states a default as "(default X)", or one command's own as
+    # "(command default X)": X, converted as the flag is, is the key's
+    # default in each runner that reads it.  A None default is stated as the
+    # rule that stands in for it, which does not convert.
+    from delmatch import cli
+    for command, (runner, *_) in cli.COMMANDS.items():
+        for key, param in inspect.signature(runner).parameters.items():
+            assert param.kind is param.KEYWORD_ONLY and key in cli.KEYS, (command, key)
+            convert, text = cli.KEYS[key]
+            stated = dict(re.findall(r"\((?:([\w-]+) )?default (.+?)\)(?:,|$)", text))
+            assert set(stated) - {""} <= {c for c, keys in cli.READS.items() if key in keys}
+            own = stated.get(command, stated.get(""))
+            if param.default is None:
+                try:
+                    convert(own)
+                except (TypeError, ValueError):  # None, or a rule
+                    continue
+                raise AssertionError(f"{command} {key}: help states {own}, default None")
+            if param.default is not param.empty:
+                assert own is not None, (command, key)
+                assert convert(own) == param.default, (command, key, own)
+
+
 def _names_from_delmatch(source: str, filename: str) -> set:
     """Every name imported by `from delmatch import ...` in source."""
     return {alias.name for node in ast.walk(ast.parse(source, filename))
@@ -147,7 +196,7 @@ def test_readme_synopsis_names_each_commands_own_flags():
         named.setdefault(command, set()).update(re.findall(r"--([\w-]+)", line))
     trio = {"trials", "seed", "threads"}
     assert named == {command: {key.replace("_", "-") for key in keys
-                               if command not in cli.SWEEPS or key not in trio}
+                               if "trials" not in keys or key not in trio}
                      for command, keys in cli.READS.items()}
 
 

@@ -14,8 +14,7 @@ Equivalent CLI:  delmatch simulate-match --dist bern:0.5 --n 32 --rate 0.15 \
 
 import numpy as np
 
-from delmatch import (Distribution, MatcherConfig,
-                      sample_database, apply_deletion_channel, match_counts,
+from delmatch import (Distribution, sample_database, apply_deletion_channel, match_counts,
                       count_mismatches, default_epsilon, run_simulate_match)
 
 dist = Distribution.bernoulli(0.5)
@@ -27,9 +26,8 @@ exp = apply_deletion_channel(c1, delta, alpha, rng_seed=8)
 print(f"m = {m} rows, n = {n} columns; {n - exp.retained_count} deleted, "
       f"{exp.detection.detected_count} of those detected")
 
-cfg = MatcherConfig(epsilon=default_epsilon(dist))
 counts, rows = match_counts(exp.c1, exp.c2.symbols, exp.detection.detected_indices,
-                            cfg, dist)
+                            default_epsilon(dist), dist)
 # counts[j] typical rows contain observed row j; rows[j] is the unique one, or -1
 no_candidate, matched, collision = np.bincount(np.minimum(counts, 2), minlength=3)
 print(f"outcome counts: {matched} matched, {collision} collision, "

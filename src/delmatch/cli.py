@@ -13,7 +13,7 @@ import inspect
 import os
 import sys
 
-from .harness import (ConfigError, parse_config_file, parse_distribution, parse_float_grid,
+from .harness import (parse_config_file, parse_distribution, parse_float_grid,
                       parse_int_list, run_rates, run_simulate_match, run_simulate_detect,
                       run_pipeline, run_oracle_check, rates_csv, match_csv, detect_csv,
                       pipeline_csv)
@@ -22,12 +22,12 @@ from .harness import (ConfigError, parse_config_file, parse_distribution, parse_
 def _out_path(path: str) -> str:
     """--out, refused before any trial runs if it cannot be a file."""
     if not path:
-        raise ConfigError("empty path")
+        raise ValueError("empty path")
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
-        raise ConfigError(f"output directory {directory} does not exist")
+        raise ValueError(f"output directory {directory} does not exist")
     if os.path.isdir(path):
-        raise ConfigError(f"output path {path} is a directory")
+        raise ValueError(f"output path {path} is a directory")
     return path
 
 
@@ -97,13 +97,13 @@ def _read(args, cfgmap) -> dict:
         if getattr(args, key) is not None:
             text = getattr(args, key)
         if text is None and param.default is param.empty:
-            raise ConfigError(f"missing required option {_flag(key)}")
+            raise ValueError(f"missing required option {_flag(key)}")
         try:
             values[key] = param.default if text is None else KEYS[key][0](text)
-        except ValueError as exc:  # ConfigError included
-            raise ConfigError(f"{_flag(key)}: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{_flag(key)}: {exc}") from exc
     if cfgmap:
-        raise ConfigError(f"unknown config key(s) for {args.command}: "
+        raise ValueError(f"unknown config key(s) for {args.command}: "
                           + ", ".join(sorted(cfgmap)))
     return values
 
@@ -174,7 +174,7 @@ def main(argv=None) -> int:
     try:
         cfgmap = parse_config_file(args.config) if args.config else {}
         return _run(args, cfgmap)
-    except (ValueError, OSError) as exc:  # ConfigError included
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -30,10 +30,10 @@ from .model import (Distribution, derive_seed, _rng, sample_database,
                     apply_deletion_channel, extract_seed_batch, check_range,
                     _channel_pattern)
 from . import model
-from .infotheory import (entropy, RateParams, achievable_rate,
+from .infotheory import (entropy, achievable_rate, regime_ok,
                          supersequence_count_exact, supersequence_count_bound,
                          detection_probability_bound)
-from .matcher import (MatcherConfig, default_epsilon, match_counts, count_mismatches,
+from .matcher import (default_epsilon, match_counts, count_mismatches,
                       _containment_counts)
 from .detector import (Verdict, detect_f, detect_g, detection_trials,
                        count_embeddings, brute_force_embeddings, posterior_deletions,
@@ -65,10 +65,6 @@ _MATCH_STREAMS = ((STREAM_DATABASE, "database"), (STREAM_CHANNEL, "channel"),
 _DETECT_STREAMS = ((_TRIAL_STREAM_BATCH, "batch"), (_TRIAL_STREAM_DELETION, "deletion"))
 
 
-class ConfigError(ValueError):
-    """Bad or infeasible configuration; maps to CLI exit code 2."""
-
-
 # ---------------------------------------------------------------------------
 # Configuration
 
@@ -83,7 +79,7 @@ def parse_distribution(spec: str) -> Distribution:
             return Distribution.uniform(int(spec[8:]))
         return Distribution(tuple(float(x) for x in spec.split(",")))
     except ValueError as exc:
-        raise ConfigError(f"bad distribution spec {spec!r}: {exc}") from exc
+        raise ValueError(f"bad distribution spec {spec!r}: {exc}") from exc
 
 
 def parse_float_grid(spec: str) -> tuple:
@@ -92,10 +88,10 @@ def parse_float_grid(spec: str) -> tuple:
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"bad grid spec {spec!r}")
+            raise ValueError(f"bad grid spec {spec!r}")
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1:
-            raise ConfigError(f"grid {spec!r} needs a count >= 1")
+            raise ValueError(f"grid {spec!r} needs a count >= 1")
         return tuple(float(x) for x in np.linspace(start, stop, count))
     return tuple(float(x) for x in spec.split(","))
 
@@ -122,7 +118,7 @@ def parse_config_file(path: str) -> dict:
                        else f"{key} given again (first on line {lines[key]})" if key in out
                        else None)
             if problem:
-                raise ConfigError(f"{path}:{lineno}: {problem}")
+                raise ValueError(f"{path}:{lineno}: {problem}")
             out[key], lines[key] = value, lineno
     return out
 
@@ -133,25 +129,25 @@ def _check_sweep(*, n, delta, trials, seed, threads, rate=None, m=None, alpha=No
     trial, in the order that picks the one error reported when several
     values are bad.  At most one of rate/m fixes the row count."""
     if rate is not None and m is not None:
-        raise ConfigError("at most one of rate/m may be given")
+        raise ValueError("at most one of rate/m may be given")
     if not n or any(cols < 1 for cols in n):
-        raise ConfigError("n values must be positive")
-    check_range("delta", delta, hi=1.0, error=ConfigError)
+        raise ValueError("n values must be positive")
+    check_range("delta", delta, hi=1.0)
     if alpha is not None:
-        check_range("alpha", alpha, hi=1.0, closed=True, error=ConfigError)
+        check_range("alpha", alpha, hi=1.0, closed=True)
     if B is not None and min(B, default=-1) < 0:
-        raise ConfigError("batch sizes must be a non-empty list of values >= 0")
+        raise ValueError("batch sizes must be a non-empty list of values >= 0")
     if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    check_range("seed", seed, hi=2 ** 64, error=ConfigError)
+        raise ValueError("trials must be >= 1")
+    check_range("seed", seed, hi=2 ** 64)
     if threads < 1:
-        raise ConfigError("threads must be >= 1")
+        raise ValueError("threads must be >= 1")
     if m is not None and not 1 <= m <= 2 ** 512:
-        raise ConfigError("m must be >= 1 and <= 2^512")
+        raise ValueError("m must be >= 1 and <= 2^512")
     for name, value in (("rate", rate), ("epsilon", epsilon),
                         ("detect_epsilon", detect_epsilon)):
         if value is not None:
-            check_range(name, value, error=ConfigError)
+            check_range(name, value)
 
 
 def resolve_m(n: int, rate, m) -> int:
@@ -160,9 +156,9 @@ def resolve_m(n: int, rate, m) -> int:
     if m is not None:
         return m
     if rate is None:
-        raise ConfigError("one of rate/m must be given")
+        raise ValueError("one of rate/m must be given")
     if n * rate > 512:
-        raise ConfigError(f"2^({n}*{rate}) is beyond any supported size")
+        raise ValueError(f"2^({n}*{rate}) is beyond any supported size")
     return max(1, round(2.0 ** (n * rate)))
 
 
@@ -194,8 +190,7 @@ def _match_trial(args):
             batch.d1, exp.deletion.flags.astype(bool), dist, detect_epsilon, [trial_seed]))
         scored = np.delete(scored, perm[batch.source_rows])
         observed = observed[scored]
-    _, rows = match_counts(exp.c1, observed, detected,
-                           MatcherConfig(epsilon=epsilon), dist)
+    _, rows = match_counts(exp.c1, observed, detected, epsilon, dist)
     return (count_mismatches(rows, perm, scored), scored.size, len(detected),
             n - exp.retained_count)
 
@@ -419,8 +414,7 @@ def run_rates(*, dist=Distribution.bernoulli(0.5), deltas=parse_float_grid("0:0.
     """Achievable-rate table over a (delta, alpha) grid."""
     keys = dict(locals())
     started = time.time()
-    points = [RatePoint(d, a, achievable_rate(RateParams(dist, d, a)),
-                        RateParams(dist, d, a).regime_ok)
+    points = [RatePoint(d, a, achievable_rate(dist, d, a), regime_ok(dist, d))
               for a in alphas for d in deltas]
     if out:
         _emit(out, "rates", rates_csv(points), _cfg_echo(keys), master_seed=None,
@@ -458,7 +452,7 @@ def _guarded_cells(name: str, size: int, n: int) -> int:
     cells = size * n
     if cells > CELL_GUARD:
         most = isqrt(CELL_GUARD) if name == "n" else CELL_GUARD // n
-        raise ConfigError(f"{name}*n = {cells} exceeds the work guard {CELL_GUARD}; "
+        raise ValueError(f"{name}*n = {cells} exceeds the work guard {CELL_GUARD}; "
                           f"reduce {name} to <= {most} at n = {n}")
     return cells
 
@@ -525,7 +519,7 @@ def run_simulate_detect(*, dist=Distribution.bernoulli(0.5), n, delta, trials=10
     keys = dict(locals())
     _check_sweep(**keys)
     if min(B, default=1) < 1:
-        raise ConfigError(f"batch size {min(B)} must be >= 1")
+        raise ValueError(f"batch size {min(B)} must be >= 1")
     h = entropy(dist)
     grid = [(cols, b) for cols in n for b in B]
     specs = [(partial(detection_trials, dist, cols, b, delta, epsilon),
@@ -566,7 +560,7 @@ def run_pipeline(*, dist=Distribution.bernoulli(0.5), n, delta, trials=100, rate
     for cols, b in grid:
         rows = resolve_m(cols, rate, m)
         if b >= rows:
-            raise ConfigError(f"batch size {b} must be < m = {rows}")
+            raise ValueError(f"batch size {b} must be < m = {rows}")
         specs.append((partial(_trial_by_trial, _match_trial,
                               (dist, cols, rows, delta, 0.0, b, epsilon, detect_epsilon)),
                       _guarded_cells("m", rows, cols)))
@@ -745,8 +739,8 @@ def run_oracle_check(*, seed=0, cases=400, out=None) -> OracleReport:
     """Run every brute-force equivalence suite; counterexamples are collected
     verbatim, and the report's text is written to out when given."""
     if cases < 1:
-        raise ConfigError(f"cases must be >= 1, got {cases}")
-    check_range("seed", seed, hi=2 ** 64, error=ConfigError)
+        raise ValueError(f"cases must be >= 1, got {cases}")
+    check_range("seed", seed, hi=2 ** 64)
     suites = [
         ("embedding counts vs enumeration", check_counting(cases, seed)),
         ("posteriors: fb = Bayes enumeration", check_posteriors(cases, seed)),

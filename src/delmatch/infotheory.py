@@ -7,7 +7,6 @@ pure function, safe for unrestricted concurrent use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil, comb, inf, log2
 
 import numpy as np
@@ -28,43 +27,31 @@ def binary_entropy(x: float) -> float:
     return -x * log2(x) - (1.0 - x) * log2(1.0 - x)
 
 
-@dataclass(frozen=True)
-class RateParams:
-    """Inputs to the achievable-rate formula."""
+def regime_ok(dist: Distribution, delta: float) -> bool:
+    """True when delta < 1 - 1/q, the regime the rate guarantee assumes.
 
-    dist: Distribution
-    delta: float
-    alpha: float
-
-    def __post_init__(self):
-        check_range("delta", self.delta, hi=1.0)
-        check_range("alpha", self.alpha, hi=1.0, closed=True)
-
-    @property
-    def regime_ok(self) -> bool:
-        """True when delta < 1 - 1/q, the regime the rate guarantee assumes.
-
-        The formula is still evaluated outside this regime (useful for full
-        curve sweeps); this flag marks where the guarantee actually applies.
-        """
-        return self.delta < 1.0 - 1.0 / self.dist.alphabet_size
+    The formula is still evaluated outside this regime (useful for full
+    curve sweeps); this flag marks where the guarantee actually applies.
+    """
+    return delta < 1.0 - 1.0 / dist.alphabet_size
 
 
-def achievable_rate(params: RateParams) -> float:
+def achievable_rate(dist: Distribution, delta: float, alpha: float) -> float:
     """Guaranteed-achievable database growth rate, bits per column.
 
     Positive part of
         (1 - a*d) * (H(X) - H_b((1-d)/(1-a*d))) - (1-a) * d * log2(q-1)
-    with d the deletion probability and a the detection probability.  At
-    a=1 this reduces exactly to (1-d) H(X); at a=0 to
-    H(X) - H_b(d) - d log2(q-1), each taken at their positive part.
+    with d = delta, the deletion probability in [0, 1), and a = alpha, the
+    detection probability in [0, 1].  At a=1 this reduces exactly to
+    (1-d) H(X); at a=0 to H(X) - H_b(d) - d log2(q-1), each taken at their
+    positive part.
     """
-    d, a = params.delta, params.alpha
-    h = entropy(params.dist)
-    q = params.dist.alphabet_size
+    check_range("delta", delta, hi=1.0)
+    check_range("alpha", alpha, hi=1.0, closed=True)
+    d, a = delta, alpha
     survivor = 1.0 - a * d
-    inner = survivor * (h - binary_entropy((1.0 - d) / survivor))
-    inner -= (1.0 - a) * d * log2(q - 1)
+    inner = survivor * (entropy(dist) - binary_entropy((1.0 - d) / survivor))
+    inner -= (1.0 - a) * d * log2(dist.alphabet_size - 1)
     return max(0.0, inner)
 
 

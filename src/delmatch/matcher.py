@@ -36,7 +36,7 @@ class MatchOutcome:
 
 @dataclass(frozen=True)
 class MatcherConfig:
-    """The matcher's typicality slack."""
+    """The matcher's typicality slack, as match_all takes it."""
 
     epsilon: float
 
@@ -183,7 +183,7 @@ def _containment_counts(rows: np.ndarray, ys: np.ndarray):
     return counts, first
 
 
-def match_counts(c1: Database, c2_rows, detected, cfg: MatcherConfig,
+def match_counts(c1: Database, c2_rows, detected, epsilon: float,
                  dist: Distribution):
     """The matcher's decisions for every observed row, as arrays.
 
@@ -205,7 +205,7 @@ def match_counts(c1: Database, c2_rows, detected, cfg: MatcherConfig,
 
     Observed symbols must fit uint8 and detected indices must be integers;
     any other value (a float, a boolean mask, 300) is a ValueError, never a
-    cast.
+    cast.  epsilon is the typicality slack, finite and >= 0.
     """
     c2_rows = _exact_cast(c2_rows, np.uint8, "observed symbols")
     if c2_rows.ndim == 1:  # one observed row; an empty list is no rows
@@ -217,7 +217,7 @@ def match_counts(c1: Database, c2_rows, detected, cfg: MatcherConfig,
         raise ValueError(f"observed rows have {observed_cols} symbols but only "
                          f"{width} undetected columns remain")
     restricted = c1.symbols[:, keep]
-    candidates = np.flatnonzero(typicality_mask(restricted, dist, cfg.epsilon, axis=1))
+    candidates = np.flatnonzero(typicality_mask(restricted, dist, epsilon, axis=1))
     if observed_cols == width:
         source_ids, ids = _column_ids(restricted[candidates].T, c2_rows.T)
         labels = source_ids.size + ids.size
@@ -235,14 +235,14 @@ def match_counts(c1: Database, c2_rows, detected, cfg: MatcherConfig,
 
 def match_all(c1: Database, c2_rows, detected, cfg: MatcherConfig,
               dist: Distribution):
-    """match_counts' decisions as one MatchOutcome per observed row; it
-    remains only as the benchmark's per-row adapter.
+    """match_counts' decisions as one MatchOutcome per observed row, at the
+    slack cfg.epsilon; it remains only as the benchmark's per-row adapter.
 
     Returns (outcomes, matched) where outcomes[j] is the MatchOutcome for
     observed row j and matched maps observed row index -> c1 row index for
     the MATCHED outcomes (not necessarily injective).
     """
-    counts, rows = match_counts(c1, c2_rows, detected, cfg, dist)
+    counts, rows = match_counts(c1, c2_rows, detected, cfg.epsilon, dist)
     unmatched = (MatchOutcome(MatchStatus.NO_CANDIDATE), None,
                  MatchOutcome(MatchStatus.COLLISION))
     outcomes = [MatchOutcome(MatchStatus.MATCHED, row) if row >= 0

@@ -39,15 +39,15 @@ def _rng(seed: int, *path: int) -> np.random.Generator:
 
 
 def check_range(name: str, value, lo: float = 0.0, hi: float = math.inf,
-                closed: bool = False, error=ValueError):
-    """Raise error unless lo <= value < hi (value <= hi when closed).  NaN
+                closed: bool = False):
+    """Raise ValueError unless lo <= value < hi (value <= hi when closed).  NaN
     fails every comparison, so it is rejected too; hi = inf means "finite
     and >= lo"."""
     if not (lo <= value <= hi if closed else lo <= value < hi):
         lo, hi = (format(b, "d" if isinstance(b, int) else "g") for b in (lo, hi))
         bounds = (f"finite and >= {lo}" if hi == "inf"
                   else f"in [{lo}, {hi}{']' if closed else ')'}")
-        raise error(f"{name} must be {bounds}, got {value}")
+        raise ValueError(f"{name} must be {bounds}, got {value}")
 
 
 def _exact_cast(values, dtype, what: str) -> np.ndarray:
@@ -71,16 +71,6 @@ def _frozen(arr, dtype, what: str) -> np.ndarray:
     out = np.array(_exact_cast(arr, dtype, what), order="C")
     out.setflags(write=False)
     return out
-
-
-def _flag_vector(flags) -> np.ndarray:
-    """A read-only uint8 copy of a 1-d 0/1 flag vector; raises otherwise."""
-    flags = np.asarray(flags)
-    if flags.ndim != 1:
-        raise ValueError("flags must be a 1-d bit vector")
-    if not ((flags == 0) | (flags == 1)).all():
-        raise ValueError("flags must be 0/1")
-    return _frozen(flags, np.uint8, "flags")
 
 
 def _column_ids(d1, d2):
@@ -220,31 +210,16 @@ class Database:
 
 @dataclass(frozen=True, eq=False)
 class DeletionPattern:
-    """Length-n bit vector of deleted columns (1 = deleted), shared by all rows."""
+    """Length-n uint8 vector of deleted columns (1 = deleted), shared by all rows."""
 
     flags: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "flags", _flag_vector(self.flags))
-
-    @property
-    def n(self) -> int:
-        return self.flags.shape[0]
-
-    @property
-    def retained_count(self) -> int:
-        """K, the number of columns surviving deletion."""
-        return int(self.n - self.flags.sum())
 
 
 @dataclass(frozen=True, eq=False)
 class DetectionPattern:
-    """One-sided side information: bit 1 marks a column known to be deleted."""
+    """One-sided side information: uint8 flag 1 marks a column known to be deleted."""
 
     flags: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "flags", _flag_vector(self.flags))
 
     @property
     def detected_indices(self) -> np.ndarray:
@@ -261,23 +236,14 @@ class Labeling:
 
     perm: np.ndarray
 
-    def __post_init__(self):
-        perm = _frozen(self.perm, np.int64, "perm")
-        if perm.ndim != 1 or not np.array_equal(np.sort(perm), np.arange(perm.size)):
-            raise ValueError("perm must be a permutation of 0..m-1")
-        object.__setattr__(self, "perm", perm)
-
-    @property
-    def m(self) -> int:
-        return self.perm.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class DeletionExperiment:
     """Ground truth bundle: source db, shuffled column-deleted db, and the patterns.
 
     Deleted columns are physically absent from c2; row i of c1 with the deleted
-    columns removed equals row labeling.perm[i] of c2, entry for entry.
+    columns removed equals row labeling.perm[i] of c2, entry for entry, and
+    every detected column is a deleted one.
     """
 
     c1: Database
@@ -286,24 +252,10 @@ class DeletionExperiment:
     deletion: DeletionPattern
     detection: DetectionPattern
 
-    def __post_init__(self):
-        if self.c2.q != self.c1.q or self.c2.m != self.c1.m:
-            raise ValueError("c1/c2 shape or alphabet mismatch")
-        if self.deletion.n != self.c1.n or self.detection.flags.shape[0] != self.c1.n:
-            raise ValueError("pattern length does not match column count")
-        if np.any(self.detection.flags > self.deletion.flags):
-            raise ValueError("detection at a column that was not deleted")
-        if self.labeling.m != self.c1.m:
-            raise ValueError("labeling size mismatch")
-        if self.c2.n != self.deletion.retained_count:
-            raise ValueError("c2 column count inconsistent with deletion pattern")
-        keep = self.deletion.flags == 0
-        if not np.array_equal(self.c2.symbols[self.labeling.perm], self.c1.symbols[:, keep]):
-            raise ValueError("c2 is not the column-deleted shuffle of c1")
-
     @property
     def retained_count(self) -> int:
-        return self.deletion.retained_count
+        """K, the number of columns surviving deletion."""
+        return self.c2.n
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,6 +330,8 @@ def apply_deletion_channel(c1: Database, delta: float, alpha: float,
     column with probability alpha, and shuffle rows by a uniform permutation.
 
     The same columns are deleted in every row; retained entries are noise-free.
+    The records hold the arrays drawn here, read-only and not checked again:
+    perm, and the flags as 0/1 uint8 views of the channel's bool masks.
     """
     check_range("delta", delta, hi=1.0)
     check_range("alpha", alpha, hi=1.0, closed=True)
@@ -387,13 +341,11 @@ def apply_deletion_channel(c1: Database, delta: float, alpha: float,
     keep = ~deleted
     shuffled = np.empty((c1.m, int(keep.sum())), dtype=np.uint8)
     shuffled[perm] = c1.symbols[:, keep]
-    return DeletionExperiment(
-        c1=c1,
-        c2=Database(shuffled, c1.q),
-        labeling=Labeling(perm),
-        deletion=DeletionPattern(deleted),
-        detection=DetectionPattern(detected),
-    )
+    deleted, detected = deleted.view(np.uint8), detected.view(np.uint8)
+    for arr in (perm, deleted, detected):
+        arr.setflags(write=False)
+    return DeletionExperiment(c1, Database(shuffled, c1.q), Labeling(perm),
+                              DeletionPattern(deleted), DetectionPattern(detected))
 
 
 def extract_seed_batch(exp: DeletionExperiment, batch_size: int,

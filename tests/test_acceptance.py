@@ -9,7 +9,7 @@ from math import log2
 import pytest
 from scipy.stats import fisher_exact
 
-from delmatch import Distribution, RateParams, achievable_rate, entropy
+from delmatch import Distribution, achievable_rate, entropy
 from delmatch.infotheory import binary_entropy
 from delmatch.harness import (run_simulate_match, run_simulate_detect, check_counting,
                               check_posteriors, check_supersequence, check_g_subset_f)
@@ -39,8 +39,8 @@ def test_c01_rate_formula_fidelity():
         no_info = max(0.0, entropy(dist) - binary_entropy(delta)
                       - delta * log2(q - 1))
         full_info = (1.0 - delta) * entropy(dist)
-        dev = max(abs(achievable_rate(RateParams(dist, delta, 0.0)) - no_info),
-                  abs(achievable_rate(RateParams(dist, delta, 1.0)) - full_info))
+        dev = max(abs(achievable_rate(dist, delta, 0.0) - no_info),
+                  abs(achievable_rate(dist, delta, 1.0) - full_info))
         worst = max(worst, dev)
         assert dev <= 1e-12
         points += 1
@@ -53,8 +53,8 @@ def test_c01_rate_formula_fidelity():
 
 def test_c02_figure_curve_reproduction():
     started = time.time()
-    full = achievable_rate(RateParams(BERN, 0.4, 1.0))
-    none = achievable_rate(RateParams(BERN, 0.4, 0.0))
+    full = achievable_rate(BERN, 0.4, 1.0)
+    none = achievable_rate(BERN, 0.4, 0.0)
     assert full == pytest.approx(0.600000, abs=1e-9)
     assert none == pytest.approx(0.029049, abs=1e-5)
     ratio = full / none
@@ -207,8 +207,8 @@ def test_c11_rate_threshold_between_no_and_partial_detection():
     # to 1 without side information and fall towards 0 with it.
     started = time.time()
     rate, n_values = 0.36, (100, 400, 1000)
-    assert achievable_rate(RateParams(BERN, 0.2, 0.0)) < rate \
-        < achievable_rate(RateParams(BERN, 0.2, 0.5))
+    assert achievable_rate(BERN, 0.2, 0.0) < rate \
+        < achievable_rate(BERN, 0.2, 0.5)
     assert max(n_values) * rate <= 512  # m = 2^(nR) stays within the closed form
     trends = {}
     for alpha, rising in ((0.0, True), (0.5, False)):

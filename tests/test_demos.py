@@ -53,8 +53,12 @@ def test_readme_quick_start_runs(tmp_path):
 
 def test_perfbench_selftest_passes():
     # The benchmark replays sweeps through library names (MatcherConfig,
-    # MatchStatus, match_all, detect_f, ...); a change that breaks one of
-    # them fails here rather than in every benchmark run.
+    # MatchStatus, match_all, detect_f, ...) and reads these attribute paths
+    # of their results: exp.c1.{symbols,m,n}, exp.c2.{symbols,n},
+    # exp.labeling.perm, exp.deletion.flags, exp.detection.detected_indices,
+    # batch.{d1,d2,source_rows} and an outcome's .status.value and .row. A
+    # change that breaks one of them fails here rather than in every
+    # benchmark run.
     proc = _run(ROOT / "perfbench" / "selftest.py")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.rstrip().endswith("selftest: all checks behave")

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from delmatch import detector, harness
 from delmatch.detector import Verdict, detect_f, detection_trials
-from delmatch.harness import (ConfigError, run_rates, run_simulate_match,
+from delmatch.harness import (run_rates, run_simulate_match,
                               run_simulate_detect, run_pipeline, run_oracle_check,
                               parse_distribution, parse_float_grid, parse_int_list,
                               parse_config_file, _match_trial,
@@ -39,7 +39,7 @@ def test_parse_distribution_specs():
     assert parse_distribution("bern:0.2").probabilities == (0.8, 0.2)
     assert parse_distribution("uniform:4").alphabet_size == 4
     assert parse_distribution("0.2,0.3,0.5").probabilities == (0.2, 0.3, 0.5)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         parse_distribution("nonsense")
 
 
@@ -47,7 +47,7 @@ def test_parse_grids():
     assert parse_float_grid("0:1:3") == (0.0, 0.5, 1.0)
     assert parse_float_grid("0.1,0.4") == (0.1, 0.4)
     assert parse_int_list("16,32") == (16, 32)
-    with pytest.raises(ConfigError, match="count >= 1"):
+    with pytest.raises(ValueError, match="count >= 1"):
         parse_float_grid("0:0.9:0")
 
 
@@ -60,7 +60,7 @@ def test_parse_config_file(tmp_path):
                                             "threads": "2"}
     bad = tmp_path / "bad.cfg"
     bad.write_text("just words\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         parse_config_file(str(bad))
 
 
@@ -68,23 +68,23 @@ def test_experiment_config_validation(monkeypatch):
     monkeypatch.setattr(harness, "_sweep", _no_sweep)
     base = dict(dist=BERN, n=(16,), delta=0.2, trials=10, seed=0)
     # neither rate nor m suits detection alone; a matching sweep needs one
-    with pytest.raises(ConfigError, match="rate/m"):
+    with pytest.raises(ValueError, match="rate/m"):
         run_simulate_match(**base, alpha=1.0)
-    with pytest.raises(ConfigError, match="rate/m"):
+    with pytest.raises(ValueError, match="rate/m"):
         run_simulate_match(**_match_cfg(rate=None))
-    with pytest.raises(ConfigError, match="rate/m"):
+    with pytest.raises(ValueError, match="rate/m"):
         run_pipeline(**_pipe_cfg(rate=None, B=(2,)))
-    with pytest.raises(ConfigError, match="at most one of rate/m"):
+    with pytest.raises(ValueError, match="at most one of rate/m"):
         run_simulate_match(**base, rate=0.2, m=9, alpha=1.0)
     # a sweep's side information is its runner's: alpha, or B
     with pytest.raises(TypeError, match="missing 1 required keyword-only argument: 'alpha'"):
         run_simulate_match(**base, rate=0.2)
     with pytest.raises(TypeError, match="unexpected keyword argument 'B'"):
         run_simulate_match(**base, rate=0.2, alpha=1.0, B=(4,))
-    with pytest.raises(ConfigError, match="non-empty"):
+    with pytest.raises(ValueError, match="non-empty"):
         run_simulate_detect(**base, B=())
     for threads in (0, -4):
-        with pytest.raises(ConfigError, match="threads must be >= 1"):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
             run_simulate_detect(**base, B=(4,), threads=threads)
     assert harness.resolve_m(16, 0.2, None) == round(2 ** 3.2) == 9
     assert harness.resolve_m(32, 0.2, None) == 84
@@ -168,7 +168,7 @@ def test_simulate_match_needs_alpha():
 def test_simulate_match_guard_refusal():
     cfg = _match_cfg(dist=Distribution((0.7, 0.2, 0.1)), rate=None, m=2 ** 18,
                      n=(64,))
-    with pytest.raises(ConfigError, match="guard"):
+    with pytest.raises(ValueError, match="guard"):
         run_simulate_match(**cfg)
 
 
@@ -217,8 +217,7 @@ def _assert_trial_counts_like_brute_force(dist, m, n, delta, alpha, b, seed):
         detected = [j for j, v in enumerate(detect_f(batch, dist, 0.1))
                     if v is Verdict.DELETED]
         remaining = sorted(set(remaining) - set(perm[batch.source_rows].tolist()))
-    _, rows = match_counts(exp.c1, exp.c2.symbols[remaining], detected,
-                           MatcherConfig(epsilon=0.1), dist)
+    _, rows = match_counts(exp.c1, exp.c2.symbols[remaining], detected, 0.1, dist)
     outcomes, _ = match_all(exp.c1, exp.c2.symbols[remaining], detected,
                             MatcherConfig(epsilon=0.1), dist)
     assert (evaluated, detected_cols) == (len(remaining), len(detected))
@@ -446,7 +445,7 @@ def test_match_trial_detects_like_detect_f_at_the_pipeline_shape():
 
 def test_pipeline_batch_guard():
     cfg = _pipe_cfg(B=(9,), rate=0.2)  # m = 9 at n = 16
-    with pytest.raises(ConfigError, match="batch"):
+    with pytest.raises(ValueError, match="batch"):
         run_pipeline(**cfg)
 
 

@@ -1,11 +1,11 @@
 from itertools import product
-from math import comb, inf, log2
+from math import comb, inf, log2, nan
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from delmatch.infotheory import (entropy, binary_entropy, RateParams, achievable_rate,
+from delmatch.infotheory import (entropy, binary_entropy, regime_ok, achievable_rate,
                                  typicality_mask, supersequence_count_exact,
                                  supersequence_count_bound, min_seed_batch_size,
                                  detection_probability_bound)
@@ -66,17 +66,17 @@ def _rate_full_side_info(dist, delta):
 
 
 def test_rate_full_info_bern_half():
-    assert achievable_rate(RateParams(Distribution.bernoulli(0.5), 0.4, 1.0)) == 0.6
+    assert achievable_rate(Distribution.bernoulli(0.5), 0.4, 1.0) == 0.6
 
 
 def test_rate_no_info_bern_half():
-    r = achievable_rate(RateParams(Distribution.bernoulli(0.5), 0.4, 0.0))
+    r = achievable_rate(Distribution.bernoulli(0.5), 0.4, 0.0)
     assert r == pytest.approx(1.0 - binary_entropy(0.4), abs=1e-12)
     assert r == pytest.approx(0.029049, abs=1e-6)
 
 
 def test_rate_half_info_bern_half():
-    r = achievable_rate(RateParams(Distribution.bernoulli(0.5), 0.4, 0.5))
+    r = achievable_rate(Distribution.bernoulli(0.5), 0.4, 0.5)
     assert r == pytest.approx(0.8 * (1.0 - binary_entropy(0.75)), abs=1e-12)
     assert r == pytest.approx(0.150978, abs=1e-6)
 
@@ -85,7 +85,7 @@ def test_rate_positive_part_boundary():
     # uniform q-ary at delta = 1 - 1/q and no side info sits exactly at zero
     for q in (2, 3, 4, 6):
         dist = Distribution.uniform(q)
-        r = achievable_rate(RateParams(dist, 1.0 - 1.0 / q, 0.0))
+        r = achievable_rate(dist, 1.0 - 1.0 / q, 0.0)
         assert 0.0 <= r <= 1e-12
 
 
@@ -94,9 +94,9 @@ def test_rate_reduces_to_endpoint_formulas():
     dists += [Distribution.uniform(q) for q in (2, 3, 4)]
     dists += [Distribution((0.2, 0.3, 0.5))]
     for dist, delta in product(dists, (0.0, 0.1, 0.3, 0.45)):
-        assert achievable_rate(RateParams(dist, delta, 0.0)) == pytest.approx(
+        assert achievable_rate(dist, delta, 0.0) == pytest.approx(
             _rate_no_side_info(dist, delta), abs=1e-12)
-        assert achievable_rate(RateParams(dist, delta, 1.0)) == pytest.approx(
+        assert achievable_rate(dist, delta, 1.0) == pytest.approx(
             _rate_full_side_info(dist, delta), abs=1e-12)
 
 
@@ -108,15 +108,26 @@ def test_rate_nondecreasing_in_alpha():
         for delta in (0.1, 0.3, 0.5):
             if delta >= 1.0 - 1.0 / dist.alphabet_size:
                 continue
-            rates = [achievable_rate(RateParams(dist, delta, a)) for a in alphas]
+            rates = [achievable_rate(dist, delta, a) for a in alphas]
             assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
 
 
 def test_rate_regime_flag():
-    assert not RateParams(Distribution.bernoulli(0.5), 0.6, 0.0).regime_ok
-    assert RateParams(Distribution.bernoulli(0.5), 0.4, 0.0).regime_ok
+    assert not regime_ok(Distribution.bernoulli(0.5), 0.6)
+    assert not regime_ok(Distribution.bernoulli(0.5), 0.5)  # needs delta below 1 - 1/q
+    assert regime_ok(Distribution.bernoulli(0.5), 0.4)
     # out of regime still evaluates
-    achievable_rate(RateParams(Distribution.bernoulli(0.5), 0.9, 0.0))
+    achievable_rate(Distribution.bernoulli(0.5), 0.9, 0.0)
+
+
+def test_rate_refuses_parameters_out_of_range():
+    dist = Distribution.bernoulli(0.5)
+    for bad in (nan, -0.1, 1.0):
+        with pytest.raises(ValueError, match=r"delta must be in \[0, 1\), got"):
+            achievable_rate(dist, bad, 0.5)
+    for bad in (nan, -0.1, 1.5):
+        with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\], got"):
+            achievable_rate(dist, 0.4, bad)
 
 
 # -- typicality ------------------------------------------------------------

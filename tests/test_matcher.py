@@ -25,9 +25,9 @@ _STATUS = {MatchStatus.NO_CANDIDATE: NO_CANDIDATE, MatchStatus.MATCHED: MATCHED,
            MatchStatus.COLLISION: COLLISION}
 
 
-def _one(y, c1, detected, cfg, dist):
+def _one(y, c1, detected, epsilon, dist):
     """(status, row) of match_counts for the one observed row y."""
-    counts, rows = match_counts(c1, np.asarray(y).reshape(1, -1), detected, cfg, dist)
+    counts, rows = match_counts(c1, np.asarray(y).reshape(1, -1), detected, epsilon, dist)
     return min(int(counts[0]), 2), int(rows[0])
 
 
@@ -36,9 +36,9 @@ def _pair(outcome):
     return _STATUS[outcome.status], outcome.row if outcome.is_match else -1
 
 
-def _experiment_counts(exp, cfg, dist):
+def _experiment_counts(exp, epsilon, dist):
     """match_counts over every c2 row of exp, with its detected deletions."""
-    return match_counts(exp.c1, exp.c2.symbols, exp.detection.detected_indices, cfg, dist)
+    return match_counts(exp.c1, exp.c2.symbols, exp.detection.detected_indices, epsilon, dist)
 
 
 # -- subsequence containment -------------------------------------------------
@@ -55,32 +55,32 @@ def test_is_subsequence_basic():
 
 def test_match_row_full_length_equality():
     c1 = _db([[0, 1], [1, 0]])
-    assert _one([0, 1], c1, [], MatcherConfig(epsilon=0.0), BERN) == (MATCHED, 0)
+    assert _one([0, 1], c1, [], 0.0, BERN) == (MATCHED, 0)
 
 
 def test_match_row_collision():
     c1 = _db([[0, 0, 1], [0, 1, 1]])
-    assert _one([0, 1], c1, [], MatcherConfig(epsilon=0.5), BERN) == (COLLISION, -1)
+    assert _one([0, 1], c1, [], 0.5, BERN) == (COLLISION, -1)
 
 
 def test_match_row_with_detected_column():
     c1 = _db([[0, 0, 1]])
-    assert _one([0, 1], c1, [1], MatcherConfig(epsilon=0.5), BERN) == (MATCHED, 0)
+    assert _one([0, 1], c1, [1], 0.5, BERN) == (MATCHED, 0)
 
 
 def test_match_row_no_candidate_from_typicality():
     # the only containing row is atypical under a skewed distribution
     dist = Distribution((0.9, 0.1))
     c1 = _db([[1, 1, 1, 1]])
-    assert _one([1, 1], c1, [], MatcherConfig(epsilon=0.2), dist) == (NO_CANDIDATE, -1)
+    assert _one([1, 1], c1, [], 0.2, dist) == (NO_CANDIDATE, -1)
 
 
 def test_match_row_length_guard():
     c1 = _db([[0, 1]])
     with pytest.raises(ValueError):
-        _one([0, 1, 1], c1, [], MatcherConfig(epsilon=0.5), BERN)
+        _one([0, 1, 1], c1, [], 0.5, BERN)
     with pytest.raises(ValueError):
-        _one([0, 1], c1, [0], MatcherConfig(epsilon=0.5), BERN)
+        _one([0, 1], c1, [0], 0.5, BERN)
 
 
 def test_match_row_order_invariance():
@@ -88,10 +88,10 @@ def test_match_row_order_invariance():
     rows = rng.integers(0, 2, size=(6, 10)).astype(np.uint8)
     c1 = Database(rows, 2)
     y = rows[3, [0, 2, 4, 5, 6, 8]]
-    status, row = _one(y, c1, [], MatcherConfig(epsilon=0.3), BERN)
+    status, row = _one(y, c1, [], 0.3, BERN)
     perm = rng.permutation(6)
     shuffled = Database(rows[perm], 2)
-    status2, row2 = _one(y, shuffled, [], MatcherConfig(epsilon=0.3), BERN)
+    status2, row2 = _one(y, shuffled, [], 0.3, BERN)
     assert status == status2
     if status == MATCHED:
         assert perm[row2] == row
@@ -103,7 +103,7 @@ def test_match_all_no_deletion_distinct_rows():
     rows = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
     c1 = Database(rows, 2)
     exp = apply_deletion_channel(c1, 0.0, 0.0, 42)
-    counts, matched = _experiment_counts(exp, MatcherConfig(epsilon=1.0), BERN)
+    counts, matched = _experiment_counts(exp, 1.0, BERN)
     assert (counts == 1).all()
     assert count_mismatches(matched, exp.labeling.perm, np.arange(4)) == 0
     for j, i in enumerate(matched.tolist()):
@@ -114,7 +114,7 @@ def test_match_all_duplicate_rows_collide():
     rows = np.array([[0, 1], [0, 1], [1, 0]], dtype=np.uint8)
     c1 = Database(rows, 2)
     exp = apply_deletion_channel(c1, 0.0, 0.0, 43)
-    counts, matched = _experiment_counts(exp, MatcherConfig(epsilon=1.0), BERN)
+    counts, matched = _experiment_counts(exp, 1.0, BERN)
     dup_targets = {int(exp.labeling.perm[0]), int(exp.labeling.perm[1])}
     for j, (count, row) in enumerate(zip(counts.tolist(), matched.tolist())):
         if j in dup_targets:
@@ -130,7 +130,7 @@ def test_match_all_monte_carlo_low_rate():
     for trial in range(200):
         c1 = sample_database(BERN, 4, 24, derive_seed(9000, trial, 0))
         exp = apply_deletion_channel(c1, 0.2, 1.0, derive_seed(9000, trial, 1))
-        _, matched = _experiment_counts(exp, MatcherConfig(epsilon=eps), BERN)
+        _, matched = _experiment_counts(exp, eps, BERN)
         right = sum(row >= 0 and int(exp.labeling.perm[row]) == j
                     for j, row in enumerate(matched.tolist()))
         assert count_mismatches(matched, exp.labeling.perm, np.arange(4)) == 4 - right
@@ -149,7 +149,7 @@ def test_true_row_always_containment_candidate():
         exp = apply_deletion_channel(c1, 0.3, 0.5, derive_seed(7000, trial, 1))
         keep = np.ones(c1.n, dtype=bool)
         keep[exp.detection.detected_indices] = False
-        counts, _ = _experiment_counts(exp, MatcherConfig(epsilon=eps), dist)
+        counts, _ = _experiment_counts(exp, eps, dist)
         inv = np.argsort(exp.labeling.perm)
         nl2 = dist.costs
         for j, count in enumerate(counts.tolist()):
@@ -171,10 +171,8 @@ def test_enlarging_detected_set_never_creates_collision():
             detected = list(exp.detection.detected_indices)
             extra = [int(j) for j in np.flatnonzero(exp.deletion.flags)
                      if j not in detected]
-            cfg = MatcherConfig(epsilon=0.2)
-            _, matched = _experiment_counts(exp, cfg, dist)
-            bigger, _ = match_counts(exp.c1, exp.c2.symbols, detected + extra,
-                                     cfg, dist)
+            _, matched = _experiment_counts(exp, 0.2, dist)
+            bigger, _ = match_counts(exp.c1, exp.c2.symbols, detected + extra, 0.2, dist)
             inv = np.argsort(exp.labeling.perm)
             for j, row in enumerate(matched.tolist()):
                 if row == int(inv[j]):
@@ -186,7 +184,7 @@ def test_enlarging_detected_set_never_creates_collision():
 SKEWED = Distribution((0.75, 0.25))
 
 
-def _brute_force_candidates(c1, ys, detected, cfg, dist):
+def _brute_force_candidates(c1, ys, detected, epsilon, dist):
     """Per observed row y, the c1 rows whose restriction is typical (by
     math.log2) and contains y (by is_subsequence), row by row."""
     keep = [j for j in range(c1.n) if j not in set(detected)]
@@ -196,14 +194,14 @@ def _brute_force_candidates(c1, ys, detected, cfg, dist):
         x = [row[j] for j in keep]
         score = sum(-math.log2(dist.probabilities[s]) for s in x) / len(x) if x else h
         # scores equal to H up to rounding are typical, also at epsilon = 0
-        if abs(score - h) <= cfg.epsilon + 1e-12 * max(1.0, h):
+        if abs(score - h) <= epsilon + 1e-12 * max(1.0, h):
             typical_rows.append((i, x))
     return [[i for i, x in typical_rows if is_subsequence(list(y), x)] for y in ys]
 
 
-def _brute_force(c1, y, detected, cfg, dist):
+def _brute_force(c1, y, detected, epsilon, dist):
     """The matcher's outcome for one observed row, from _brute_force_candidates."""
-    candidates, = _brute_force_candidates(c1, [y], detected, cfg, dist)
+    candidates, = _brute_force_candidates(c1, [y], detected, epsilon, dist)
     if len(candidates) == 1:
         return MatchOutcome(MatchStatus.MATCHED, candidates[0])
     if candidates:
@@ -227,21 +225,21 @@ def _u0_instances(draw):
     observed = [[row[j] for j in keep] for row in rows]  # every true row
     observed += draw(st.lists(st.lists(symbol, min_size=len(keep),
                                        max_size=len(keep)), max_size=3))
-    cfg = MatcherConfig(epsilon=draw(st.sampled_from([0.05, 0.3, 1.0])))
+    epsilon = draw(st.sampled_from([0.05, 0.3, 1.0]))
     c2_rows = np.array(observed, dtype=np.uint8).reshape(len(observed), len(keep))
-    return c1, c2_rows, detected, cfg, dist
+    return c1, c2_rows, detected, epsilon, dist
 
 
 @settings(max_examples=300, deadline=None)
 @given(_u0_instances())
 def test_hash_join_equals_brute_force_at_u0(instance):
-    c1, c2_rows, detected, cfg, dist = instance
-    outcomes, matched = match_all(c1, c2_rows, detected, cfg, dist)
+    c1, c2_rows, detected, epsilon, dist = instance
+    outcomes, matched = match_all(c1, c2_rows, detected, MatcherConfig(epsilon), dist)
     assert len(outcomes) == c2_rows.shape[0]
     for j, y in enumerate(c2_rows):
-        expected = _brute_force(c1, y.tolist(), detected, cfg, dist)
+        expected = _brute_force(c1, y.tolist(), detected, epsilon, dist)
         assert outcomes[j] == expected
-        assert _one(y, c1, detected, cfg, dist) == _pair(expected)
+        assert _one(y, c1, detected, epsilon, dist) == _pair(expected)
         assert matched.get(j) == (expected.row if expected.is_match else None)
 
 
@@ -269,26 +267,23 @@ def test_hash_join_skips_atypical_rows():
 
 def test_hash_join_width_zero():
     # every column detected: K = 0, each observation is the empty row
-    cfg = MatcherConfig(epsilon=0.0)
     one = _db([[1, 0, 1]])
-    assert match_all(one, np.zeros((2, 0)), [0, 1, 2], cfg, BERN)[0] == [
-        MatchOutcome(MatchStatus.MATCHED, 0)] * 2
-    assert _one([], one, [0, 1, 2], cfg, BERN) == (MATCHED, 0)
+    assert match_all(one, np.zeros((2, 0)), [0, 1, 2], MatcherConfig(epsilon=0.0),
+                     BERN)[0] == [MatchOutcome(MatchStatus.MATCHED, 0)] * 2
+    assert _one([], one, [0, 1, 2], 0.0, BERN) == (MATCHED, 0)
     two = _db([[1, 0, 1], [0, 0, 1]])
-    assert _one([], two, [0, 1, 2], cfg, BERN) == (COLLISION, -1)
+    assert _one([], two, [0, 1, 2], 0.0, BERN) == (COLLISION, -1)
 
 
 def test_containment_decides_at_u1():
     # one undetected deletion: both rows contain [0, 1, 0], but only the
     # typical one under (0.75, 0.25) is accepted, so the result is a match
     # that plain equality would have missed
-    cfg = MatcherConfig(epsilon=0.3)
     c1 = _db([[0, 0, 1, 0], [1, 0, 1, 0]])
-    outcome = _one([0, 1, 0], c1, [], cfg, SKEWED)
+    outcome = _one([0, 1, 0], c1, [], 0.3, SKEWED)
     assert outcome == (MATCHED, 0)
-    assert outcome == _pair(_brute_force(c1, [0, 1, 0], [], cfg, SKEWED))
-    loose = MatcherConfig(epsilon=1.0)
-    assert _one([0, 1, 0], c1, [], loose, SKEWED) == (COLLISION, -1)
+    assert outcome == _pair(_brute_force(c1, [0, 1, 0], [], 0.3, SKEWED))
+    assert _one([0, 1, 0], c1, [], 1.0, SKEWED) == (COLLISION, -1)  # a looser slack
 
 
 # -- bit-parallel containment (undetected deletions remain) --------------------
@@ -315,19 +310,19 @@ def _hidden_instances(draw, max_width=8, max_u=None):
     observed = [row[np.sort(rng.choice(keep, size=k, replace=False))]
                 for row in rows]
     observed += list(rng.integers(0, q, size=(draw(st.integers(0, 3)), k)))
-    cfg = MatcherConfig(epsilon=draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])))
+    epsilon = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
     c2_rows = np.array(observed, dtype=np.uint8).reshape(len(observed), k)
-    return Database(rows, q), c2_rows, detected, cfg, dist
+    return Database(rows, q), c2_rows, detected, epsilon, dist
 
 
 @settings(max_examples=150, deadline=None)
 @given(_hidden_instances())
 def test_containment_kernel_equals_brute_force(instance):
-    c1, c2_rows, detected, cfg, dist = instance
-    outcomes, matched = match_all(c1, c2_rows, detected, cfg, dist)
+    c1, c2_rows, detected, epsilon, dist = instance
+    outcomes, matched = match_all(c1, c2_rows, detected, MatcherConfig(epsilon), dist)
     assert len(outcomes) == c2_rows.shape[0]
     for j, y in enumerate(c2_rows):
-        expected = _brute_force(c1, y.tolist(), detected, cfg, dist)
+        expected = _brute_force(c1, y.tolist(), detected, epsilon, dist)
         assert outcomes[j] == expected
         assert matched.get(j) == (expected.row if expected.is_match else None)
 
@@ -455,11 +450,11 @@ def test_containment_peak_allocation_within_kernel_budget():
 
 # -- the array-valued core ---------------------------------------------------------
 
-def _assert_counts_equal_brute_force(c1, c2_rows, detected, cfg, dist):
-    counts, rows = match_counts(c1, c2_rows, detected, cfg, dist)
+def _assert_counts_equal_brute_force(c1, c2_rows, detected, epsilon, dist):
+    counts, rows = match_counts(c1, c2_rows, detected, epsilon, dist)
     assert counts.shape == rows.shape == (np.asarray(c2_rows).shape[0],)
     ys = np.asarray(c2_rows, dtype=np.uint8).tolist()
-    for j, candidates in enumerate(_brute_force_candidates(c1, ys, detected, cfg, dist)):
+    for j, candidates in enumerate(_brute_force_candidates(c1, ys, detected, epsilon, dist)):
         assert counts[j] == len(candidates)
         assert rows[j] == (candidates[0] if len(candidates) == 1 else -1)
 
@@ -482,36 +477,36 @@ def test_match_counts_equal_brute_force_in_small_tiles(instance, obs_block, sour
     # Wide rows with K near the width hold long observed prefixes, so state
     # that leaks from one block into the next shows.  The kernel sees the
     # typical rows only, so they set the words of the state budget.
-    c1, c2_rows, detected, cfg, dist = instance
+    c1, c2_rows, detected, epsilon, dist = instance
     restricted = np.delete(c1.symbols, detected, axis=1)
-    typical = int(typicality_mask(restricted, dist, cfg.epsilon, axis=1).sum())
+    typical = int(typicality_mask(restricted, dist, epsilon, axis=1).sum())
     with pytest.MonkeyPatch.context() as patch:
         _set_tiles(patch, typical, restricted.shape[1] - c2_rows.shape[1], source_words,
                    obs_block)
         _assert_counts_equal_brute_force(*instance)
 
 
-@pytest.mark.parametrize("rows, observed, detected, cfg", [
+@pytest.mark.parametrize("rows, observed, detected, epsilon", [
     # no typical row: under (0.75, 0.25) at slack 0.05, none of width 3 is
     ([[0, 0, 0], [0, 1, 1], [0, 0, 0]], [[0, 0, 0], [0, 1, 1]], [],
-     MatcherConfig(epsilon=0.05)),
+     0.05),
     ([[0, 0, 1, 1], [0, 1, 1, 0]], [[0, 1], [1, 1]], [],
-     MatcherConfig(epsilon=0.05)),
+     0.05),
     # width 0: every typical row equals the empty observation
-    ([[1, 0, 1], [0, 0, 1]], [[], []], [0, 1, 2], MatcherConfig(epsilon=1.0)),
-    ([[1, 0, 1]], [[]], [0, 1, 2], MatcherConfig(epsilon=0.0)),
+    ([[1, 0, 1], [0, 0, 1]], [[], []], [0, 1, 2], 1.0),
+    ([[1, 0, 1]], [[]], [0, 1, 2], 0.0),
     # planted duplicates, one of them atypical, next to a unique row
     ([[0, 0, 0, 1], [0, 0, 0, 1], [1, 1, 1, 1], [1, 1, 1, 1], [0, 1, 0, 0]],
      [[0, 0, 0, 1], [1, 1, 1, 1], [0, 1, 0, 0], [1, 0, 0, 0]], [],
-     MatcherConfig(epsilon=0.3)),
+     0.3),
     # u = 0: a match and an atypical row; u = 1: a match and a collision
-    ([[0, 1, 1], [1, 1, 0]], [[0, 1], [1, 1]], [2], MatcherConfig(epsilon=1.0)),
-    ([[0, 1, 1], [1, 1, 0]], [[0, 1], [1, 1]], [], MatcherConfig(epsilon=1.0)),
-])
-def test_match_counts_edge_cases(rows, observed, detected, cfg):
+    ([[0, 1, 1], [1, 1, 0]], [[0, 1], [1, 1]], [2], 1.0),
+    ([[0, 1, 1], [1, 1, 0]], [[0, 1], [1, 1]], [], 1.0),
+], ids=[f"rows{i}-observed{i}-detected{i}-cfg{i}" for i in range(7)])  # stable case names
+def test_match_counts_edge_cases(rows, observed, detected, epsilon):
     c1 = _db(rows)
     c2_rows = np.array(observed, dtype=np.uint8).reshape(len(observed), -1)
-    _assert_counts_equal_brute_force(c1, c2_rows, detected, cfg, SKEWED)
+    _assert_counts_equal_brute_force(c1, c2_rows, detected, epsilon, SKEWED)
 
 
 def test_empty_observation_list():
@@ -573,23 +568,23 @@ def test_matcher_refuses_inputs_a_cast_would_change():
     # indices 1 and 0, and an observed symbol is neither wrapped (300 -> 44)
     # nor truncated (0.9 -> 0)
     c1 = _db([[0, 1, 1], [1, 0, 0]])
-    cfg = MatcherConfig(epsilon=1.0)
+    epsilon = 1.0
     for detected in ([1.7], [math.nan]):
         with pytest.raises(ValueError, match="detected column indices must be integers"):
-            match_counts(c1, [[0, 1]], detected, cfg, BERN)
+            match_counts(c1, [[0, 1]], detected, epsilon, BERN)
     for detected in ([True, False, False], np.array([False, True, False])):
         with pytest.raises(ValueError, match="not a boolean mask"):
-            match_counts(c1, [[0, 1]], detected, cfg, BERN)
+            match_counts(c1, [[0, 1]], detected, epsilon, BERN)
     for rows in (np.array([[300, 1]]), [[0.9, 1]], [[-1, 1]], [[math.nan, 1]]):
         with pytest.raises(ValueError, match="observed symbols"):
-            match_counts(c1, rows, [2], cfg, BERN)
+            match_counts(c1, rows, [2], epsilon, BERN)
         with pytest.raises(ValueError, match="observed symbols"):
-            match_counts(c1, rows[0], [], cfg, BERN)  # one observed row
+            match_counts(c1, rows[0], [], epsilon, BERN)  # one observed row
     # exact values of other dtypes are still taken as they are
-    expected = match_counts(c1, np.array([[0, 1]], dtype=np.uint8), [2], cfg, BERN)
+    expected = match_counts(c1, np.array([[0, 1]], dtype=np.uint8), [2], epsilon, BERN)
     for rows, detected in (([[0, 1]], [2]), ([[0.0, 1.0]], [2.0]),
                            (np.array([[0, 1]], dtype=np.int64), np.array([2]))):
-        got = match_counts(c1, rows, detected, cfg, BERN)
+        got = match_counts(c1, rows, detected, epsilon, BERN)
         assert all(np.array_equal(g, e) for g, e in zip(got, expected))
 
 
@@ -599,13 +594,15 @@ def test_source_symbol_outside_the_alphabet_named():
     c1 = _db([[0, 1, 2], [0, 0, 1]], q=3)
     for observed in ([[0, 1]], [[0, 1, 1]]):
         with pytest.raises(ValueError, match="symbol 2 is outside"):
-            match_counts(c1, observed, [], MatcherConfig(epsilon=1.0), BERN)
+            match_counts(c1, observed, [], 1.0, BERN)
 
 
 def test_matcher_config_validation():
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError):
             MatcherConfig(epsilon=bad)
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+            match_counts(_db([[0, 1]]), [[0, 1]], [], bad, BERN)
 
 
 def test_default_epsilon_scales_entropy():

@@ -17,8 +17,7 @@ import numpy as np
 from delmatch import (Distribution, SeedBatch, sample_database,
                       apply_deletion_channel, extract_seed_batch,
                       count_embeddings, posterior_deletions, detect_f, detect_g,
-                      verdicts_to_csv, min_seed_batch_size, run_simulate_detect,
-                      entropy)
+                      verdicts_to_csv, min_seed_batch_size, run_simulate_detect)
 
 # --- a tiny worked example -------------------------------------------------
 # One seed row pair: the source row is (a, b, a) and the observed row is (a).
@@ -60,7 +59,7 @@ print("\n".join(verdicts_to_csv(verdicts,
 print()
 
 # --- how large must the batch be? -------------------------------------------
-h = entropy(dist)
+h = dist.entropy
 for target in (0.5, 0.9, 0.99):
     b_needed = min_seed_batch_size(n, delta, target, h)
     print(f"detection probability >= {target}: batch size B >= {b_needed}")

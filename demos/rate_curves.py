@@ -12,7 +12,7 @@ Equivalent CLI:  delmatch rates --dist bern:0.5 --out rates.csv
 
 import numpy as np
 
-from delmatch import Distribution, achievable_rate, entropy, regime_ok
+from delmatch import Distribution, achievable_rate, regime_ok
 
 dist = Distribution.bernoulli(0.5)
 deltas = np.linspace(0.0, 0.95, 96)
@@ -23,7 +23,7 @@ alphas = [0.0, 0.25, 0.5, 0.75, 1.0]
 curves = {a: [achievable_rate(dist, float(d), a) for d in deltas]
           for a in alphas}
 
-print(f"entropy H(X) = {entropy(dist):.6f} bits/column\n")
+print(f"entropy H(X) = {dist.entropy:.6f} bits/column\n")
 print("delta   " + "  ".join(f"a={a:4.2f}" for a in alphas))
 for i in range(0, len(deltas), 8):
     row = "  ".join(f"{curves[a][i]:6.4f}" for a in alphas)

@@ -25,7 +25,7 @@ if "OPENBLAS_NUM_THREADS" not in os.environ:
 
 from .model import (Distribution, SeedBatch, sample_database, apply_deletion_channel,
                     extract_seed_batch)
-from .infotheory import entropy, achievable_rate, regime_ok, min_seed_batch_size
+from .infotheory import achievable_rate, regime_ok, min_seed_batch_size
 from .matcher import (MatchStatus, MatchOutcome, MatcherConfig, default_epsilon,
                       match_all, match_counts, count_mismatches)
 from .detector import (Verdict, count_embeddings, posterior_deletions, detect_f, detect_g,

@@ -26,15 +26,6 @@ _TRIAL_STREAM_BATCH = 0
 _TRIAL_STREAM_DELETION = 1
 
 
-class InconsistentBatchError(ValueError):
-    """The batch admits no deletion pattern at all (S = 0): it cannot be a
-    correctly-matched pair."""
-
-
-class GuardExceededError(ValueError):
-    """A brute-force enumeration was refused because C(n, K) is too large."""
-
-
 class Verdict(Enum):
     DELETED = "deleted"
     RETAINED = "retained"
@@ -92,7 +83,7 @@ def posterior_deletions(batch: SeedBatch) -> list:
     back = list(_prefix_rows(ids1[::-1], ids2[::-1]))
     total = fore[k][n]
     if total == 0:
-        raise InconsistentBatchError("no deletion pattern maps d1 to d2")
+        raise ValueError("no deletion pattern maps d1 to d2")
     out = []
     for j in range(n):
         # embeddings avoiding column j, split by how many of d2's columns
@@ -136,10 +127,8 @@ def _brute_force_patterns(d1, d2):
     found by enumerating all C(n, K) of them.  Refuses when C(n, K) > 10^6."""
     d1, d2 = _as_batch_matrices(d1, d2)
     n, k = d1.shape[1], d2.shape[1]
-    if k > n:
-        return iter(())
     if comb(n, k) > BRUTE_FORCE_PATTERN_GUARD:
-        raise GuardExceededError(f"C({n},{k}) exceeds {BRUTE_FORCE_PATTERN_GUARD}")
+        raise ValueError(f"C({n},{k}) exceeds {BRUTE_FORCE_PATTERN_GUARD}")
     ids1, ids2 = _column_ids(d1, d2)
     ids1 = ids1.tolist()
     target = tuple(ids2.tolist())
@@ -166,7 +155,7 @@ def brute_force_posterior(d1, d2) -> list:
         for j in combo:
             kept_counts[j] += 1
     if total == 0:
-        raise InconsistentBatchError("no deletion pattern maps d1 to d2")
+        raise ValueError("no deletion pattern maps d1 to d2")
     return [Fraction(total - c, total) for c in kept_counts]
 
 
@@ -203,7 +192,7 @@ def _greedy_scan(ids1: list, ids2, places, starts):
                     break
                 places[done] = pos
     except ValueError:
-        raise InconsistentBatchError("no deletion pattern maps d1 to d2") from None
+        raise ValueError("no deletion pattern maps d1 to d2") from None
     return places
 
 
@@ -230,7 +219,7 @@ def _certain_masks(ids1, ids2, retained=None):
     """
     n, k = len(ids1), len(ids2)
     if k > n:
-        raise InconsistentBatchError("d2 wider than d1")
+        raise ValueError("d2 wider than d1")
     if n and int(ids1.max()) >= 2 ** 63 // (k + 1):
         raise ValueError("column ids too large for the int64 keys id * (K+1) + t")
     if retained is None:

@@ -19,7 +19,6 @@ import os
 import pickle
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from math import expm1, isqrt, log1p, log2, sqrt
 
@@ -30,7 +29,7 @@ from .model import (Distribution, derive_seed, _rng, sample_database,
                     apply_deletion_channel, extract_seed_batch, check_range,
                     _channel_pattern)
 from . import model
-from .infotheory import (entropy, achievable_rate, regime_ok,
+from .infotheory import (achievable_rate, regime_ok,
                          supersequence_count_exact, supersequence_count_bound,
                          detection_probability_bound)
 from .matcher import (default_epsilon, match_counts, count_mismatches,
@@ -170,7 +169,7 @@ def rate_for(n: int, rate, m) -> float:
 # Per-trial workers
 
 
-def _match_trial(args):
+def _match_trial(dist, n, m, delta, alpha, B, epsilon, detect_epsilon, trial_seed):
     """One materialized matching trial: (mismatches, rows scored, columns
     detected, columns deleted).
 
@@ -178,7 +177,6 @@ def _match_trial(args):
     batch of B seed rows is drawn, the detected set is detect_f's Deleted
     verdicts, and the seed rows' images are not scored.  simulate-match
     passes B = 0 and pipeline alpha = 0; no caller passes both non-zero."""
-    dist, n, m, delta, alpha, B, epsilon, detect_epsilon, trial_seed = args
     c1 = sample_database(dist, m, n, derive_seed(trial_seed, STREAM_DATABASE))
     exp = apply_deletion_channel(c1, delta, alpha,
                                  derive_seed(trial_seed, STREAM_CHANNEL))
@@ -195,7 +193,7 @@ def _match_trial(args):
             n - exp.retained_count)
 
 
-def _virtual_match_trial(args):
+def _virtual_match_trial(dist, n, m, delta, alpha, trial_seed):
     """Exact-distribution stand-in for _match_trial at sizes that cannot be
     materialized.  Uniform distributions only: every restricted row is
     typical, so a row is mismatched iff at least one of the other m-1 i.i.d.
@@ -204,13 +202,12 @@ def _virtual_match_trial(args):
     content.  The per-row mismatch indicator is sampled from its exact
     marginal for EVAL_ROWS rows per trial.  Returns _match_trial's four
     fields; the column counts come from the channel streams it draws."""
-    dist, n, m, delta, alpha, trial_seed = args
     deleted, detected = _channel_pattern(n, delta, alpha,
                                          derive_seed(trial_seed, STREAM_CHANNEL))
     big_k = int(n - deleted.sum())
     width = int(n - detected.sum())
     q = dist.alphabet_size
-    p_col = float(Fraction(supersequence_count_exact(width, big_k, q), q ** width))
+    p_col = supersequence_count_exact(width, big_k, q) / q ** width
     if m <= 1:
         collision_prob = 0.0
     elif p_col >= 1.0:
@@ -226,10 +223,10 @@ def _field_sums(results):
     return tuple(map(sum, zip(*results)))
 
 
-def _trial_by_trial(trial, args, seeds):
-    """Chunk worker for trials that run one at a time: trial(args + (seed,))
-    for each seed, summed field by field."""
-    return _field_sums(trial(args + (seed,)) for seed in seeds)
+def _trial_by_trial(trial, seeds):
+    """Chunk worker for trials that run one at a time: trial(seed) for each
+    seed, summed field by field."""
+    return _field_sums(map(trial, seeds))
 
 
 def _run_chunk(chunk):
@@ -460,7 +457,7 @@ def _guarded_cells(name: str, size: int, n: int) -> int:
 def _choose_match_mode(dist: Distribution, m: int, n: int) -> str:
     """'virtual', the exact closed form, beyond the m*n guard for a uniform
     distribution; 'materialized' otherwise."""
-    return "virtual" if m * n > CELL_GUARD and dist.is_uniform() else "materialized"
+    return "virtual" if m * n > CELL_GUARD and dist.is_uniform else "materialized"
 
 
 def run_simulate_match(*, dist=Distribution.bernoulli(0.5), n, delta, trials=100, rate=None,
@@ -473,11 +470,12 @@ def run_simulate_match(*, dist=Distribution.bernoulli(0.5), n, delta, trials=100
     grid = [(cols, rows, _choose_match_mode(dist, rows, cols))
             for cols in n for rows in [resolve_m(cols, rate, m)]]
     # The closed form sums up to n + 1 terms of up to n * log2(q) bits.
-    specs = [(partial(_trial_by_trial, _match_trial,
-                      (dist, cols, rows, delta, alpha, 0, epsilon, None)),
+    specs = [(partial(_trial_by_trial, partial(_match_trial, dist, cols, rows, delta, alpha,
+                                               0, epsilon, None)),
               _guarded_cells("m", rows, cols))
              if mode == "materialized" else
-             (partial(_trial_by_trial, _virtual_match_trial, (dist, cols, rows, delta, alpha)),
+             (partial(_trial_by_trial, partial(_virtual_match_trial, dist, cols, rows, delta,
+                                               alpha)),
               _guarded_cells("n", cols, cols))
              for cols, rows, mode in grid]
 
@@ -520,7 +518,6 @@ def run_simulate_detect(*, dist=Distribution.bernoulli(0.5), n, delta, trials=10
     _check_sweep(**keys)
     if min(B, default=1) < 1:
         raise ValueError(f"batch size {min(B)} must be >= 1")
-    h = entropy(dist)
     grid = [(cols, b) for cols in n for b in B]
     specs = [(partial(detection_trials, dist, cols, b, delta, epsilon),
               _guarded_cells("B", b, cols)) for cols, b in grid]
@@ -535,7 +532,7 @@ def run_simulate_detect(*, dist=Distribution.bernoulli(0.5), n, delta, trials=10
 
     def point(key, sums, estimate):
         return DetectPoint(*key, delta, epsilon, trials, *sums, *estimate,
-                           detection_probability_bound(*key, delta, h, epsilon))
+                           detection_probability_bound(*key, delta, dist.entropy, epsilon))
 
     return _run_sweep("simulate-detect", keys, grid, specs, point, detect_csv,
                       _DETECT_STREAMS)
@@ -561,8 +558,8 @@ def run_pipeline(*, dist=Distribution.bernoulli(0.5), n, delta, trials=100, rate
         rows = resolve_m(cols, rate, m)
         if b >= rows:
             raise ValueError(f"batch size {b} must be < m = {rows}")
-        specs.append((partial(_trial_by_trial, _match_trial,
-                              (dist, cols, rows, delta, 0.0, b, epsilon, detect_epsilon)),
+        specs.append((partial(_trial_by_trial, partial(_match_trial, dist, cols, rows, delta,
+                                                       0.0, b, epsilon, detect_epsilon)),
                       _guarded_cells("m", rows, cols)))
 
     def point(key, sums, estimate):

@@ -14,11 +14,6 @@ import numpy as np
 from .model import Distribution, check_range
 
 
-def entropy(dist: Distribution) -> float:
-    """Shannon entropy in bits; zero-probability symbols contribute nothing."""
-    return dist.entropy
-
-
 def binary_entropy(x: float) -> float:
     """H_b(x) in bits, with H_b(0) = H_b(1) = 0 exactly."""
     check_range("argument", x, hi=1.0, closed=True)
@@ -50,7 +45,7 @@ def achievable_rate(dist: Distribution, delta: float, alpha: float) -> float:
     check_range("alpha", alpha, hi=1.0, closed=True)
     d, a = delta, alpha
     survivor = 1.0 - a * d
-    inner = survivor * (entropy(dist) - binary_entropy((1.0 - d) / survivor))
+    inner = survivor * (dist.entropy - binary_entropy((1.0 - d) / survivor))
     inner -= (1.0 - a) * d * log2(dist.alphabet_size - 1)
     return max(0.0, inner)
 
@@ -79,9 +74,9 @@ def typicality_mask(mat, dist: Distribution, epsilon: float, axis: int) -> np.nd
             or mat.dtype.kind == "i" and mat.min(initial=0) < 0):
         bad = mat[(mat < 0) | (mat >= q)][0]
         raise ValueError(f"symbol {bad} is outside the distribution's alphabet [0, {q})")
-    h = entropy(dist)
+    h = dist.entropy
     slack = epsilon + 1e-12 * max(1.0, h)
-    if dist.is_uniform():
+    if dist.is_uniform:
         return np.full(mat.shape[1 - axis], abs(dist.costs[0] - h) <= slack)
     return np.abs(dist.costs[mat].mean(axis=axis) - h) <= slack
 
@@ -122,10 +117,11 @@ def min_seed_batch_size(n: int, delta: float, alpha_target: float,
     the certainty detector.  alpha_target = 1 needs an unbounded batch and is
     rejected.
     """
-    if not 0.0 <= alpha_target < 1.0:
+    if alpha_target == 1.0:
         raise ValueError("alpha_target = 1 is unbounded; need alpha_target < 1")
-    if entropy_bits <= 0.0:
-        raise ValueError("entropy must be positive")
+    check_range("alpha_target", alpha_target, hi=1.0)
+    if not entropy_bits > 0.0:  # NaN too
+        raise ValueError(f"entropy must be positive, got {entropy_bits}")
     if n < 1:
         raise ValueError("n must be >= 1")
     check_range("delta", delta, hi=1.0)
@@ -148,6 +144,7 @@ def detection_probability_bound(n: int, B: int, delta: float,
     if B < 1:
         raise ValueError("batch size must be >= 1")
     check_range("delta", delta, hi=1.0)
+    check_range("entropy", entropy_bits)
     check_range("epsilon", epsilon)
     try:
         power = 2.0 ** (-B * (entropy_bits - epsilon))

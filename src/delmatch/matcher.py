@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .model import Database, Distribution, _column_ids, _exact_cast, check_range
-from .infotheory import entropy, typicality_mask
+from .infotheory import typicality_mask
 
 
 class MatchStatus(Enum):
@@ -46,7 +46,7 @@ class MatcherConfig:
 
 def default_epsilon(dist: Distribution) -> float:
     """Default typicality slack for experiments: a tenth of the entropy."""
-    return 0.1 * entropy(dist)
+    return 0.1 * dist.entropy
 
 
 def is_subsequence(y, x) -> bool:

@@ -123,13 +123,13 @@ class Distribution:
     pickles: entropy (Shannon, in bits), costs (per-symbol -log2 p, +inf at
     zero-probability symbols, read-only), edges (the normalised cdf's first
     q - 1 entries, which _symbols compares draws with, read-only) and
-    is_uniform()."""
+    is_uniform (all probabilities equal)."""
 
     probabilities: tuple
     entropy: float = field(init=False, repr=False, compare=False)
     costs: np.ndarray = field(init=False, repr=False, compare=False)
     edges: np.ndarray = field(init=False, repr=False, compare=False)
-    _uniform: bool = field(init=False, repr=False, compare=False)
+    is_uniform: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         probs = tuple(float(p) for p in self.probabilities)
@@ -154,7 +154,7 @@ class Distribution:
                 ("entropy", float(sum(-x * math.log2(x) for x in probs if x > 0.0))),
                 ("costs", _frozen(costs, np.float64, "costs")),
                 ("edges", _frozen(cdf[:-1], np.float64, "edges")),
-                ("_uniform", all(x == probs[0] for x in probs))):
+                ("is_uniform", all(x == probs[0] for x in probs))):
             object.__setattr__(self, name, value)
 
     def __getstate__(self):
@@ -177,9 +177,6 @@ class Distribution:
     def uniform(cls, q: int) -> "Distribution":
         check_range("alphabet size", q, lo=2, hi=MAX_ALPHABET, closed=True)
         return cls((1.0 / q,) * q)
-
-    def is_uniform(self) -> bool:
-        return self._uniform
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,10 +279,6 @@ class SeedBatch:
         if self.source_rows is not None:
             rows = _frozen(self.source_rows, np.int64, "source_rows")
             object.__setattr__(self, "source_rows", rows)
-
-    @property
-    def batch_size(self) -> int:
-        return self.d1.shape[0]
 
     @property
     def n(self) -> int:

@@ -9,7 +9,7 @@ from math import log2
 import pytest
 from scipy.stats import fisher_exact
 
-from delmatch import Distribution, achievable_rate, entropy
+from delmatch import Distribution, achievable_rate
 from delmatch.infotheory import binary_entropy
 from delmatch.harness import (run_simulate_match, run_simulate_detect, check_counting,
                               check_posteriors, check_supersequence, check_g_subset_f)
@@ -36,9 +36,9 @@ def test_c01_rate_formula_fidelity():
     worst = 0.0
     for dist, delta in product(dists, deltas):
         q = dist.alphabet_size
-        no_info = max(0.0, entropy(dist) - binary_entropy(delta)
+        no_info = max(0.0, dist.entropy - binary_entropy(delta)
                       - delta * log2(q - 1))
-        full_info = (1.0 - delta) * entropy(dist)
+        full_info = (1.0 - delta) * dist.entropy
         dev = max(abs(achievable_rate(dist, delta, 0.0) - no_info),
                   abs(achievable_rate(dist, delta, 1.0) - full_info))
         worst = max(worst, dev)
@@ -131,7 +131,7 @@ def test_c08_matching_trend_and_failure_regime():
     assert res.pvalue < 0.01
 
     (pf,) = run_simulate_match(dist=BERN, n=(32,), delta=0.2, trials=500, seed=MASTER_SEED,
-                               rate=1.2 * entropy(BERN), alpha=1.0, threads=THREADS)
+                               rate=1.2 * BERN.entropy, alpha=1.0, threads=THREADS)
     assert pf.mismatch_rate >= 0.9
     elapsed = time.time() - started
     assert elapsed < 600.0

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from delmatch import detector, harness
-from delmatch.detector import (Verdict, InconsistentBatchError, GuardExceededError,
-                               count_embeddings, brute_force_embeddings,
+from delmatch.detector import (Verdict, count_embeddings, brute_force_embeddings,
                                posterior_deletions, brute_force_posterior, detect_f,
                                detect_g, certain_verdict_masks, detection_trial,
                                detection_trials, verdicts_to_csv, _brute_force_patterns,
@@ -60,7 +59,7 @@ def test_count_column_equality_is_whole_column():
 def test_brute_force_guard():
     d1 = np.zeros((1, 40), dtype=np.uint8)
     d2 = np.zeros((1, 20), dtype=np.uint8)
-    with pytest.raises(GuardExceededError):
+    with pytest.raises(ValueError, match=r"C\(40,20\) exceeds 1000000"):
         brute_force_embeddings(d1, d2)
 
 
@@ -88,7 +87,7 @@ def test_posterior_everything_deleted():
 
 
 def test_posterior_requires_consistency():
-    with pytest.raises(InconsistentBatchError):
+    with pytest.raises(ValueError, match="no deletion pattern maps d1 to d2"):
         posterior_deletions(SeedBatch(_rows("aa"), _rows("b")))
 
 
@@ -183,8 +182,10 @@ def test_more_rows_preserve_certainty():
 # -- fast kernel ---------------------------------------------------------------
 
 def test_certain_masks_reject_inconsistent():
-    with pytest.raises(InconsistentBatchError):
+    with pytest.raises(ValueError, match="no deletion pattern maps d1 to d2"):
         certain_verdict_masks(_rows("aa"), _rows("b"))
+    with pytest.raises(ValueError, match="d2 wider than d1"):
+        certain_verdict_masks(_rows("a"), _rows("aa"))
 
 
 @st.composite
@@ -223,10 +224,11 @@ def test_certain_masks_equal_exact_posteriors(batch):
     d1, d2, labels, labels2 = batch
     try:
         posts = posterior_deletions(SeedBatch(labels, labels2))
-    except InconsistentBatchError:
-        with pytest.raises(InconsistentBatchError):
+    except ValueError as exc:
+        assert str(exc) == "no deletion pattern maps d1 to d2"
+        with pytest.raises(ValueError, match="no deletion pattern maps d1 to d2"):
             certain_verdict_masks(d1, d2)
-        with pytest.raises(InconsistentBatchError):
+        with pytest.raises(ValueError, match="no deletion pattern maps d1 to d2"):
             brute_force_posterior(d1, d2)
         return
     assert posts == brute_force_posterior(d1, d2)
@@ -424,7 +426,7 @@ def test_detect_f_is_posterior_classification():
 
 
 def test_detect_f_rejects_inconsistent():
-    with pytest.raises(InconsistentBatchError):
+    with pytest.raises(ValueError, match="no deletion pattern maps d1 to d2"):
         detect_f(SeedBatch(_rows("aa"), _rows("b")), Distribution.bernoulli(0.5), 0.1)
 
 

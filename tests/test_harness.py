@@ -22,7 +22,7 @@ from delmatch.harness import (run_rates, run_simulate_match,
                               parse_distribution, parse_float_grid, parse_int_list,
                               parse_config_file, _match_trial,
                               _virtual_match_trial, CELL_GUARD)
-from delmatch.infotheory import entropy, detection_probability_bound
+from delmatch.infotheory import detection_probability_bound
 from delmatch.matcher import MatcherConfig, match_all, match_counts
 from delmatch.model import (Distribution, sample_database, apply_deletion_channel,
                             extract_seed_batch, derive_seed, _channel_pattern)
@@ -83,6 +83,9 @@ def test_experiment_config_validation(monkeypatch):
         run_simulate_match(**base, rate=0.2, alpha=1.0, B=(4,))
     with pytest.raises(ValueError, match="non-empty"):
         run_simulate_detect(**base, B=())
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            run_simulate_detect(**dict(base, trials=trials), B=(4,))
     for threads in (0, -4):
         with pytest.raises(ValueError, match="threads must be >= 1"):
             run_simulate_detect(**base, B=(4,), threads=threads)
@@ -96,7 +99,7 @@ def test_experiment_config_validation(monkeypatch):
 def test_rates_no_deletion_gives_entropy():
     points = run_rates(dist=Distribution.bernoulli(0.3), deltas=[0.0], alphas=[0.0, 0.5, 1.0])
     for p in points:
-        assert p.rate == pytest.approx(entropy(Distribution.bernoulli(0.3)), abs=1e-12)
+        assert p.rate == pytest.approx(Distribution.bernoulli(0.3).entropy, abs=1e-12)
 
 
 def test_rates_erasure_point():
@@ -188,10 +191,10 @@ def test_virtual_trial_matches_materialized_statistically():
         wrong_mat = wrong_virt = total_mat = total_virt = 0
         for t in range(400):
             seed = derive_seed(2024, t)
-            w, e, _, _ = _match_trial((BERN, n, m, delta, alpha, 0, 0.1, None, seed))
+            w, e, _, _ = _match_trial(BERN, n, m, delta, alpha, 0, 0.1, None, seed)
             wrong_mat += w
             total_mat += e
-            w, e, _, _ = _virtual_match_trial((BERN, n, m, delta, alpha, seed))
+            w, e, _, _ = _virtual_match_trial(BERN, n, m, delta, alpha, seed)
             wrong_virt += w
             total_virt += e
         rate_mat = wrong_mat / total_mat
@@ -206,7 +209,7 @@ def _assert_trial_counts_like_brute_force(dist, m, n, delta, alpha, b, seed):
     # the rows left after any seed batch, scored row by row against
     # match_counts' rows and outcome by outcome against match_all's
     wrong, evaluated, detected_cols, deleted_cols = _match_trial(
-        (dist, n, m, delta, alpha, b, 0.1, 0.1, seed))
+        dist, n, m, delta, alpha, b, 0.1, 0.1, seed)
     c1 = sample_database(dist, m, n, derive_seed(seed, harness.STREAM_DATABASE))
     exp = apply_deletion_channel(c1, delta, alpha,
                                  derive_seed(seed, harness.STREAM_CHANNEL))
@@ -252,8 +255,8 @@ def test_pipeline_trial_counts_like_match_all(dist, m, n, delta, b, seed):
 def test_virtual_trial_detects_and_deletes_like_materialized(m, n, delta, alpha, seed):
     # the closed form reads the materialized channel's streams, so its
     # detected and deleted counts are the same for every seed
-    assert (_virtual_match_trial((BERN, n, m, delta, alpha, seed))[2:]
-            == _match_trial((BERN, n, m, delta, alpha, 0, 0.1, None, seed))[2:])
+    assert (_virtual_match_trial(BERN, n, m, delta, alpha, seed)[2:]
+            == _match_trial(BERN, n, m, delta, alpha, 0, 0.1, None, seed)[2:])
 
 
 def test_simulate_match_csv(tmp_path):
@@ -431,7 +434,7 @@ def test_match_trial_detects_like_detect_f_at_the_pipeline_shape():
     # pipeline-hidden's shape, beyond the property tests' m <= 40, n <= 12:
     # the scans from the known embedding flag as many columns as detect_f
     dist = Distribution((0.4, 0.3, 0.2, 0.1))
-    eps = 0.1 * entropy(dist)
+    eps = 0.1 * dist.entropy
     found = []
     for seed in (derive_seed(5, 0, t) for t in range(3)):
         c1 = sample_database(dist, 2048, 32, derive_seed(seed, harness.STREAM_DATABASE))
@@ -439,7 +442,7 @@ def test_match_trial_detects_like_detect_f_at_the_pipeline_shape():
                                      derive_seed(seed, harness.STREAM_CHANNEL))
         batch = extract_seed_batch(exp, 4, derive_seed(seed, harness.STREAM_BATCH))
         found.append(detect_f(batch, dist, eps).count(Verdict.DELETED))
-        assert _match_trial((dist, 32, 2048, 0.3, 0.0, 4, eps, eps, seed))[2] == found[-1]
+        assert _match_trial(dist, 32, 2048, 0.3, 0.0, 4, eps, eps, seed)[2] == found[-1]
     assert sum(found) > 0
 
 
@@ -998,7 +1001,7 @@ def test_cli_detect_huge_bound_prints_in_exponent_form(capsys):
                      "--delta", "0.3", "--trials", "3", "--epsilon", "100"]) == 0
     header, row = capsys.readouterr().out.splitlines()
     field = dict(zip(header.split(","), row.split(",")))["theorem2_bound"]
-    bound = detection_probability_bound(64, 8, 0.3, entropy(BERN), 100)
+    bound = detection_probability_bound(64, 8, 0.3, BERN.entropy, 100)
     assert len(field) <= 20
     assert float(field) == pytest.approx(bound, rel=1e-6)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from delmatch.infotheory import (entropy, binary_entropy, regime_ok, achievable_rate,
+from delmatch.infotheory import (binary_entropy, regime_ok, achievable_rate,
                                  typicality_mask, supersequence_count_exact,
                                  supersequence_count_bound, min_seed_batch_size,
                                  detection_probability_bound)
@@ -15,15 +15,15 @@ from delmatch.model import PROB_TOL, Distribution
 # -- entropy ---------------------------------------------------------------
 
 def test_entropy_uniform_binary():
-    assert entropy(Distribution.bernoulli(0.5)) == 1.0
+    assert Distribution.bernoulli(0.5).entropy == 1.0
 
 
 def test_entropy_point_mass():
-    assert entropy(Distribution((1.0, 0.0))) == 0.0
+    assert Distribution((1.0, 0.0)).entropy == 0.0
 
 
 def test_entropy_bern02():
-    assert entropy(Distribution.bernoulli(0.2)) == pytest.approx(0.721928, abs=1e-6)
+    assert Distribution.bernoulli(0.2).entropy == pytest.approx(0.721928, abs=1e-6)
 
 
 def test_entropy_bounds():
@@ -31,7 +31,7 @@ def test_entropy_bounds():
         for seed in range(5):
             p = np.random.default_rng(seed).dirichlet(np.ones(q))
             p = p / p.sum()
-            h = entropy(Distribution(tuple(p)))
+            h = Distribution(tuple(p)).entropy
             assert 0.0 <= h <= log2(q) + 1e-12
 
 
@@ -58,11 +58,11 @@ def test_binary_entropy_domain():
 
 def _rate_no_side_info(dist, delta):
     q = dist.alphabet_size
-    return max(0.0, entropy(dist) - binary_entropy(delta) - delta * log2(q - 1))
+    return max(0.0, dist.entropy - binary_entropy(delta) - delta * log2(q - 1))
 
 
 def _rate_full_side_info(dist, delta):
-    return (1.0 - delta) * entropy(dist)
+    return (1.0 - delta) * dist.entropy
 
 
 def test_rate_full_info_bern_half():
@@ -166,6 +166,13 @@ def test_typicality_params_reject_bad_epsilon(bad):
         _typical([0, 1], Distribution.bernoulli(0.5), bad)
 
 
+@pytest.mark.parametrize("dist", [Distribution.uniform(2), Distribution.bernoulli(0.3)])
+def test_typicality_refuses_non_integer_symbols(dist):
+    for mat in (np.array([[0.0, 1.0]]), np.array([[True, False]])):
+        with pytest.raises(ValueError, match=f"symbols must be integers, got {mat.dtype}"):
+            typicality_mask(mat, dist, 0.1, axis=1)
+
+
 def test_empty_sequence_typical():
     assert _typical([], Distribution((0.8, 0.2)), 0.0)
 
@@ -187,7 +194,7 @@ _UNIFORM = [Distribution.uniform(q) for q in (2, 3, 5, 6, 7, 256)] + [
 
 
 def test_uniform_sources_include_lists_off_by_rounding():
-    assert all(dist.is_uniform() for dist in _UNIFORM)
+    assert all(dist.is_uniform for dist in _UNIFORM)
     assert any(sum(dist.probabilities) != 1.0 for dist in _UNIFORM)
     assert all(abs(sum(dist.probabilities) - 1.0) <= PROB_TOL for dist in _UNIFORM)
 
@@ -252,7 +259,7 @@ def test_long_uniform_columns_typical_at_epsilon_zero():
 def test_typicality_matches_direct_inequality():
     rng = np.random.default_rng(7)
     dist = Distribution((0.6, 0.3, 0.1))
-    h = entropy(dist)
+    h = dist.entropy
     for _ in range(100):
         length = int(rng.integers(1, 12))
         seq = rng.integers(0, 3, size=length)
@@ -304,10 +311,14 @@ def test_supersequence_string_independence():
 
 
 def test_supersequence_argument_errors():
-    with pytest.raises(ValueError):
+    for count in (supersequence_count_exact, supersequence_count_bound):
+        with pytest.raises(ValueError, match="alphabet size must be >= 2"):
+            count(3, 2, 1)
+    with pytest.raises(ValueError, match="need 0 <= k <= n"):
         supersequence_count_exact(3, 4, 2)
-    with pytest.raises(ValueError):
-        supersequence_count_exact(3, 2, 1)
+    for n, k in ((0, 0), (3, 4), (3, -1)):
+        with pytest.raises(ValueError, match="need n >= 1 and 0 <= k <= n"):
+            supersequence_count_bound(n, k, 2)
 
 
 def test_bound_small_case():
@@ -350,6 +361,20 @@ def test_min_seed_batch_size_unbounded():
         min_seed_batch_size(100, 0.5, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((8, 0.2, nan, 1.0), r"alpha_target must be in \[0, 1\), got nan"),
+    ((8, 0.2, -0.5, 1.0), r"alpha_target must be in \[0, 1\), got -0.5"),
+    ((8, 0.2, 0.5, nan), "entropy must be positive, got nan"),
+    ((8, 0.2, 0.5, 0.0), "entropy must be positive, got 0.0"),
+    ((8, 0.2, 0.5, -1.0), "entropy must be positive, got -1.0"),
+    ((0, 0.2, 0.5, 1.0), "n must be >= 1"),
+    ((8, nan, 0.5, 1.0), r"delta must be in \[0, 1\), got nan"),
+])
+def test_min_seed_batch_size_refuses_bad_arguments(args, message):
+    with pytest.raises(ValueError, match=message):
+        min_seed_batch_size(*args)
+
+
 def test_detection_bound_value():
     assert detection_probability_bound(100, 20, 0.5, 1.0, 0.05) == pytest.approx(
         0.949905, abs=1e-6)
@@ -372,6 +397,18 @@ def test_detection_bound_degrades_with_n():
 def test_detection_bound_rejects_bad_epsilon(bad):
     with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
         detection_probability_bound(8, 4, 0.3, 1.0, bad)
+
+
+@pytest.mark.parametrize("B, h, message", [
+    (0, 1.0, "batch size must be >= 1"),
+    (-1, 1.0, "batch size must be >= 1"),
+    (4, nan, "entropy must be finite and >= 0, got nan"),  # the bound would be NaN
+    (4, inf, "entropy must be finite and >= 0, got inf"),
+    (4, -0.1, "entropy must be finite and >= 0, got -0.1"),
+])
+def test_detection_bound_rejects_bad_batch_or_entropy(B, h, message):
+    with pytest.raises(ValueError, match=message):
+        detection_probability_bound(8, B, 0.3, h, 0.1)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1, 1.0])

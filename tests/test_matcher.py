@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delmatch import matcher
-from delmatch.infotheory import entropy, typicality_mask
+from delmatch.infotheory import typicality_mask
 from delmatch.matcher import (MatcherConfig, MatchStatus, MatchOutcome, is_subsequence,
                               match_all, default_epsilon, match_counts, count_mismatches)
 from delmatch.model import (Distribution, Database, sample_database, apply_deletion_channel,
@@ -81,6 +81,9 @@ def test_match_row_length_guard():
         _one([0, 1, 1], c1, [], 0.5, BERN)
     with pytest.raises(ValueError):
         _one([0, 1], c1, [0], 0.5, BERN)
+    for detected in ([2], [-1]):
+        with pytest.raises(ValueError, match="detected index out of range"):
+            _one([0], c1, detected, 0.5, BERN)
 
 
 def test_match_row_order_invariance():
@@ -158,7 +161,7 @@ def test_true_row_always_containment_candidate():
             if count == NO_CANDIDATE:
                 saw_no_candidate = True
                 score = float(nl2[true_row].mean())
-                assert abs(score - entropy(dist)) > eps
+                assert abs(score - dist.entropy) > eps
     assert saw_no_candidate
 
 

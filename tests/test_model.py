@@ -23,6 +23,8 @@ def test_invalid_distribution_rejected():
         Distribution((0.5, 0.4))
     with pytest.raises(ValueError):
         Distribution((1.2, -0.2))
+    with pytest.raises(ValueError, match=f"alphabet limited to {MAX_ALPHABET} symbols"):
+        Distribution((1.0 / (MAX_ALPHABET + 1),) * (MAX_ALPHABET + 1))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -108,7 +110,7 @@ def test_distribution_constants_equal_their_formulas(dist):
     cdf = np.cumsum(p)
     cdf /= cdf[-1]
     assert dist.edges.tobytes() == cdf[:-1].tobytes()
-    assert dist.is_uniform() == all(x == p[0] for x in p)
+    assert dist.is_uniform == all(x == p[0] for x in p)
     for arr in (dist.costs, dist.edges):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -126,7 +128,7 @@ def test_distribution_compares_hashes_prints_and_pickles_by_probabilities(dist):
     assert dist.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2] == {"probabilities": p}
     copy = pickle.loads(pickle.dumps(dist))
     assert copy == dist and copy.entropy == dist.entropy
-    assert copy.is_uniform() == dist.is_uniform()
+    assert copy.is_uniform == dist.is_uniform
     for name in ("costs", "edges"):
         assert np.array_equal(getattr(copy, name), getattr(dist, name))
         assert not getattr(copy, name).flags.writeable
@@ -146,8 +148,8 @@ def test_distribution_helpers():
     d = Distribution.bernoulli(0.2)
     assert d.probabilities == (0.8, 0.2)
     assert d.alphabet_size == 2
-    assert Distribution.uniform(4).is_uniform()
-    assert not d.is_uniform()
+    assert Distribution.uniform(4).is_uniform
+    assert not d.is_uniform
 
 
 def test_sampling_deterministic():
@@ -376,6 +378,20 @@ def test_types_are_immutable():
 def test_records_refuse_a_cast_that_changes_a_symbol(make, values):
     with pytest.raises(ValueError, match="integers in the uint8 range"):
         make(np.array(values))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Database([0, 1], 2), "database must be a 2-d matrix"),
+    (lambda: Database([[[0, 1]]], 2), "database must be a 2-d matrix"),
+    (lambda: Database([[0, 1]], 1), "alphabet size out of range"),
+    (lambda: Database([[0, 1]], MAX_ALPHABET + 1), "alphabet size out of range"),
+    (lambda: SeedBatch([[0, 1]], [[0], [1]]), "d1/d2 row counts differ"),
+    (lambda: SeedBatch([[0]], [[0, 1]]), "d2 cannot be wider than d1"),
+], ids=["Database-1d", "Database-3d", "Database-q1", "Database-q257", "SeedBatch-rows",
+        "SeedBatch-width"])
+def test_records_refuse_a_shape_or_alphabet_they_cannot_hold(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 @pytest.mark.parametrize("make, field, values, dtype", [

@@ -1,6 +1,7 @@
 """Rules over the package source as a whole."""
 
 import ast
+import builtins
 import inspect
 import json
 import os
@@ -20,6 +21,33 @@ def test_no_assert_statements_in_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _names(node) -> set:
+    """Every plain name and attribute name under node."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_exception_class_is_caught_somewhere_in_package():
+    # an exception class earns its name only where some handler tells it
+    # apart; a subclass that nothing catches only renames its base
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.rglob("*.py"))]
+    classes = [node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)]
+    errors = set()
+    while True:  # classes with an exception base, defined here or builtin
+        found = {c.name for c in classes if any(
+            name in errors or isinstance(getattr(builtins, name, None), type)
+            and issubclass(getattr(builtins, name), BaseException)
+            for base in c.bases for name in _names(base))}
+        if found == errors:
+            break
+        errors = found
+    caught = {name for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.ExceptHandler) and node.type
+              for name in _names(node.type)}
+    assert sorted(errors - caught) == []
 
 
 # numpy routines that OpenBLAS computes on float arrays
